@@ -12,9 +12,13 @@ audit assembles the full quotient from the same quadratures.
 All integrals run over the ball |x| <= 2 delta with the volume element
 modelled as (1 + vol_coeff |x|^vol_degree) dx, a stand-in for the
 determinant normalisation the coordinates are constructed to satisfy.
-The quadrature is the product of one shared angular table (see
-``quadrature``) and per-epsilon radial panels, so each audit costs one
-angular pass regardless of the grid size.
+The quadrature is the product of one shared angular rule (see
+``quadrature``) and per-epsilon radial panels.
+
+Every audited field is a sum of real radial coefficients times fixed
+angular spinor tables (see ``_AuditEngine``): a pairing reduces to the
+tables' angular Gram matrix, a q-norm to one real GEMM per block of
+radial nodes, and each audit computes only the outputs it reads.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .spinor_fields import (
 )
 
 __all__ = [
+    "AUDIT_MIN_M",
     "MomentTable",
     "OrderFit",
     "AuditInputs",
@@ -68,6 +73,9 @@ __all__ = [
 
 A_TERMS = ("A1", "A2", "A3", "A4", "A5", "A6")
 J_TERMS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7")
+
+# smallest dimension each audit accepts
+AUDIT_MIN_M = {"residual": 4, "energy": 5, "rayleigh": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +288,25 @@ def _generic_spinor(rep, coeff, seed: int = 0) -> np.ndarray:
 _POLAR = {7: 4, 8: 3, 9: 3}
 _CIRCLE = {7: 8, 8: 6, 9: 6}
 
+# the angular tables in stacking order; the last four exist only when the
+# engine carries a generic spinor
+_TABLES = ("S0", "S1", "TH0", "TH1", "L1S0", "L1S1", "L2S0", "L2S1",
+           "Q2", "Q3", "Q4", "Z2", "Z3", "Z4", "P2", "P3", "P4",
+           "S0g", "S1g", "TH0g", "TH1g")
+_ROW = {name: k for k, name in enumerate(_TABLES)}
+
+# the field each energy term pairs against the cut-off spinor phib
+_PAIRED = {"J1": "A1", "J2": "crit", "J3": "A2", "J4": "A3", "J5": "A4",
+           "J6": "A5", "J7": "A6"}
+_PAIR_KEYS = J_TERMS + ("J4_abs", "J4_pre", "den")
+_NORM_KEYS = A_TERMS + ("total", "num")
+_KEYS = J_TERMS + A_TERMS + ("total", "num", "J4_abs", "J4_pre", "den")
+
+# byte budget of one GEMM output block (q-norm fields, curvature tables);
+# at m = 6 blocks of 13-28 MB ran the q-norms in 0.38-0.41 s per scale,
+# blocks over 32 MB (fresh pages on every allocation) in 0.6 s or more
+_BLOCK_BYTES = 1 << 24
+
 
 def _default_rule(m: int):
     return sphere_rule(m, _POLAR.get(m, 5), _CIRCLE.get(m, 10))
@@ -308,32 +335,69 @@ def _lambda_coefficients(lam):
     return lin, quad
 
 
-def _theta_tables(theta, G, U, psi0):
+def _angular_slots(T, U, UU):
+    """``T[i, j, a1..ad]`` with its d = 2, 3, 4 slots at U[p]: (P, m, m).
+
+    One GEMM against the pair products UU = U (x) U eats the last two
+    slots; a batched product with U or UU eats what is left.  The angles
+    run in chunks so the (chunk, m^d) intermediate fits the block budget.
+    """
+    P, m = U.shape
+    rows = T.reshape(-1, m * m)
+    rest = {2: None, 3: U, 4: UU}[T.ndim - 2]
+    out = np.empty((P, m * m))
+    step = max(1, _BLOCK_BYTES // (8 * rows.shape[0]))
+    for lo in range(0, P, step):
+        Y = UU[lo:lo + step] @ rows.T
+        if rest is not None:
+            Y = (Y.reshape(Y.shape[0], m * m, -1)
+                 @ rest[lo:lo + step, :, None])[..., 0]
+        out[lo:lo + step] = Y
+    return out.reshape(P, m, m)
+
+
+def _theta_tables(C, G, U, psi0):
     """Angular images of the cubic Clifford term on the profile spinors.
 
-    Returns (TH0, TH1) with TH0[p] the cubic form at angle p applied to
-    psi0 and TH1[p] the same applied to the angular partner gamma(u) psi0.
+    ``C[p]`` is the real cubic form at angle p, flattened to (P, m^3).
+    Returns (TH0, TH1) with TH0[p] that form applied to psi0 and TH1[p]
+    the same applied to the angular partner gamma(u) psi0.
     """
-    UP3 = np.einsum("pa,pb,pc->pabc", U, U, U)
-    C = np.einsum("ijkabc,pabc->pijk", theta, UP3, optimize=True)
+    P, m = U.shape
+    N = psi0.size
     X1 = np.einsum("irs,s->ir", G, psi0)
     X2 = np.einsum("jrs,ks->jkr", G, X1)
     X3 = np.einsum("irs,jks->ijkr", G, X2)
-    TH0 = np.einsum("pijk,ijkn->pn", C, X3, optimize=True)
     W2 = np.einsum("krs,as->kar", G, X1)
     W3 = np.einsum("jrs,kas->jkar", G, W2)
     X4 = np.einsum("irs,jkas->ijkar", G, W3)
-    T = np.einsum("pijk,ijkan->pan", C, X4, optimize=True)
-    TH1 = np.einsum("pan,pa->pn", T, U)
-    return TH0, TH1
+    X = np.concatenate([X3.reshape(m ** 3, N), X4.reshape(m ** 3, m * N)],
+                       axis=1)
+    CX = C @ X.real + 1j * (C @ X.imag)
+    TH1 = np.einsum("pan,pa->pn", CX[:, N:].reshape(P, m, N), U)
+    return CX[:, :N], TH1
 
 
 class _AuditEngine:
-    """Shared angular tables plus a per-epsilon radial sweep.
+    """Angular tables, their Gram matrix, and a per-epsilon radial sweep.
 
-    Every field the audits need factors into radial scalars times a
-    handful of angular spinor tables, so the per-epsilon cost is a few
-    broadcast products over (radial nodes, angular nodes, spinor dim).
+    Every audited field is a sum of real radial coefficients times fixed
+    angular spinor tables T_k(p), stacked once as a complex (K, P, N)
+    array: S0, S1 (the profile spinor and its angular partner), TH0, TH1
+    (cubic Clifford term), L1S0..L2S1 (vector term), Q2..Q4, Z2..Z4 and
+    P2..P4 (the B-jet terms by degree), plus S0g, S1g, TH0g, TH1g for a
+    generic spinor.  Set-up keeps the real view (K, P*2N) of the stack,
+    the real Gram matrix G_kl = sum_p WA_p Re<T_k(p), T_l(p)> and the
+    four pointwise products <TH_a(p), S_b(p)>.
+
+    ``terms`` maps the radial nodes of one epsilon to a coefficient
+    matrix (nodes, K) per field.  A pairing is then sum_t meas_t
+    a(t)^T G b(t), and |J4| needs one (nodes, P) array of pointwise
+    products.  A q-norm needs |A|^2 at every node and angle: one real
+    GEMM of the coefficient rows of all requested fields against the
+    table view per block of nodes, squared and summed over the 2N
+    interleaved floats of each angle.  Only the part an audit reads is
+    computed.
     """
 
     def __init__(self, R: RiemannTensor, jets, params: TestSpinorParams,
@@ -353,135 +417,146 @@ class _AuditEngine:
         self.vol_coeff = vol_coeff
         self.vol_degree = vol_degree
         self.rule = rule if rule is not None else _default_rule(m)
+        self.generic = generic_psi0 is not None
 
         U = self.rule.points
         WA = self.rule.weights
-        self.U, self.WA = U, WA
+        self.WA = WA
+        P = U.shape[0]
+        UU = (U[:, :, None] * U[:, None, :]).reshape(P, m * m)
         G = np.stack(rep.gammas)
 
         psi0 = params.psi0
         GPsi = np.einsum("irs,s->ir", G, psi0)
         GG = np.einsum("irs,as->iar", G, GPsi)
-        self.S0 = psi0
-        self.S1 = U @ GPsi
         GS1 = np.einsum("pa,ian->pin", U, GG)
-
-        Bt, _ = b_coefficient_tensors(R, jets)
-        bh = {
-            2: np.einsum("ijab,pa,pb->pij", Bt[2], U, U, optimize=True),
-            3: np.einsum("ijabc,pa,pb,pc->pij", Bt[3], U, U, U, optimize=True),
-            4: np.einsum("ijabcd,pa,pb,pc,pd->pij", Bt[4], U, U, U, U,
-                         optimize=True),
-        }
-        wh = {d: np.einsum("pij,pj->pi", bh[d], U) for d in bh}
-        self.Qd = {d: wh[d] @ GPsi for d in bh}
-        self.Zd = {d: np.einsum("pi,pin->pn", wh[d], GS1) for d in bh}
-        self.Pd = {d: np.einsum("pij,ijn->pn", bh[d], GG) for d in bh}
+        tables = [np.broadcast_to(psi0, (P, self.N)), U @ GPsi]
 
         theta, lam = theta_lambda(R, jets)
-        self.theta = theta
+        C = (UU[:, :, None] * U[:, None, :]).reshape(P, m ** 3) \
+            @ theta.reshape(m ** 3, m ** 3).T
+        tables += _theta_tables(C, G, U, psi0)
+
         lin, quad = _lambda_coefficients(lam)
-        L1 = U @ lin.T
-        L2 = np.einsum("kab,pa,pb->pk", quad, U, U, optimize=True)
-        self.L1S0 = L1 @ GPsi
-        self.L1S1 = np.einsum("pk,pkn->pn", L1, GS1)
-        self.L2S0 = L2 @ GPsi
-        self.L2S1 = np.einsum("pk,pkn->pn", L2, GS1)
+        for L in (U @ lin.T, UU @ quad.reshape(m, m * m).T):
+            tables += [L @ GPsi, np.einsum("pk,pkn->pn", L, GS1)]
 
-        self.TH0, self.TH1 = _theta_tables(theta, G, U, psi0)
+        Bt, _ = b_coefficient_tensors(R, jets)
+        bh = [_angular_slots(Bt[d], U, UU) for d in (2, 3, 4)]
+        wh = [(b @ U[:, :, None])[..., 0] for b in bh]
+        tables += [w @ GPsi for w in wh]
+        tables += [np.einsum("pi,pin->pn", w, GS1) for w in wh]
+        tables += [b.reshape(P, m * m) @ GG.reshape(m * m, self.N) for b in bh]
 
-        if generic_psi0 is not None:
+        if self.generic:
             g = np.asarray(generic_psi0, dtype=complex)
-            self.S0g = g
-            self.S1g = U @ np.einsum("irs,s->ir", G, g)
-            self.TH0g, self.TH1g = _theta_tables(theta, G, U, g)
-        else:
-            self.S0g = None
+            tables += [np.broadcast_to(g, (P, self.N)),
+                       U @ np.einsum("irs,s->ir", G, g)]
+            tables += _theta_tables(C, G, U, g)
 
-    def terms(self, eps: float) -> dict:
-        """All audited quantities at one concentration scale."""
-        m, q = self.m, self.q
-        two_star = self.two_star
-        delta = self.delta
-        WA = self.WA
-        nodes, weights = panel_nodes(shell_edges(eps, delta), self.n_leg)
+        self.tables = np.ascontiguousarray(np.stack(tables), dtype=complex)
+        K = self.tables.shape[0]
+        self.flat = self.tables.view(float).reshape(K, P * 2 * self.N)
+        self.gram = (self.flat * np.repeat(WA, 2 * self.N)) @ self.flat.T
+        TH = self.tables[[_ROW["TH0"], _ROW["TH1"]]]
+        S = self.tables[[_ROW["S0"], _ROW["S1"]]]
+        self.th_s = np.einsum("apn,bpn->abp", TH.conj(), S).reshape(4, P)
 
-        out = {k: 0.0 for k in J_TERMS}
-        out.update({k: 0.0 for k in A_TERMS})
-        out.update(total=0.0, num=0.0, J4_abs=0.0, J4_pre=0.0)
+    def _coefficients(self, eps: float, r: np.ndarray) -> dict:
+        """Coefficient rows (nodes, K) of every field at the radii r.
+
+        Row t of a field F holds the radial factors of the tables, so that
+        F(r_t u_p) = sum_k F[t, k] T_k(p).
+        """
+        m, two_star = self.m, self.two_star
+        rho = r / eps
+        W = 1.0 + rho * rho
         amp = eps ** (-(m - 1) / 2.0)
         gamp = eps ** (-(m + 1) / 2.0) * self.cm
+        rad = amp * self.cm * W ** (-m / 2.0)
+        norm_psi = amp * (m / W) ** ((m - 1) / 2.0)
+        ev, ep = eta(r, self.delta), eta_d1(r, self.delta)
+        K = self.tables.shape[0]
 
-        def pair(A, B, meas):
-            v = np.einsum("tpn,tpn->tp", np.conj(A), B).real
-            return float(np.einsum("tp,t,p->", v, meas, WA))
+        def rows(**entries):
+            out = np.zeros((r.size, K))
+            for name, v in entries.items():
+                out[:, _ROW[name]] = v
+            return out
 
-        def normq(A, meas):
-            v = np.einsum("tpn,tpn->tp", np.conj(A), A).real
-            return float(np.einsum("tp,t,p->", v ** (q / 2.0), meas, WA))
+        psib = rows(S0=rad, S1=-rad * rho)
+        s1, s2, s3 = ev * rad * r, ev * rad * r ** 2, ev * rad * r ** 3
+        pw = {d: r ** d for d in (2, 3, 4)}
+        bqz = rows(**{f"Q{d}": v for d, v in pw.items()},
+                   **{f"Z{d}": -rho * v for d, v in pw.items()})
+        bp = rows(**{f"P{d}": v for d, v in pw.items()})
 
-        for lo in range(0, nodes.size, self.n_leg):
-            r = nodes[lo:lo + self.n_leg]
-            w = weights[lo:lo + self.n_leg]
-            rho = r / eps
-            W = 1.0 + rho * rho
-            rad = amp * self.cm * W ** (-m / 2.0)
-            radc = rad[:, None, None]
-            rhoc = rho[:, None, None]
-            norm_psi = amp * (m / W) ** ((m - 1) / 2.0)
-            ev = eta(r, delta)
-            ep = eta_d1(r, delta)
-            evc = ev[:, None, None]
-            epc = ep[:, None, None]
-            meas = w * r ** (m - 1) * (1.0 + self.vol_coeff * r ** self.vol_degree)
+        c = {"phib": ev[:, None] * psib}
+        c["crit"] = ((ev * norm_psi) ** (two_star - 2.0))[:, None] * c["phib"]
+        c["A1"] = rows(S0=ep * rad * rho, S1=ep * rad)
+        c["A2"] = ((ev - ev ** (two_star - 1.0))
+                   * norm_psi ** (two_star - 2.0))[:, None] * psib
+        c["A3"] = rows(TH0=s3, TH1=-s3 * rho)
+        c["A4"] = rows(L1S0=s1, L1S1=-s1 * rho, L2S0=s2, L2S1=-s2 * rho)
+        c["A5"] = (
+            (-m * ev * gamp * rho * W ** (-m / 2.0 - 1.0))[:, None] * bqz
+            - (ev * gamp * W ** (-m / 2.0))[:, None] * bp)
+        c["A6"] = (ep * rad)[:, None] * bqz
+        c["total"] = sum(c[name] for name in A_TERMS)
+        c["num"] = c["crit"] + c["total"]
+        if self.generic:
+            c["psg"] = rows(S0g=ev * rad, S1g=-ev * rad * rho)
+            c["A3g"] = rows(TH0g=s3, TH1g=-s3 * rho)
+        return c
 
-            psib = radc * (self.S0[None, None, :] - rhoc * self.S1[None])
-            phib = evc * psib
-            pw = (ev * norm_psi) ** (two_star - 2.0)
-            crit = pw[:, None, None] * phib
+    def _pairings(self, c: dict, meas: np.ndarray) -> dict:
+        def pair(a, b):
+            return float(meas @ np.einsum("tk,tk->t", a, b @ self.gram))
 
-            A1 = epc * radc * (self.S1[None] + rhoc * self.S0[None, None, :])
-            a2rad = (ev - ev ** (two_star - 1.0)) * norm_psi ** (two_star - 2.0)
-            A2 = a2rad[:, None, None] * psib
-            r3 = (r ** 3)[:, None, None]
-            A3 = evc * radc * r3 * (self.TH0[None] - rhoc * self.TH1[None])
-            lam_im = (r[:, None, None] * (self.L1S0[None] - rhoc * self.L1S1[None])
-                      + (r ** 2)[:, None, None] * (self.L2S0[None] - rhoc * self.L2S1[None]))
-            A4 = evc * radc * lam_im
-            BQZ = sum((r ** d)[:, None, None] * (self.Qd[d][None] - rhoc * self.Zd[d][None])
-                      for d in (2, 3, 4))
-            BP = sum((r ** d)[:, None, None] * self.Pd[d][None] for d in (2, 3, 4))
-            A5 = evc * gamp * (-(m) * (rho * W ** (-m / 2.0 - 1.0))[:, None, None] * BQZ
-                               - (W ** (-m / 2.0))[:, None, None] * BP)
-            A6 = epc * radc * BQZ
-
-            fields = {"A1": A1, "A2": A2, "A3": A3, "A4": A4, "A5": A5, "A6": A6}
-            resid = A1 + A2 + A3 + A4 + A5 + A6
-
-            out["J1"] += pair(A1, phib, meas)
-            out["J2"] += pair(crit, phib, meas)
-            out["J3"] += pair(A2, phib, meas)
-            out["J4"] += pair(A3, phib, meas)
-            out["J5"] += pair(A4, phib, meas)
-            out["J6"] += pair(A5, phib, meas)
-            out["J7"] += pair(A6, phib, meas)
-            vc = np.einsum("tpn,tpn->tp", np.conj(A3), phib)
-            out["J4_abs"] += float(np.einsum("tp,t,p->", np.abs(vc), meas, WA))
-            for name, A in fields.items():
-                out[name] += normq(A, meas)
-            out["total"] += normq(resid, meas)
-            out["num"] += normq(crit + resid, meas)
-
-            if self.S0g is not None:
-                psg = radc * (self.S0g[None, None, :] - rhoc * self.S1g[None])
-                A3g = evc * radc * r3 * (self.TH0g[None] - rhoc * self.TH1g[None])
-                out["J4_pre"] += pair(A3g, evc * psg, meas)
-
-        for name in A_TERMS + ("total",):
-            out[name] = out[name] ** (1.0 / q)
-        out["num"] = out["num"] ** ((m + 1.0) / m)
+        out = {j: pair(c[field], c["phib"]) for j, field in _PAIRED.items()}
+        out["J4_pre"] = pair(c["A3g"], c["psg"]) if self.generic else 0.0
+        th = c["A3"][:, [_ROW["TH0"], _ROW["TH1"]]]
+        s = c["phib"][:, [_ROW["S0"], _ROW["S1"]]]
+        inner = (th[:, :, None] * s[:, None, :]).reshape(-1, 4) @ self.th_s
+        out["J4_abs"] = float(meas @ (np.abs(inner) @ self.WA))
         out["den"] = float(sum(out[k] for k in J_TERMS))
         return out
+
+    def _qnorms(self, c: dict, meas: np.ndarray, names) -> dict:
+        coef = np.stack([c[name] for name in names], axis=1)
+        n_t, n_f, K = coef.shape
+        P, two_n = self.WA.size, 2 * self.N
+        step = max(1, _BLOCK_BYTES // (8 * n_f * self.flat.shape[1]))
+        acc = np.zeros(n_f)
+        for lo in range(0, n_t, step):
+            vals = coef[lo:lo + step].reshape(-1, K) @ self.flat
+            vals *= vals
+            dens = (vals.reshape(-1, two_n) @ np.ones(two_n)).reshape(-1, P)
+            per = (dens ** (self.q / 2.0)) @ self.WA
+            acc += meas[lo:lo + step] @ per.reshape(-1, n_f)
+        return {name: float(v ** ((self.m + 1.0) / self.m if name == "num"
+                                  else 1.0 / self.q))
+                for name, v in zip(names, acc)}
+
+    def terms(self, eps: float, keys=None) -> dict:
+        """Audited quantities at one concentration scale.
+
+        ``keys`` names the quantities wanted, all of them by default.  The
+        pairings run only for a J-term, J4_abs, J4_pre or den, the q-norms
+        only for an A-term, total or num.
+        """
+        keys = _KEYS if keys is None else tuple(keys)
+        r, w = panel_nodes(shell_edges(eps, self.delta), self.n_leg)
+        vol = 1.0 + self.vol_coeff * r ** self.vol_degree
+        meas = w * r ** (self.m - 1) * vol
+        c = self._coefficients(eps, r)
+        out = {}
+        if any(k in _PAIR_KEYS for k in keys):
+            out.update(self._pairings(c, meas))
+        norms = [k for k in _NORM_KEYS if k in keys]
+        if norms:
+            out.update(self._qnorms(c, meas, norms))
+        return {k: out[k] for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +720,11 @@ def _resolve(m, R, params, jets, seed, first_scale):
     return R, params, jets
 
 
-def _sweep(engine, eps_grid):
+def _sweep(engine, eps_grid, keys):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):
         raise ValueError("eps grid must be strictly decreasing")
-    rows = [engine.terms(e) for e in eps_grid]
-    keys = rows[0].keys()
+    rows = [engine.terms(e, keys) for e in eps_grid]
     return eps_grid, {k: np.array([r[k] for r in rows]) for k in keys}
 
 
@@ -660,13 +734,13 @@ def residual_audit(m: int, R: RiemannTensor = None,
                    vol_coeff: float = 0.1, vol_degree: int = 5,
                    seed: int = 0, first_scale: float = 100.0) -> ResidualReport:
     """Fit the decay orders of the six residual norms and their sum."""
-    if m < 4:
+    if m < AUDIT_MIN_M["residual"]:
         raise ValueError("residual audit needs m >= 4")
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
     eps_grid = default_eps_grid() if eps_grid is None else eps_grid
-    eps, vals = _sweep(engine, eps_grid)
+    eps, vals = _sweep(engine, eps_grid, A_TERMS + ("total",))
     expected = residual_exponents(m) if 4 <= m <= 8 else {
         k: None for k in A_TERMS + ("total",)}
     slopes = {k: _window_slope(eps, vals[k], lower=True)
@@ -685,7 +759,7 @@ def energy_audit(m: int, R: RiemannTensor = None,
                  vol_coeff: float = 0.1, vol_degree: int = 5,
                  seed: int = 0, first_scale: float = 10.0) -> EnergyReport:
     """Decompose the curved pairing and audit each term's behaviour."""
-    if m < 5:
+    if m < AUDIT_MIN_M["energy"]:
         raise ValueError("energy audit needs m >= 5 (finite quartic moments)")
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     if R.frobenius() == 0.0:
@@ -698,7 +772,7 @@ def energy_audit(m: int, R: RiemannTensor = None,
                           vol_coeff=vol_coeff, vol_degree=vol_degree,
                           generic_psi0=generic)
     eps_grid = default_eps_grid() if eps_grid is None else eps_grid
-    eps, vals = _sweep(engine, eps_grid)
+    eps, vals = _sweep(engine, eps_grid, J_TERMS + ("J4_abs", "J4_pre"))
 
     j2_limit = m ** m * sphere_area(m) * radial_I(m)
     j2_rel = float(abs(vals["J2"][-1] - j2_limit) / j2_limit)
@@ -753,13 +827,13 @@ def rayleigh_audit(m: int, R: RiemannTensor = None,
     the quotient sits above the critical threshold at the smallest two
     grid points.
     """
-    if m < 5:
+    if m < AUDIT_MIN_M["rayleigh"]:
         raise ValueError("rayleigh audit needs m >= 5")
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
     eps_grid = rayleigh_eps_grid() if eps_grid is None else eps_grid
-    eps, vals = _sweep(engine, eps_grid)
+    eps, vals = _sweep(engine, eps_grid, ("num", "den"))
     num, den = vals["num"], vals["den"]
     om = sphere_volume(m)
     num_limit = (0.5 * m) ** (m + 1) * om ** ((m + 1.0) / m)

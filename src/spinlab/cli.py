@@ -188,8 +188,9 @@ def _eps_grid(cfg, fallback):
     lo, hi, count = cfg["eps_lo"], cfg["eps_hi"], cfg["eps_count"]
     if not lo < hi:
         raise UsageError("eps_lo must be below eps_hi")
-    if count < 2:
-        raise UsageError("eps_count must be at least 2")
+    if count < 4:
+        # the audits fit their slopes on at least four scales
+        raise UsageError("eps_count must be at least 4")
     return np.geomspace(hi, lo, count)
 
 
@@ -340,9 +341,17 @@ def _audit_payload(report, ok, extra=None):
     return payload, [(f"{name}_terms.csv", ("term", "eps", "value"), rows)]
 
 
+def _audit_m(cfg, audit):
+    low = asymptotics.AUDIT_MIN_M[audit]
+    if cfg["m"] < low:
+        raise UsageError(f"{audit} audit needs m >= {low}")
+    return cfg["m"]
+
+
 def _run_audit_residual(cfg):
     report = asymptotics.residual_audit(
-        cfg["m"], eps_grid=_eps_grid(cfg, asymptotics.default_eps_grid),
+        _audit_m(cfg, "residual"),
+        eps_grid=_eps_grid(cfg, asymptotics.default_eps_grid),
         seed=cfg["seed"], first_scale=cfg["first_scale"])
     summary = report.summary()
     ok = (summary["total_floor_ok"]
@@ -353,9 +362,10 @@ def _run_audit_residual(cfg):
 
 def _run_audit_energy(cfg):
     report = asymptotics.energy_audit(
-        cfg["m"], eps_grid=_eps_grid(cfg, asymptotics.default_eps_grid),
+        _audit_m(cfg, "energy"),
+        eps_grid=_eps_grid(cfg, asymptotics.default_eps_grid),
         seed=cfg["seed"], first_scale=cfg["first_scale"])
-    ok = (report.j1_max == 0.0 and report.j5_max <= 1e-12
+    ok = (report.j1_max <= 1e-12 and report.j5_max <= 1e-12
           and report.j7_max <= 1e-12 and report.j2_rel_err <= 1e-6
           and abs(report.j6_slope - 4.0) <= 0.1
           and report.j6_rel_err <= 0.05 and report.j6_negative)
@@ -364,7 +374,8 @@ def _run_audit_energy(cfg):
 
 def _run_audit_rayleigh(cfg):
     report = asymptotics.rayleigh_audit(
-        cfg["m"], eps_grid=_eps_grid(cfg, asymptotics.rayleigh_eps_grid),
+        _audit_m(cfg, "rayleigh"),
+        eps_grid=_eps_grid(cfg, asymptotics.rayleigh_eps_grid),
         seed=cfg["seed"], first_scale=cfg["first_scale"])
     summary = report.summary()
     ok = (summary["num_rel_err"] <= 0.01 and summary["den_rel_err"] <= 0.01
@@ -554,6 +565,17 @@ def _resolve_config(args):
     return cfg
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_csv(out_dir, name, header, rows):
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
@@ -590,7 +612,8 @@ def run(argv=None) -> int:
             written.append(name)
         if written:
             payload["csv"] = written
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(_strict(payload), sort_keys=True, indent=2,
+                     allow_nan=False))
     return 0 if payload.get("ok", True) else 1
 
 

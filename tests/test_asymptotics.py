@@ -14,8 +14,11 @@ import pytest
 from scipy import integrate
 
 from spinlab.asymptotics import (
+    A_TERMS,
+    J_TERMS,
     AuditInputs,
     MomentTable,
+    _angular_slots,
     _AuditEngine,
     audit_inputs,
     critical_energy,
@@ -36,6 +39,8 @@ from spinlab.curvature import (
     CurvatureJets,
     RiemannTensor,
     b_coefficient_tensors,
+    make_cnc_jets,
+    random_riemann,
     ricci,
     theta_lambda,
 )
@@ -413,6 +418,90 @@ def test_quadrature_self_consistency(m5_inputs):
     # rules only agree to the rules' own convergence level
     for key in ("A1", "A2", "A3", "A4", "A5", "A6", "total"):
         assert a[key] == pytest.approx(b[key], rel=5e-3), key
+
+
+def test_engine_terms_returns_requested_keys(m5_inputs):
+    generic = np.ones(m5_inputs.params.rep.N, dtype=complex) / 2.0
+    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
+                          rule=sphere_rule(5, 2, 4), n_leg=8,
+                          generic_psi0=generic)
+    full = engine.terms(0.02)
+    assert set(full) == set(J_TERMS + A_TERMS) | {"total", "num", "J4_abs",
+                                                  "J4_pre", "den"}
+    for keys in (A_TERMS + ("total",), J_TERMS + ("J4_abs", "J4_pre"),
+                 ("num", "den"), ("A5",), ("J4_pre",), ("den", "A2")):
+        out = engine.terms(0.02, keys)
+        assert list(out) == list(keys)
+        for key in keys:
+            assert out[key] == pytest.approx(full[key], rel=1e-13), key
+
+
+def _pointwise_terms(engine, eps):
+    """Every field evaluated at every quadrature point, then integrated.
+
+    The fields are the engine's own coefficient rows times its tables,
+    paired and normed point by point: a check of the Gram pairings, the
+    |J4| products and the blocked GEMM q-norms, not of the tables.
+    """
+    m, q, WA = engine.m, engine.q, engine.WA
+    r, w = panel_nodes(shell_edges(eps, engine.delta), engine.n_leg)
+    meas = w * r ** (m - 1) * (1.0 + engine.vol_coeff * r ** engine.vol_degree)
+    fields = {k: np.einsum("tk,kpn->tpn", c, engine.tables)
+              for k, c in engine._coefficients(eps, r).items()}
+
+    def density(a, b):
+        return np.einsum("tpn,tpn->tp", np.conj(fields[a]), fields[b])
+
+    def integral(values):
+        return float(meas @ values @ WA)
+
+    paired = ("A1", "crit", "A2", "A3", "A4", "A5", "A6")
+    out = {j: integral(density(a, "phib").real)
+           for j, a in zip(J_TERMS, paired)}
+    out["J4_abs"] = integral(np.abs(density("A3", "phib")))
+    out["J4_pre"] = integral(density("A3g", "psg").real)
+    out["den"] = sum(out[j] for j in J_TERMS)
+    for name in A_TERMS + ("total", "num"):
+        power = (m + 1.0) / m if name == "num" else 1.0 / q
+        out[name] = integral(density(name, name).real ** (q / 2.0)) ** power
+    return out
+
+
+def test_engine_factored_contractions_at_m8():
+    m = 8
+    R = random_riemann(m, 3, weyl_only=True)
+    jets = make_cnc_jets(R, seed=3, first_scale=10.0)
+    params = make_params(m)
+    assert params.rep.N == 16
+    rng = np.random.default_rng(3)
+    generic = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    generic /= np.linalg.norm(generic)
+    engine = _AuditEngine(R, jets, params, rule=sphere_rule(m, 2, 4),
+                          n_leg=4, generic_psi0=generic)
+    for eps in (0.05, 2e-3):
+        out = engine.terms(eps)
+        want = _pointwise_terms(engine, eps)
+        scale = abs(want["J2"])
+        for key, value in want.items():
+            assert math.isclose(out[key], value, rel_tol=1e-12,
+                                abs_tol=1e-14 * scale), key
+        assert out["J4_abs"] > 0.0 and out["J4_pre"] != 0.0
+
+
+def test_angular_slots_match_einsum():
+    # m = 8 with 700 angles runs the degree-4 product in two chunks
+    m = 8
+    rng = np.random.default_rng(5)
+    U = rng.standard_normal((700, m))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    UU = (U[:, :, None] * U[:, None, :]).reshape(-1, m * m)
+    specs = {2: "ijab,pa,pb->pij", 3: "ijabc,pa,pb,pc->pij",
+             4: "ijabcd,pa,pb,pc,pd->pij"}
+    for d, spec in specs.items():
+        T = rng.standard_normal((m,) * (d + 2))
+        want = np.einsum(spec, T, *([U] * d), optimize=True)
+        got = _angular_slots(T, U, UU)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), d
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,17 @@ def run_json(capsys, argv):
     rc = run(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def run_strict_json(capsys, argv):
+    """Run and parse stdout as RFC 8259 JSON (no Infinity or NaN)."""
+    rc = run(argv)
+    out = capsys.readouterr().out
+    return rc, json.loads(out, parse_constant=reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +61,48 @@ def test_partial_eps_grid_is_usage_error(capsys):
     rc = run(["audit", "residual", "--m", "6", "--eps-lo", "1e-3"])
     assert rc == 2
     assert "eps" in json.loads(capsys.readouterr().err)["error"]
+
+
+AUDIT_GRID = ["--m", "6", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
+              "--eps-count", "4"]
+
+
+@pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])
+def test_audit_short_grid_passes(capsys, audit):
+    rc, payload = run_strict_json(capsys, ["audit", audit] + AUDIT_GRID)
+    assert rc == 0
+    assert payload["ok"] is True
+    assert payload["eps"] == pytest.approx([10 ** (-2 - k / 3)
+                                            for k in range(4)], rel=1e-12)
+
+
+def test_audit_energy_stdout_is_strict_json(capsys):
+    rc, payload = run_strict_json(capsys, ["audit", "energy"] + AUDIT_GRID)
+    assert rc == 0
+    # J4 cancels for the matched spinor: its slope is "faster than any
+    # power", printed as null
+    assert payload["J4"]["cancelled"] is True
+    assert payload["J4"]["post_slope"] is None
+    assert payload["pointwise_zero_max"]["J1"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "residual", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
+     "--eps-count", "3"],
+    ["audit", "energy", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
+     "--eps-count", "2"],
+    ["audit", "residual", "--m", "3"],
+    ["audit", "energy", "--m", "4"],
+    ["audit", "rayleigh", "--m", "4"],
+])
+def test_audit_bad_input_is_usage_error(capsys, argv):
+    start = time.perf_counter()
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
 
 
 # ---------------------------------------------------------------------------
