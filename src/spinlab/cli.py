@@ -78,9 +78,12 @@ def _cast_scalar(tag, raw):
             raise UsageError(f"expected an integer, got {raw!r}")
     if tag == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise UsageError(f"expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise UsageError(f"expected a finite number, got {raw!r}")
+        return value
     return str(raw)
 
 
@@ -99,7 +102,9 @@ def _cast(key, raw):
             raise UsageError(f"config key {key!r} needs at least one entry")
         scalars = value
     else:
-        value = _cast_scalar(tag, raw) if isinstance(raw, str) else raw
+        # argparse hands flags over typed; floats are checked all the same
+        value = (_cast_scalar(tag, raw)
+                 if isinstance(raw, str) or tag == "float" else raw)
         scalars = (value,)
     if constraint == "positive" and any(not s > 0 for s in scalars):
         raise UsageError(f"config key {key!r} must be positive")
@@ -411,7 +416,13 @@ def _run_solve_generic(cfg):
 
 
 def _run_solve_torus(cfg):
-    spin = dirac_torus.SpinStructure.from_text(cfg["spin"]).astuple()
+    try:
+        spin = dirac_torus.SpinStructure.from_text(cfg["spin"]).astuple()
+        # the library's own checks of cutoff and grid size, before any
+        # solve, so that bad values are usage errors
+        dirac_torus.build_dirac(cfg["modes"], spin, cfg.get("grid"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     state = dirac_torus.solve_ground_state(
         cfg["modes"], spin, tol=cfg["tol"], seed=cfg["seed"],
         starts=cfg["starts"], n_g=cfg.get("grid"))

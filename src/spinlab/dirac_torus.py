@@ -17,6 +17,12 @@ spinors; the quartic term is then replaced by the kernel-reduced
 |psi - T(psi)|^4 with T the best L^4 approximation in the kernel, whose
 critical points map back to those of Phi via psi -> psi - T(psi).
 
+Fields are evaluated on a uniform n_g x n_g grid by a separable partial
+DFT over the square box of integer mode labels: two small matrices per
+basis, exp(i (k + delta_j) x) for the labels k of the box and the grid
+points x, carry the spin-structure phase, so a transform is one pair of
+matrix products on the (2, box, box) coefficient array.
+
 The surface is 2-dimensional, so the critical exponent is 4 and the
 solver exercises the desk-scale instance of the general machinery;
 nothing here claims the high-dimensional results.
@@ -24,7 +30,7 @@ nothing here claims the high-dimensional results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -109,6 +115,16 @@ class SpectralBasis:
     Kernel basis vectors are the constant spinors e_1/(2 pi), e_2/(2 pi);
     every nonzero mode carries an orthonormal pair of symbol
     eigenvectors for the eigenvalues +-|theta|.
+
+    Grid transforms run over the box of labels kk = modes.min() ..
+    modes.max() on both axes, which holds every mode and the kernel mode
+    (0, 0).  ``__post_init__`` builds E1[x, k] = exp(i (k + delta_1) x)
+    and E2t[k, x] = exp(i (k + delta_2) x) over the grid points
+    x = 2 pi j / n_g, their conjugate transposes, and the flat box index
+    of every mode and of the kernel mode.  ``to_grid`` is then
+    E1 @ box @ E2t / (2 pi) and ``from_grid`` E1^H @ grid @ E2t^H
+    times 2 pi / n_g^2: every mode gets the discrete Fourier coefficient
+    an FFT of the grid with the spin phase removed would give it.
     """
 
     lam_max: float
@@ -119,6 +135,35 @@ class SpectralBasis:
     lam: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
+    _e1: np.ndarray = field(init=False, repr=False, compare=False)
+    _e2t: np.ndarray = field(init=False, repr=False, compare=False)
+    _e1h: np.ndarray = field(init=False, repr=False, compare=False)
+    _e2c: np.ndarray = field(init=False, repr=False, compare=False)
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _flat0: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo = int(self.modes.min())
+        kk = np.arange(lo, int(self.modes.max()) + 1)
+        j = np.arange(self.n_g)
+
+        def dft(delta):
+            # exp(i (k + delta) x_j) with the argument reduced exactly in
+            # integers: (k + delta) x_j = pi ((2k + 2 delta) j mod 2 n_g) / n_g
+            turns = np.outer(j, 2 * kk + round(2 * delta)) % (2 * self.n_g)
+            return np.exp((1j * math.pi / self.n_g) * turns)
+
+        e1 = dft(self.delta.delta1)
+        e2t = np.ascontiguousarray(dft(self.delta.delta2).T)
+        nk = kk.size
+        put = object.__setattr__
+        put(self, "_e1", e1)
+        put(self, "_e2t", e2t)
+        put(self, "_e1h", np.ascontiguousarray(e1.conj().T))
+        put(self, "_e2c", np.ascontiguousarray(e2t.conj().T))
+        put(self, "_flat",
+            (self.modes[:, 0] - lo) * nk + (self.modes[:, 1] - lo))
+        put(self, "_flat0", -lo * nk - lo)
 
     @property
     def n_modes(self) -> int:
@@ -132,11 +177,6 @@ class SpectralBasis:
     @property
     def quad_weight(self) -> float:
         return (TWO_PI / self.n_g) ** 2
-
-    def _phase(self) -> np.ndarray:
-        x = TWO_PI * np.arange(self.n_g) / self.n_g
-        return np.exp(1j * (self.delta.delta1 * x[:, None]
-                            + self.delta.delta2 * x[None, :]))
 
     def spinor(self, plus=None, kernel=None, minus=None) -> TorusSpinor:
         def block(data, size):
@@ -161,30 +201,24 @@ class SpectralBasis:
 
     def to_grid(self, sp: TorusSpinor) -> np.ndarray:
         """Evaluate on the uniform grid; shape (2, n_g, n_g) complex."""
-        comp = np.zeros((2, self.n_g, self.n_g), dtype=complex)
+        nk = self._e2t.shape[0]
+        box = np.zeros((2, nk * nk), dtype=complex)
         w = (sp.plus[:, None] * self.e_plus
              + sp.minus[:, None] * self.e_minus)
-        i1 = self.modes[:, 0] % self.n_g
-        i2 = self.modes[:, 1] % self.n_g
-        comp[0, i1, i2] = w[:, 0]
-        comp[1, i1, i2] = w[:, 1]
+        box[:, self._flat] = w.T
         if self.kernel_dim:
-            comp[0, 0, 0] += sp.kernel[0]
-            comp[1, 0, 0] += sp.kernel[1]
-        grid = np.fft.ifft2(comp, axes=(1, 2)) * (self.n_g ** 2 / TWO_PI)
-        return grid * self._phase()[None, :, :]
+            box[:, self._flat0] += sp.kernel
+        return self._e1 @ (box.reshape(2, nk, nk) / TWO_PI) @ self._e2t
 
     def from_grid(self, grid: np.ndarray) -> TorusSpinor:
-        """Project a band-limited grid field back onto the basis."""
-        w_all = np.fft.fft2(grid * np.conj(self._phase())[None, :, :],
-                            axes=(1, 2)) * (TWO_PI / self.n_g ** 2)
-        i1 = self.modes[:, 0] % self.n_g
-        i2 = self.modes[:, 1] % self.n_g
-        w = np.stack([w_all[0, i1, i2], w_all[1, i1, i2]], axis=1)
+        """Project a grid field onto the basis (its box Fourier modes)."""
+        box = (self._e1h @ grid @ self._e2c).reshape(2, -1)
+        box *= TWO_PI / self.n_g ** 2
+        w = box[:, self._flat].T
         plus = np.sum(np.conj(self.e_plus) * w, axis=1)
         minus = np.sum(np.conj(self.e_minus) * w, axis=1)
         if self.kernel_dim:
-            kernel = np.array([w_all[0, 0, 0], w_all[1, 0, 0]])
+            kernel = box[:, self._flat0].copy()
         else:
             kernel = np.zeros(0, dtype=complex)
         return TorusSpinor(plus, kernel, minus)
@@ -266,15 +300,29 @@ def phi_functional(basis: SpectralBasis, sp: TorusSpinor):
 # ---------------------------------------------------------------------------
 # kernel best approximation
 
-def _kernel_directions() -> np.ndarray:
-    """Real basis of the constant-spinor kernel, L2-normalized."""
-    return np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
-                    dtype=complex) / TWO_PI
+def _kernel_pairings(z: np.ndarray) -> np.ndarray:
+    """Real pairings Re<z, d_j> with the L2-normalized constant spinors
+    d = (1, 0), (i, 0), (0, 1), (0, i) over 2 pi, pointwise on the grid;
+    shape (4, n_g^2)."""
+    return np.stack([z[0].real, z[0].imag, z[1].real,
+                     z[1].imag]).reshape(4, -1) / TWO_PI
 
 
-def _coeffs_to_kernel_field(c: np.ndarray) -> np.ndarray:
-    """Complex kernel coefficients -> constant C^2 value of the field."""
-    return c / TWO_PI
+def _kernel_gram(P: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Unweighted 4x4 Gram system 2 P P^T + (sum dens / 4 pi^2) I of the
+    quartic second form against the constant spinors.
+
+    Since trace(P P^T) = sum dens / 4 pi^2, its condition number is at
+    most 3 unless the density vanishes identically.
+    """
+    H = 2.0 * (P @ P.T)
+    H[np.diag_indices(4)] += float(np.sum(dens)) / TWO_PI ** 2
+    return H
+
+
+def _kernel_coeffs(r: np.ndarray) -> np.ndarray:
+    """Four real kernel coordinates -> two complex coefficients."""
+    return np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])
 
 
 def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
@@ -288,48 +336,33 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
     if basis.kernel_dim == 0:
         return np.zeros(0, dtype=complex)
     grid = basis.to_grid(sp)
-    dirs = _kernel_directions()
     w = basis.quad_weight
 
-    def unpack(r):
-        return np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])
-
     def grad_at(r):
-        z = grid - _coeffs_to_kernel_field(unpack(r))[:, None, None]
+        z = grid - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
         dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
-        g = np.array([
-            -w * float(np.sum(dens * np.real(z[0] * np.conj(d[0])
-                                             + z[1] * np.conj(d[1]))))
-            for d in dirs
-        ])
-        return g, z, dens
+        P = _kernel_pairings(z)
+        return -w * (P @ dens.ravel()), P, dens
 
     r = np.array([sp.kernel[0].real, sp.kernel[0].imag,
                   sp.kernel[1].real, sp.kernel[1].imag])
-    g, z, dens = grad_at(r)
+    g, P, dens = grad_at(r)
     gn = float(np.linalg.norm(g))
     for _ in range(max_iter):
         if gn <= tol:
             break
-        proj = np.array([np.real(z[0] * np.conj(d[0])
-                                 + z[1] * np.conj(d[1])) for d in dirs])
-        H = np.empty((4, 4))
-        for j in range(4):
-            for l in range(j, 4):
-                cross = float(np.real(dirs[j] @ np.conj(dirs[l])))
-                H[j, l] = H[l, j] = w * float(
-                    np.sum(2.0 * proj[j] * proj[l] + dens * cross))
+        H = w * _kernel_gram(P, dens)
         if np.linalg.cond(H) > 1e12:
             raise RuntimeError("kernel Hessian degenerate: the spinor "
                                "vanishes on too much of the grid")
         step = np.linalg.solve(H, -g)
         lam_step = 1.0
         while lam_step > 2.0 ** -30:
-            g_new, z_new, dens_new = grad_at(r + lam_step * step)
+            g_new, P_new, dens_new = grad_at(r + lam_step * step)
             gn_new = float(np.linalg.norm(g_new))
             if gn_new <= (1.0 - 1e-4 * lam_step) * gn:
                 r = r + lam_step * step
-                g, z, dens, gn = g_new, z_new, dens_new, gn_new
+                g, P, dens, gn = g_new, P_new, dens_new, gn_new
                 break
             lam_step *= 0.5
         else:
@@ -337,7 +370,7 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
     else:
         raise RuntimeError(f"kernel projection did not converge; "
                            f"gradient norm {gn:.3e}")
-    return unpack(r)
+    return _kernel_coeffs(r)
 
 
 def tilde_phi(basis: SpectralBasis, sp: TorusSpinor):
@@ -353,19 +386,7 @@ def tilde_phi(basis: SpectralBasis, sp: TorusSpinor):
     if basis.kernel_dim == 0:
         return phi_functional(basis, sp)
     tc = T_project(basis, sp)
-    shifted = TorusSpinor(sp.plus, -tc, sp.minus)
-    grid = basis.to_grid(shifted)
-    dens = np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2
-    quartic = basis.quad_weight * float(np.sum(dens * dens))
-    qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
-    qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
-    value = 0.5 * (qplus - qminus) - 0.25 * quartic
-
-    cubic = basis.from_grid(dens[None, :, :] * grid)
-    grad = TorusSpinor(sp.plus - cubic.plus / basis.lam,
-                       -cubic.kernel,
-                       -sp.minus - cubic.minus / basis.lam)
-    return value, grad
+    return phi_functional(basis, TorusSpinor(sp.plus, -tc, sp.minus))
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +427,26 @@ def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
     cache = {}
 
     def resolve(u):
+        """Grid field, density and, with a kernel, the pairings P and
+        the inverse Gram matrix at u; cached by value."""
         key = u.tobytes()
         hit = cache.get(key)
         if hit is None:
             sp = from_coords(u)
+            gram = None
             if basis.kernel_dim:
                 tc = T_project(basis, sp)
                 sp = TorusSpinor(sp.plus, -tc, sp.minus)
             z = basis.to_grid(sp)
             dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
+            if basis.kernel_dim and np.any(dens != 0.0):
+                P = _kernel_pairings(z)
+                # the Gram matrix is well conditioned (cond <= 3), so its
+                # inverse is the cheapest factorization to reuse
+                gram = (P, np.linalg.inv(_kernel_gram(P, dens)))
             if len(cache) > 8:
                 cache.clear()
-            hit = (z, dens)
+            hit = (z, dens, gram)
             cache[key] = hit
         return hit
 
@@ -428,44 +457,28 @@ def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
         ])
 
     def psi(u):
-        _, dens = resolve(u)
+        _, dens, _ = resolve(u)
         return 0.25 * basis.quad_weight * float(np.sum(dens * dens))
 
     def grad_psi(u):
-        z, dens = resolve(u)
+        z, dens, _ = resolve(u)
         cubic = basis.from_grid(dens[None, :, :] * z)
         return coeffs_to_grad(cubic)
 
     def hess_psi(u, v):
-        z, dens = resolve(u)
+        z, dens, gram = resolve(u)
         chi = basis.to_grid(from_coords(v))
-        if basis.kernel_dim and np.any(dens != 0.0):
+        chi_pair = np.real(z[0] * np.conj(chi[0]) + z[1] * np.conj(chi[1]))
+        if gram is not None:
             # subtract the kernel-tangent motion of the best
-            # approximation: eta solves the 4x4 Gram system of the
-            # quartic second form against the constant spinors
-            dirs = _kernel_directions()
-            proj = np.array([np.real(z[0] * np.conj(d[0])
-                                     + z[1] * np.conj(d[1])) for d in dirs])
-            chi_pair = np.real(z[0] * np.conj(chi[0])
-                               + z[1] * np.conj(chi[1]))
-            H = np.empty((4, 4))
-            rhs = np.empty(4)
-            for j in range(4):
-                cross_j = np.real(chi[0] * np.conj(dirs[j][0])
-                                  + chi[1] * np.conj(dirs[j][1]))
-                rhs[j] = float(np.sum(2.0 * proj[j] * chi_pair
-                                      + dens * cross_j))
-                for l in range(j, 4):
-                    cc = float(np.real(dirs[j] @ np.conj(dirs[l])))
-                    H[j, l] = H[l, j] = float(
-                        np.sum(2.0 * proj[j] * proj[l] + dens * cc))
-            r = np.linalg.solve(H, rhs)
-            eta = r @ dirs
-            chi = chi - eta[:, None, None]
-            chi_pair = chi_pair - np.tensordot(r, proj, axes=1)
-        else:
-            chi_pair = np.real(z[0] * np.conj(chi[0])
-                               + z[1] * np.conj(chi[1]))
+            # approximation: r solves the Gram system of the quartic
+            # second form against the constant spinors
+            P, H_inv = gram
+            rhs = (2.0 * (P @ chi_pair.ravel())
+                   + _kernel_pairings(chi) @ dens.ravel())
+            r = H_inv @ rhs
+            chi = chi - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
+            chi_pair = chi_pair - (r @ P).reshape(chi_pair.shape)
         G = 2.0 * chi_pair[None, :, :] * z + dens[None, :, :] * chi
         return coeffs_to_grad(basis.from_grid(G))
 
@@ -546,8 +559,10 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
 
 
 def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
-                    max_iter: int, initial: np.ndarray = None) -> GroundState:
-    problem, _, from_coords = ground_state_problem(basis)
+                    max_iter: int, initial: TorusSpinor = None) -> GroundState:
+    problem, to_coords, from_coords = ground_state_problem(basis)
+    if initial is not None:
+        initial = to_coords(initial)
     result = minimize_nehari(problem, starts=starts, tol=tol, seed=seed,
                              max_iter=max_iter, initial=initial)
     # the Nehari minimizer lives in the positive block; the critical
@@ -594,7 +609,5 @@ def refine_ground_state(state: GroundState, lam_max: float,
     plus = np.zeros(basis.n_modes, dtype=complex)
     for i, (k1, k2) in enumerate(coarse.modes):
         plus[lookup[(int(k1), int(k2))]] = state.psi.plus[i]
-    _, to_coords, _ = ground_state_problem(basis)
-    u0 = to_coords(basis.spinor(plus=plus))
     return _solve_on_basis(basis, tol=tol, seed=state.seed, starts=1,
-                           max_iter=max_iter, initial=u0)
+                           max_iter=max_iter, initial=basis.spinor(plus=plus))

@@ -134,6 +134,27 @@ def test_solve_generic_needs_spectrum(capsys):
     assert "spectrum" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "torus", "--spin", "0.3,0"],
+    ["solve", "torus", "--modes", "0.5"],
+    ["solve", "torus", "--modes", "2", "--grid", "19"],
+    ["solve", "torus", "--modes", "1.5", "--grid", "10"],
+    ["solve", "torus", "--modes", "nan"],
+    ["solve", "generic", "--spectrum", "1,inf,-1"],
+    ["solve", "generic", "--spectrum", "1,nan,-1"],
+])
+def test_solve_bad_input_is_usage_error(capsys, argv):
+    # a grid must hold 4 (2 ceil(modes) + 1) points per axis: 20 at
+    # --modes 1.5 and 2
+    start = time.perf_counter()
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
 def test_solve_torus_small_deterministic(capsys):
     argv = ["solve", "torus", "--spin", "0.5,0.5", "--modes", "2",
             "--seed", "3"]

@@ -120,6 +120,56 @@ def test_grid_roundtrip_and_parseval():
         assert math.isclose(basis.h_norm_sq(sp), manual, rel_tol=1e-13)
 
 
+def test_to_grid_matches_mode_sum():
+    # psi(x) = sum_k w_k exp(i (k + delta) . x) / (2 pi), kernel included,
+    # at scattered grid points; one odd, non-default grid size
+    for delta, n_g in (((0.5, 0.5), None), ((0.0, 0.0), 23),
+                       ((0.5, 0.0), 21), ((0.0, 0.5), None)):
+        basis = build_dirac(2.0, delta, n_g)
+        rng = np.random.default_rng(53)
+        sp = basis.random_spinor(rng)
+        grid = basis.to_grid(sp)
+        assert grid.shape == (2, basis.n_g, basis.n_g)
+        w = (sp.plus[:, None] * basis.e_plus
+             + sp.minus[:, None] * basis.e_minus)
+        for j1, j2 in ((0, 0), (1, 5), (basis.n_g - 1, 3),
+                       (7, basis.n_g - 2)):
+            x = TWO_PI * np.array([j1, j2]) / basis.n_g
+            waves = np.exp(1j * (basis.theta @ x)) / TWO_PI
+            expected = waves @ w
+            if basis.kernel_dim:
+                expected = expected + sp.kernel / TWO_PI
+            assert np.abs(grid[:, j1, j2] - expected).max() <= 1e-12
+
+
+def test_from_grid_matches_fft_projection():
+    # a random grid is not band-limited: every box mode must still be
+    # its discrete Fourier coefficient, as the FFT with the spin phase
+    # removed gives it
+    for delta, n_g in (((0.5, 0.5), None), ((0.0, 0.0), 23),
+                       ((0.5, 0.0), None)):
+        basis = build_dirac(2.0, delta, n_g)
+        n = basis.n_g
+        rng = np.random.default_rng(59)
+        grid = (rng.standard_normal((2, n, n))
+                + 1j * rng.standard_normal((2, n, n)))
+        x = TWO_PI * np.arange(n) / n
+        phase = np.exp(1j * (delta[0] * x[:, None] + delta[1] * x[None, :]))
+        w_all = np.fft.fft2(grid * np.conj(phase)[None, :, :],
+                            axes=(1, 2)) * (TWO_PI / n ** 2)
+        i1, i2 = basis.modes[:, 0] % n, basis.modes[:, 1] % n
+        w = np.stack([w_all[0, i1, i2], w_all[1, i1, i2]], axis=1)
+        got = basis.from_grid(grid)
+        plus = np.sum(np.conj(basis.e_plus) * w, axis=1)
+        minus = np.sum(np.conj(basis.e_minus) * w, axis=1)
+        assert np.abs(got.plus - plus).max() <= 1e-12
+        assert np.abs(got.minus - minus).max() <= 1e-12
+        if basis.kernel_dim:
+            assert np.abs(got.kernel - w_all[:, 0, 0]).max() <= 1e-12
+        else:
+            assert got.kernel.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # the functional
 
@@ -369,6 +419,47 @@ def test_problem_hessian_fd():
             errs.append(np.linalg.norm(fd - exact))
         slope = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
         assert abs(slope - 2.0) <= 0.3
+
+
+def test_hess_psi_kernel_gram_matches_loop_solve():
+    # the cached Gram step against a solve that assembles the 4x4
+    # system entry by entry from grid sums
+    basis = build_dirac(2.0, (0.0, 0.0))
+    problem, _, from_coords = ground_state_problem(basis)
+    rng = np.random.default_rng(61)
+    u = rng.standard_normal(problem.n) * 0.6
+    v = rng.standard_normal(problem.n)
+
+    sp = from_coords(u)
+    z = basis.to_grid(TorusSpinor(sp.plus, -T_project(basis, sp),
+                                  sp.minus))
+    dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
+    chi = basis.to_grid(from_coords(v))
+    dirs = np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
+                    dtype=complex) / TWO_PI
+    proj = np.array([np.real(z[0] * np.conj(d[0]) + z[1] * np.conj(d[1]))
+                     for d in dirs])
+    chi_pair = np.real(z[0] * np.conj(chi[0]) + z[1] * np.conj(chi[1]))
+    H = np.empty((4, 4))
+    rhs = np.empty(4)
+    for j in range(4):
+        cross_j = np.real(chi[0] * np.conj(dirs[j][0])
+                          + chi[1] * np.conj(dirs[j][1]))
+        rhs[j] = float(np.sum(2.0 * proj[j] * chi_pair + dens * cross_j))
+        for l in range(j, 4):
+            cc = float(np.real(dirs[j] @ np.conj(dirs[l])))
+            H[j, l] = H[l, j] = float(
+                np.sum(2.0 * proj[j] * proj[l] + dens * cc))
+    r = np.linalg.solve(H, rhs)
+    chi = chi - (r @ dirs)[:, None, None]
+    chi_pair = chi_pair - np.tensordot(r, proj, axes=1)
+    cubic = basis.from_grid(2.0 * chi_pair[None, :, :] * z
+                            + dens[None, :, :] * chi)
+    sq = np.sqrt(basis.lam)
+    expected = np.concatenate([cubic.plus.real / sq, cubic.plus.imag / sq,
+                               cubic.minus.real / sq, cubic.minus.imag / sq])
+    got = problem.hess_psi(u, v)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_problem_hypotheses():
