@@ -29,11 +29,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-from . import asymptotics, clifford, curvature, dirac_torus, reduction
-from . import spinor_fields as sf
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
@@ -45,9 +43,10 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-# key -> (type tag, constraint); constraint applies elementwise to lists
-_SCHEMA = {
-    "subcommand": ("str", None),
+# key -> (type tag, constraint); constraint applies elementwise to lists.
+# A key has the same type in every subcommand that takes it; which keys a
+# subcommand takes, and their defaults, is its row of _COMMANDS.
+_TYPES = {
     "m": ("int", "positive"),
     "m_max": ("int", "positive"),
     "dims": ("int_list", "positive"),
@@ -70,41 +69,40 @@ _SCHEMA = {
 }
 
 
-def _cast_scalar(tag, raw):
+def _cast_scalar(key, tag, raw):
     if tag == "int":
         try:
             return int(raw)
         except ValueError:
-            raise UsageError(f"expected an integer, got {raw!r}")
+            raise UsageError(
+                f"config key {key!r}: expected an integer, got {raw!r}")
     if tag == "float":
         try:
             value = float(raw)
         except ValueError:
-            raise UsageError(f"expected a number, got {raw!r}")
+            raise UsageError(f"config key {key!r}: expected a number, "
+                             f"got {raw!r}")
         if not math.isfinite(value):
-            raise UsageError(f"expected a finite number, got {raw!r}")
+            raise UsageError(f"config key {key!r}: expected a finite number, "
+                             f"got {raw!r}")
         return value
     return str(raw)
 
 
 def _cast(key, raw):
-    if key not in _SCHEMA:
-        raise UsageError(f"unknown config key {key!r}")
-    tag, constraint = _SCHEMA[key]
+    tag, constraint = _TYPES[key]
     if tag.endswith("_list"):
         base = tag[:-5]
         if isinstance(raw, str):
             parts = [p for p in raw.split(",") if p.strip() != ""]
         else:
             parts = list(raw)
-        value = tuple(_cast_scalar(base, p) for p in parts)
+        value = tuple(_cast_scalar(key, base, p) for p in parts)
         if not value:
             raise UsageError(f"config key {key!r} needs at least one entry")
         scalars = value
     else:
-        # argparse hands flags over typed; floats are checked all the same
-        value = (_cast_scalar(tag, raw)
-                 if isinstance(raw, str) or tag == "float" else raw)
+        value = _cast_scalar(key, tag, raw)
         scalars = (value,)
     if constraint == "positive" and any(not s > 0 for s in scalars):
         raise UsageError(f"config key {key!r} must be positive")
@@ -114,16 +112,10 @@ def _cast(key, raw):
 
 
 def _format_value(key, value):
-    tag = _SCHEMA[key][0]
-    if tag.endswith("_list"):
-        base = tag[:-5]
-        return ",".join(str(v) if base == "int" else repr(float(v))
-                        for v in value)
-    if tag == "int":
-        return str(value)
-    if tag == "float":
-        return repr(float(value))
-    return str(value)
+    tag = _TYPES[key][0]
+    scalars = value if tag.endswith("_list") else (value,)
+    return ",".join(repr(float(v)) if tag.startswith("float") else str(v)
+                    for v in scalars)
 
 
 @dataclass(frozen=True)
@@ -138,10 +130,16 @@ class RunConfig:
     values: dict
 
     def __post_init__(self):
+        if self.subcommand not in _COMMANDS:
+            raise UsageError(f"unknown subcommand {self.subcommand!r}")
+        options = _COMMANDS[self.subcommand].options
         clean = {}
         for key, raw in self.values.items():
             if key == "subcommand":
                 continue
+            if key != "out_dir" and key not in options:
+                raise UsageError(f"unknown config key {key!r} "
+                                 f"for {self.subcommand}")
             clean[key] = _cast(key, raw)
         object.__setattr__(self, "values", clean)
 
@@ -201,15 +199,18 @@ def _eps_grid(cfg, fallback):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, csv_specs); csv_specs is a
-# list of (filename, header, rows)
+# list of (filename, header, rows).  Each imports the library modules it
+# drives when it runs, so a run loads only what it uses.
 
 def _run_verify_clifford(cfg):
+    from .clifford import build_rep
+
     m_max, tol = cfg["m_max"], cfg["tol"]
     if m_max < 2:
         raise UsageError("m_max must be at least 2")
     results = []
     for m in range(2, m_max + 1):
-        rep = clifford.build_rep(m)
+        rep = build_rep(m)
         eye = np.eye(rep.N)
         anti = 0.0
         for i in range(m):
@@ -231,6 +232,8 @@ def _run_verify_clifford(cfg):
 
 def _fd_dirac_slope(params, rng):
     """Order of the centered-difference Dirac application, expected 2."""
+    from . import spinor_fields as sf
+
     rep = params.rep
     x = rng.standard_normal(params.m) * 0.4
     rhs = sf.psi_norm(params.m, x) ** (2.0 / (params.m - 1)) * sf.psi(params, x)
@@ -247,6 +250,8 @@ def _fd_dirac_slope(params, rng):
 
 
 def _run_verify_spinor(cfg):
+    from . import spinor_fields as sf
+
     dims, n_pts = cfg["dims"], cfg["points"]
     tol, slope_tol, seed = cfg["tol"], cfg["slope_tol"], cfg["seed"]
     results = []
@@ -269,14 +274,8 @@ def _run_verify_spinor(cfg):
                       ("m", "max_residual", "fd_slope"), rows)]
 
 
-def _random_jets(m, rng):
-    first = curvature.riemann_project(rng.standard_normal((m,) * 5))
-    second = curvature.riemann_project(rng.standard_normal((m,) * 6))
-    second = 0.5 * (second + second.swapaxes(4, 5))
-    return curvature.CurvatureJets(m, first, second)
-
-
 def _run_verify_curvature(cfg):
+    from . import curvature
     from .jets import jet_space, jmat_identity, jmat_mul
 
     dims, tensors, tol, seed = (cfg["dims"], cfg["tensors"], cfg["tol"],
@@ -292,7 +291,10 @@ def _run_verify_curvature(cfg):
         for k in range(tensors):
             rng = np.random.default_rng((seed, m, k))
             R = curvature.random_riemann(m, seed=rng)
-            jets = _random_jets(m, rng)
+            first = curvature.riemann_project(rng.standard_normal((m,) * 5))
+            second = curvature.riemann_project(rng.standard_normal((m,) * 6))
+            jets = curvature.CurvatureJets(
+                m, first, 0.5 * (second + second.swapaxes(4, 5)))
             G = curvature.metric_jet(R, jets)
             B, Binv = curvature.b_jets(R, jets)
             bbg = float(np.abs(jmat_mul(space, jmat_mul(space, B, B), G)
@@ -317,10 +319,13 @@ def _run_verify_curvature(cfg):
 
 
 def _run_psi0(cfg):
+    from . import spinor_fields as sf
+    from .clifford import build_rep
+
     m, trials, tol, seed = cfg["m"], cfg["trials"], cfg["tol"], cfg["seed"]
     if m < 3:
         raise UsageError("psi0 search needs m >= 3")
-    rep = clifford.build_rep(m)
+    rep = build_rep(m)
     rng = np.random.default_rng(seed)
     worst = 0.0
     rows = []
@@ -337,85 +342,83 @@ def _run_psi0(cfg):
                       rows)]
 
 
-def _audit_payload(report, ok, extra=None):
-    payload = dict(report.summary())
-    payload["ok"] = bool(ok)
-    payload.update(extra or {})
+def _audit_report(cfg, audit):
+    """Run one audit at the configured m, scales, seed and first scale."""
+    from . import asymptotics
+
+    low = asymptotics.AUDIT_MIN_M[audit]
+    if cfg["m"] < low:
+        raise UsageError(f"{audit} audit needs m >= {low}")
+    fallback = (asymptotics.rayleigh_eps_grid if audit == "rayleigh"
+                else asymptotics.default_eps_grid)
+    return getattr(asymptotics, f"{audit}_audit")(
+        cfg["m"], eps_grid=_eps_grid(cfg, fallback), seed=cfg["seed"],
+        first_scale=cfg["first_scale"])
+
+
+def _audit_payload(cfg, report, ok):
+    payload = dict(report.summary(), ok=bool(ok), seed=cfg["seed"])
     rows = [(name, e, v) for name, e, v in report.rows()]
     name = payload["audit"]
     return payload, [(f"{name}_terms.csv", ("term", "eps", "value"), rows)]
 
 
-def _audit_m(cfg, audit):
-    low = asymptotics.AUDIT_MIN_M[audit]
-    if cfg["m"] < low:
-        raise UsageError(f"{audit} audit needs m >= {low}")
-    return cfg["m"]
-
-
 def _run_audit_residual(cfg):
-    report = asymptotics.residual_audit(
-        _audit_m(cfg, "residual"),
-        eps_grid=_eps_grid(cfg, asymptotics.default_eps_grid),
-        seed=cfg["seed"], first_scale=cfg["first_scale"])
+    report = _audit_report(cfg, "residual")
     summary = report.summary()
     ok = (summary["total_floor_ok"]
           and all(t["within_tolerance"] is not False
                   for t in summary["terms"].values()))
-    return _audit_payload(report, ok, {"seed": cfg["seed"]})
+    return _audit_payload(cfg, report, ok)
 
 
 def _run_audit_energy(cfg):
-    report = asymptotics.energy_audit(
-        _audit_m(cfg, "energy"),
-        eps_grid=_eps_grid(cfg, asymptotics.default_eps_grid),
-        seed=cfg["seed"], first_scale=cfg["first_scale"])
+    report = _audit_report(cfg, "energy")
     ok = (report.j1_max <= 1e-12 and report.j5_max <= 1e-12
           and report.j7_max <= 1e-12 and report.j2_rel_err <= 1e-6
           and abs(report.j6_slope - 4.0) <= 0.1
           and report.j6_rel_err <= 0.05 and report.j6_negative)
-    return _audit_payload(report, ok, {"seed": cfg["seed"]})
+    return _audit_payload(cfg, report, ok)
 
 
 def _run_audit_rayleigh(cfg):
-    report = asymptotics.rayleigh_audit(
-        _audit_m(cfg, "rayleigh"),
-        eps_grid=_eps_grid(cfg, asymptotics.rayleigh_eps_grid),
-        seed=cfg["seed"], first_scale=cfg["first_scale"])
+    report = _audit_report(cfg, "rayleigh")
     summary = report.summary()
     ok = (summary["num_rel_err"] <= 0.01 and summary["den_rel_err"] <= 0.01
           and summary["excess_positive_smallest_two"])
-    return _audit_payload(report, ok, {"seed": cfg["seed"]})
+    return _audit_payload(cfg, report, ok)
 
 
-def _solve_payload(result, cfg, extra=None):
-    payload = dict(result.summary())
-    payload["seed"] = cfg["seed"]
-    payload["ok"] = bool(result.grad_norm <= cfg["tol"])
-    payload.update(extra or {})
-    return payload
+def _nehari_payload(cfg, problem, extra):
+    """Minimize ``problem`` over its Nehari set: both solve subcommands."""
+    from .reduction import minimize_nehari
+
+    result = minimize_nehari(problem, starts=cfg["starts"], tol=cfg["tol"],
+                             seed=cfg["seed"])
+    return dict(result.summary(), seed=cfg["seed"],
+                ok=bool(result.grad_norm <= cfg["tol"]), **extra), []
 
 
 def _run_solve_toy(cfg):
-    problem = reduction.toy_problem()
-    result = reduction.minimize_nehari(problem, starts=cfg["starts"],
-                                       tol=cfg["tol"], seed=cfg["seed"])
-    return _solve_payload(result, cfg, {"problem": "toy"}), []
+    from .reduction import toy_problem
+
+    return _nehari_payload(cfg, toy_problem(), {"problem": "toy"})
 
 
 def _run_solve_generic(cfg):
+    from .reduction import diagonal_quartic_problem
+
     spectrum = cfg.get("spectrum")
     if spectrum is None:
         raise UsageError("solve generic needs a spectrum "
                          "(--spectrum or config)")
-    problem = reduction.diagonal_quartic_problem(spectrum)
-    result = reduction.minimize_nehari(problem, starts=cfg["starts"],
-                                       tol=cfg["tol"], seed=cfg["seed"])
-    extra = {"problem": "generic", "spectrum": [float(d) for d in spectrum]}
-    return _solve_payload(result, cfg, extra), []
+    return _nehari_payload(cfg, diagonal_quartic_problem(spectrum), {
+        "problem": "generic", "spectrum": [float(d) for d in spectrum]})
 
 
 def _run_solve_torus(cfg):
+    from . import dirac_torus
+
     try:
         spin = dirac_torus.SpinStructure.from_text(cfg["spin"]).astuple()
         # the library's own checks of cutoff and grid size, before any
@@ -434,38 +437,58 @@ def _run_solve_torus(cfg):
                       state.rows())]
 
 
-_HANDLERS = {
-    ("verify", "clifford"): _run_verify_clifford,
-    ("verify", "spinor"): _run_verify_spinor,
-    ("verify", "curvature"): _run_verify_curvature,
-    ("audit", "residual"): _run_audit_residual,
-    ("audit", "energy"): _run_audit_energy,
-    ("audit", "rayleigh"): _run_audit_rayleigh,
-    ("psi0", None): _run_psi0,
-    ("solve", "toy"): _run_solve_toy,
-    ("solve", "generic"): _run_solve_generic,
-    ("solve", "torus"): _run_solve_torus,
-}
-
-_DEFAULTS = {
-    "verify clifford": {"m_max": 9, "tol": 1e-12},
-    "verify spinor": {"dims": (2, 3, 4, 5, 6, 7, 8), "points": 1000,
-                      "tol": 1e-10, "slope_tol": 0.2, "seed": 0},
-    "verify curvature": {"dims": (4, 5, 6), "tensors": 10, "tol": 1e-12,
-                         "seed": 0},
-    "audit residual": {"m": 6, "seed": 0, "first_scale": 100.0},
-    "audit energy": {"m": 6, "seed": 0, "first_scale": 10.0},
-    "audit rayleigh": {"m": 6, "seed": 0, "first_scale": 100.0},
-    "psi0": {"m": 5, "trials": 100, "tol": 1e-10, "seed": 0},
-    "solve toy": {"starts": 8, "tol": 1e-10, "seed": 0},
-    "solve generic": {"starts": 8, "tol": 1e-10, "seed": 0},
-    "solve torus": {"spin": "0.5,0.5", "modes": 2.0, "tol": 1e-8,
-                    "seed": 0, "starts": 2},
-}
-
-
 # ---------------------------------------------------------------------------
-# argument parsing
+# the subcommand table: it generates the argparse tree (one flag per
+# option, ``--`` + key with ``_`` -> ``-``), the defaults a run starts from
+# and the dispatch in ``run``
+
+class _Command(NamedTuple):
+    handler: Callable
+    blurb: str
+    options: dict  # key -> default; None when the option has no default
+
+
+def _audit(handler, blurb, first_scale):
+    """The three audits take one set of options."""
+    return _Command(handler, blurb, {
+        "m": 6, "seed": 0, "first_scale": first_scale,
+        "eps_lo": None, "eps_hi": None, "eps_count": None})
+
+
+_COMMANDS = {
+    "verify clifford": _Command(_run_verify_clifford, "gamma matrix contract",
+                                {"m_max": 9, "tol": 1e-12}),
+    "verify spinor": _Command(_run_verify_spinor, "test spinor field equation",
+                              {"dims": (2, 3, 4, 5, 6, 7, 8), "points": 1000,
+                               "tol": 1e-10, "slope_tol": 0.2, "seed": 0}),
+    "verify curvature": _Command(_run_verify_curvature,
+                                 "metric square-root jets",
+                                 {"dims": (4, 5, 6), "tensors": 10,
+                                  "tol": 1e-12, "seed": 0}),
+    "audit residual": _audit(_run_audit_residual,
+                             "equation residual decay orders", 100.0),
+    "audit energy": _audit(_run_audit_energy, "pairing decomposition terms",
+                           10.0),
+    "audit rayleigh": _audit(_run_audit_rayleigh,
+                             "quotient against the flat model", 100.0),
+    "psi0": _Command(_run_psi0, "algebraic kernel spinor search",
+                     {"m": 5, "trials": 100, "tol": 1e-10, "seed": 0}),
+    "solve toy": _Command(_run_solve_toy,
+                          "two-dimensional closed-form instance",
+                          {"starts": 8, "tol": 1e-10, "seed": 0}),
+    "solve generic": _Command(_run_solve_generic, "diagonal quartic instance",
+                              {"spectrum": None, "starts": 8, "tol": 1e-10,
+                               "seed": 0}),
+    "solve torus": _Command(_run_solve_torus, "spectral Dirac ground state",
+                            {"spin": "0.5,0.5", "modes": 2.0, "grid": None,
+                             "starts": 2, "tol": 1e-8, "seed": 0}),
+}
+
+# help of the first word of the two-word subcommands
+_GROUPS = {"verify": "algebraic identity suites",
+           "audit": "epsilon asymptotics",
+           "solve": "Nehari ground states"}
+
 
 class _Parser(argparse.ArgumentParser):
     """Argparse with machine-readable errors on stderr."""
@@ -475,101 +498,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value settings file")
-    p.add_argument("--echo-config", action="store_true",
-                   help="print the resolved canonical config and exit")
-    p.add_argument("--out-dir",
-                   help="directory for CSV tables (default: $SPINLAB_OUT)")
-
-
 def _build_parser():
     top = _Parser(prog="spinlab",
                   description="verification suites, asymptotic audits and "
                               "ground-state solvers")
     sub = top.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="algebraic identity suites")
-    vsub = verify.add_subparsers(dest="target", required=True)
-    p = vsub.add_parser("clifford", help="gamma matrix contract")
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p = vsub.add_parser("spinor", help="test spinor field equation")
-    p.add_argument("--dims")
-    p.add_argument("--points", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--slope-tol", dest="slope_tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p = vsub.add_parser("curvature", help="metric square-root jets")
-    p.add_argument("--dims")
-    p.add_argument("--tensors", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
-    audit = sub.add_parser("audit", help="epsilon asymptotics")
-    asub = audit.add_subparsers(dest="target", required=True)
-    for name, blurb in (("residual", "equation residual decay orders"),
-                        ("energy", "pairing decomposition terms"),
-                        ("rayleigh", "quotient against the flat model")):
-        p = asub.add_parser(name, help=blurb)
-        p.add_argument("--m", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--first-scale", dest="first_scale", type=float)
-        p.add_argument("--eps-lo", dest="eps_lo", type=float)
-        p.add_argument("--eps-hi", dest="eps_hi", type=float)
-        p.add_argument("--eps-count", dest="eps_count", type=int)
-        _add_common(p)
-
-    p = sub.add_parser("psi0", help="algebraic kernel spinor search")
-    p.add_argument("--m", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
-    solve = sub.add_parser("solve", help="Nehari ground states")
-    ssub = solve.add_subparsers(dest="target", required=True)
-    p = ssub.add_parser("toy", help="two-dimensional closed-form instance")
-    p.add_argument("--starts", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p = ssub.add_parser("generic", help="diagonal quartic instance")
-    p.add_argument("--spectrum")
-    p.add_argument("--starts", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p = ssub.add_parser("torus", help="spectral Dirac ground state")
-    p.add_argument("--spin")
-    p.add_argument("--modes", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--starts", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
+    groups = {}
+    for name, command in _COMMANDS.items():
+        group, _, target = name.partition(" ")
+        if not target:
+            p = sub.add_parser(name, help=command.blurb)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=_GROUPS[group]).add_subparsers(
+                        dest="target", required=True)
+            p = groups[group].add_parser(target, help=command.blurb)
+        p.set_defaults(subcommand=name)
+        for key in command.options:
+            p.add_argument("--" + key.replace("_", "-"))
+        p.add_argument("--config", help="flat key = value settings file")
+        p.add_argument("--echo-config", action="store_true",
+                       help="print the resolved canonical config and exit")
+        p.add_argument("--out-dir",
+                       help="directory for CSV tables (default: $SPINLAB_OUT)")
     return top
 
 
 def _resolve_config(args):
-    target = getattr(args, "target", None)
-    subcommand = args.command if target is None else f"{args.command} {target}"
-    base = RunConfig(subcommand, _DEFAULTS[subcommand])
+    name = args.subcommand
+    options = _COMMANDS[name].options
+    cfg = RunConfig(name, {k: v for k, v in options.items() if v is not None})
     if args.config:
         try:
             with open(args.config) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
+            # missing, unreadable, or not text (UnicodeDecodeError)
             raise UsageError(f"cannot read config file: {exc}")
-        base = base.merged(RunConfig.from_text(subcommand, text).values)
-    skip = {"command", "target", "config", "echo_config", "out_dir"}
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in skip and v is not None}
-    cfg = base.merged(overrides)
+        cfg = cfg.merged(RunConfig.from_text(name, text).values)
+    # flags arrive as strings; RunConfig casts and checks them
+    cfg = cfg.merged({key: getattr(args, key) for key in options})
     out_dir = args.out_dir or os.environ.get("SPINLAB_OUT")
     if out_dir:
         cfg = cfg.merged({"out_dir": out_dir})
@@ -587,15 +556,6 @@ def _strict(obj):
     return obj
 
 
-def _write_csv(out_dir, name, header, rows):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def run(argv=None) -> int:
     """Parse, execute, print; returns the exit code."""
     args = _build_parser().parse_args(argv)
@@ -604,25 +564,25 @@ def run(argv=None) -> int:
         if args.echo_config:
             sys.stdout.write(cfg.canonical())
             return 0
-        handler = _HANDLERS[(args.command, getattr(args, "target", None))]
-        payload, csv_specs = handler(cfg)
+        payload, csv_specs = _COMMANDS[args.subcommand].handler(cfg)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
-        # a solver or audit refused the data: a failed check, not usage
-        print(json.dumps({"error": str(exc), "ok": False}), file=sys.stderr)
+        # a solver or audit refused the data: a failed check, not usage;
+        # the resolved configuration lets the run be repeated
+        print(json.dumps({"error": str(exc), "ok": False,
+                          "config": cfg.canonical()}), file=sys.stderr)
         return 1
 
     out_dir = cfg.get("out_dir")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        written = []
         for name, header, rows in csv_specs:
-            _write_csv(out_dir, name, header, rows)
-            written.append(name)
-        if written:
-            payload["csv"] = written
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        if csv_specs:
+            payload["csv"] = [name for name, _, _ in csv_specs]
     print(json.dumps(_strict(payload), sort_keys=True, indent=2,
                      allow_nan=False))
     return 0 if payload.get("ok", True) else 1

@@ -25,7 +25,6 @@ __all__ = [
     "gamma_word",
     "volume_projectors",
     "inner",
-    "norm",
 ]
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -79,10 +78,6 @@ def build_rep(m: int) -> CliffordRep:
 def inner(a, b):
     """Hermitian inner product, conjugate linear in the first slot."""
     return complex(np.vdot(a, b))
-
-
-def norm(a):
-    return float(np.linalg.norm(a))
 
 
 def vec_mul(rep: CliffordRep, v, s):

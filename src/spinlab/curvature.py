@@ -23,11 +23,11 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_space, jmat_det, jmat_identity, jmat_inverse, jmat_mul
+from .jets import Jet, jet_space, jmat_det, jmat_identity
 
 __all__ = [
     "RiemannTensor",

@@ -34,7 +34,6 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 __all__ = [
     "IndefiniteProblem",
-    "ReductionState",
     "HypothesisReport",
     "NehariResult",
     "EnvelopeAudit",
@@ -43,7 +42,6 @@ __all__ = [
     "check_hypotheses",
     "beta",
     "reduced",
-    "reduction_state",
     "nehari_project",
     "minimize_nehari",
     "energy_bound_audit",
@@ -343,39 +341,6 @@ def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12):
     value = problem.energy(z)
     grad = phi - problem.project(problem.grad_psi(z))
     return value, grad, float(grad @ phi)
-
-
-@dataclass(frozen=True)
-class ReductionState:
-    """One solver iterate: the X-point with its fiber data."""
-
-    phi: np.ndarray
-    w: np.ndarray
-    residual: float
-    j_value: float
-    j_grad: np.ndarray
-    k_value: float
-    t_phi: float
-    tol: float
-
-
-def reduction_state(problem: IndefiniteProblem, phi: np.ndarray,
-                    tol: float = 1e-12, t_phi: float = None) -> ReductionState:
-    """Assemble the full iterate record at phi, validating its invariants."""
-    phi = np.asarray(phi, dtype=float)
-    w = beta(problem, phi, tol=tol)
-    res = float(np.linalg.norm(w + problem.complement(problem.grad_psi(phi + w))))
-    z = phi + w
-    value = problem.energy(z)
-    grad = phi - problem.project(problem.grad_psi(z))
-    if t_phi is None:
-        try:
-            t_phi = nehari_project(problem, phi, tol=max(tol, 1e-12),
-                                   check_slope=False)
-        except ValueError:
-            t_phi = math.nan
-    return ReductionState(phi, w, res, value, grad, float(grad @ phi),
-                          float(t_phi), tol)
 
 
 # ---------------------------------------------------------------------------

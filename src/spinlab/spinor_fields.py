@@ -20,17 +20,15 @@ unit-sphere great circles for each further direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .clifford import CliffordRep, build_rep, gamma_word, inner, norm, vec_mul, volume_projectors
+from .clifford import CliffordRep, build_rep, gamma_word, volume_projectors
 
 __all__ = [
     "TestSpinorParams",
-    "SpinorField",
     "make_params",
     "psi",
     "psi_norm",
@@ -76,22 +74,6 @@ class TestSpinorParams:
     @property
     def rep(self) -> CliffordRep:
         return build_rep(self.m)
-
-
-@dataclass
-class SpinorField:
-    """A spinor-valued function with optional memoised grid samples."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluator(x)
-
-    def sampled(self, name: str, nodes: np.ndarray) -> np.ndarray:
-        if name not in self._cache:
-            self._cache[name] = self.evaluator(np.asarray(nodes, dtype=float))
-        return self._cache[name]
 
 
 def make_params(m: int, eps: float = 1.0, delta: float = 1.0,

@@ -1,13 +1,18 @@
 """Command line wiring: exit codes, JSON shape, config handling, CSV."""
 
+import itertools
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from spinlab.cli import RunConfig, UsageError, run
+from spinlab.cli import _COMMANDS, RunConfig, UsageError, run
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli-output.md"
 
 
 def run_json(capsys, argv):
@@ -29,6 +34,19 @@ def run_strict_json(capsys, argv):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+# solve generic has no default spectrum
+DEFAULT_EXTRA = {"solve generic": ["--spectrum", "1,0.7,-0.4"]}
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_default_run_passes(capsys, monkeypatch, name):
+    monkeypatch.delenv("SPINLAB_OUT", raising=False)
+    rc, payload = run_strict_json(capsys, name.split()
+                                  + DEFAULT_EXTRA.get(name, []))
+    assert rc == 0
+    assert payload["ok"] is True
+
 
 def test_verify_clifford_passes(capsys):
     rc, payload = run_json(capsys, ["verify", "clifford", "--m-max", "4"])
@@ -236,11 +254,28 @@ def test_runconfig_round_trip():
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):
+    # a key of another subcommand is as unknown to solve toy as a made-up one
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    rc = run(["solve", "toy", "--config", str(cfg)])
-    assert rc == 2
-    assert "bogus" in json.loads(capsys.readouterr().err)["error"]
+    for key, value in (("bogus", "1"), ("modes", "3"), ("spectrum", "1,2"),
+                       ("eps_lo", "0.1")):
+        cfg.write_text(f"{key} = {value}\n")
+        rc = run(["solve", "toy", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert key in json.loads(captured.err)["error"]
+
+
+def test_config_unreadable_is_usage_error(capsys, tmp_path):
+    # a missing file and a file that is not text are malformed config
+    binary = tmp_path / "run.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "missing.cfg", binary):
+        rc = run(["solve", "toy", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "cannot read config file" in json.loads(captured.err)["error"]
 
 
 def test_config_subcommand_mismatch(capsys, tmp_path):
@@ -257,6 +292,45 @@ def test_runconfig_validates_types():
         RunConfig("solve toy", {"tol": "-1"})
     with pytest.raises(UsageError):
         RunConfig("solve toy", {"dims": ""})
+    with pytest.raises(UsageError, match="at least one entry"):
+        RunConfig("verify spinor", {"dims": ""})
+
+
+def test_solver_failure_echoes_config(capsys, tmp_path):
+    # brentq cannot bracket the Nehari scale at this tolerance: exit 1,
+    # with the resolved configuration on stderr to repeat the run
+    rc = run(["solve", "torus", "--modes", "1", "--tol", "1e-17",
+              "--starts", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["ok"] is False
+    assert err["config"].startswith("subcommand = solve torus\n")
+    cfg = tmp_path / "failed.cfg"
+    cfg.write_text(err["config"])
+    rc = run(["solve", "torus", "--config", str(cfg), "--echo-config"])
+    assert rc == 0
+    assert capsys.readouterr().out == err["config"]
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+def test_docs_usage_lines_match_table():
+    # every `spinlab <sub> [...]` line of the reference names exactly the
+    # flags of that subcommand's row, spelled -- + key with _ -> -
+    lines = re.findall(r"`spinlab ([^`]*)`", DOCS.read_text())
+    usage = {}
+    for line in lines:
+        name = " ".join(itertools.takewhile(lambda w: w[0] not in "[-",
+                                            line.split()))
+        usage[name] = set(re.findall(r"--[a-z][a-z-]*", line))
+    assert sorted(usage) == sorted(_COMMANDS)
+    assert len(lines) == len(_COMMANDS)
+    for name, command in _COMMANDS.items():
+        flags = {"--" + key.replace("_", "-") for key in command.options}
+        assert usage[name] == flags, name
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from spinlab.reduction import (
     minimize_nehari,
     nehari_project,
     reduced,
-    reduction_state,
     toy_problem,
 )
 
@@ -371,18 +370,24 @@ def test_hessian_callback_matches_fd():
     assert abs(slope - 2.0) <= 0.3
 
 
-def test_reduction_state_fields():
+def test_fiber_data_at_point():
+    # the fiber residual, reduced value, K and Nehari scale at one point
+    # of the toy split, as the solver reads them
     prob = toy_problem()
-    state = reduction_state(prob, np.array([0.7, 0.0]), tol=1e-12)
-    assert state.residual <= 1e-12
-    assert math.isclose(state.j_value, 0.5 * 0.49 - 0.25 * 0.7 ** 4,
-                        rel_tol=1e-12)
-    assert math.isclose(state.k_value, 0.49 - 0.7 ** 4, rel_tol=1e-12)
-    assert math.isclose(state.t_phi, 1.0 / 0.7, rel_tol=1e-9)
-    assert float(state.w @ state.w) <= 2.0 * prob.psi(state.phi) + 1e-10
-
-    degenerate = reduction_state(y_only_problem(), np.array([1.0, 0.0]))
-    assert math.isnan(degenerate.t_phi)
+    phi = np.array([0.7, 0.0])
+    w = beta(prob, phi, tol=1e-12)
+    residual = w + prob.complement(prob.grad_psi(phi + w))
+    assert np.linalg.norm(residual) <= 1e-12
+    assert float(w @ w) <= 2.0 * prob.psi(phi) + 1e-10
+    value, _, k = reduced(prob, phi, tol=1e-12)
+    assert math.isclose(value, 0.5 * 0.49 - 0.25 * 0.7 ** 4, rel_tol=1e-12)
+    assert math.isclose(k, 0.49 - 0.7 ** 4, rel_tol=1e-12)
+    assert math.isclose(nehari_project(prob, phi, check_slope=False),
+                        1.0 / 0.7, rel_tol=1e-9)
+    # along X the Y-only nonlinearity vanishes: no Nehari scale exists
+    with pytest.raises(ValueError, match="ray degenerate"):
+        nehari_project(y_only_problem(), np.array([1.0, 0.0]),
+                       check_slope=False)
 
 
 # ---------------------------------------------------------------------------
