@@ -430,6 +430,8 @@ def _run_solve_torus(cfg):
         cfg["modes"], spin, tol=cfg["tol"], seed=cfg["seed"],
         starts=cfg["starts"], n_g=cfg.get("grid"))
     payload = state.summary()
+    payload["iterations"] = state.iterations
+    payload["nehari_scale"] = state.nehari_scale
     payload["seed"] = cfg["seed"]
     payload["spin"] = cfg["spin"]
     payload["ok"] = bool(state.grad_norm <= cfg["tol"])

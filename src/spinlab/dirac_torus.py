@@ -406,23 +406,29 @@ def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
     M = basis.n_modes
     n = 4 * M
     sq = np.sqrt(basis.lam)
+    y_zeros = np.zeros(2 * M)
+
+    # Coordinates are [Re plus, Im plus, Re minus, Im minus] (M each):
+    # read as (block, part, mode), they are the transposed real view of
+    # the stacked (block, mode) complex coefficients.
+    def real_view(plus, minus):
+        c = np.concatenate((plus, minus)).view(float)
+        return c.reshape(2, M, 2).transpose(0, 2, 1)
 
     def from_coords(u):
-        plus = (u[:M] + 1j * u[M:2 * M]) / sq
-        minus = (u[2 * M:3 * M] + 1j * u[3 * M:]) / sq
-        return TorusSpinor(plus, np.zeros(basis.kernel_dim, dtype=complex),
-                           minus)
+        parts = u.reshape(4, M)
+        # a complex division: scaling the real view by 1/sq rounds alike
+        # but signs zeros otherwise, and ``resolve`` keys on the bytes
+        c = (parts[0::2] + 1j * parts[1::2]) / sq
+        return TorusSpinor(c[0], np.zeros(basis.kernel_dim, dtype=complex),
+                           c[1])
 
     def to_coords(sp):
-        return np.concatenate([
-            np.real(sp.plus) * sq, np.imag(sp.plus) * sq,
-            np.real(sp.minus) * sq, np.imag(sp.minus) * sq,
-        ])
+        return np.multiply(real_view(sp.plus, sp.minus), sq,
+                           order="C").reshape(n)
 
     def project(u):
-        out = np.zeros_like(u)
-        out[:2 * M] = u[:2 * M]
-        return out
+        return np.concatenate((u[:2 * M], y_zeros))
 
     cache = {}
 
@@ -451,10 +457,8 @@ def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
         return hit
 
     def coeffs_to_grad(cubic):
-        return np.concatenate([
-            np.real(cubic.plus) / sq, np.imag(cubic.plus) / sq,
-            np.real(cubic.minus) / sq, np.imag(cubic.minus) / sq,
-        ])
+        return np.divide(real_view(cubic.plus, cubic.minus), sq,
+                         order="C").reshape(n)
 
     def psi(u):
         _, dens, _ = resolve(u)

@@ -10,7 +10,12 @@ Because L is strictly concave along the negative subspace Y, each
 X-component phi owns a unique fiber maximizer beta(phi); eliminating Y
 this way leaves a reduced functional J on X whose critical points are
 exactly those of L.  Ground states are then found by minimizing J over
-its Nehari set {K = <grad J, phi> = 0}.
+its Nehari set {K = <grad J, phi> = 0}.  Along a ray t phi of X, K has
+a simple root with dK/dt < 0 (Szulkin and Weth, "The method of Nehari
+manifold", 2010), so the projection onto the set is a safeguarded
+Newton iteration in t with the exact slope, which differentiates the
+fiber through one linear solve; rays where a Newton step is refused
+fall back to a geometric bracket polished by ``brentq``.
 
 The module exposes the hypothesis checker for the structural conditions
 the reduction needs (labelled H1 to H5 throughout), the inner maximizer,
@@ -273,6 +278,20 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
 # ---------------------------------------------------------------------------
 # the inner maximizer
 
+def _fiber_operator(problem: IndefiniteProblem,
+                    z: np.ndarray) -> LinearOperator:
+    """v -> v + Q H(z) Q v with Q = I - P and H the Hessian of Psi.
+
+    The Jacobian of the fiber equation at z: ``beta`` steps with it and
+    the Nehari slope differentiates the fiber through it.
+    """
+    def apply(v):
+        q = problem.complement
+        return v + q(problem.hess_psi(z, q(v)))
+
+    return LinearOperator((problem.n, problem.n), matvec=apply)
+
+
 def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
          max_iter: int = 50, w0: np.ndarray = None) -> np.ndarray:
     """Unique fiber maximizer: solve w + (I - P) grad Psi(phi + w) = 0.
@@ -296,14 +315,9 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
         history.append(nrm)
         if nrm <= tol:
             break
-        z = phi + w
-
-        def apply(v):
-            return v + problem.complement(problem.hess_psi(z, problem.complement(v)))
-
-        op = LinearOperator((problem.n, problem.n), matvec=apply)
         forcing = min(1e-2, math.sqrt(nrm))
-        step, info = cg(op, -F, rtol=max(forcing, 1e-12), atol=0.0)
+        step, info = cg(_fiber_operator(problem, phi + w), -F,
+                        rtol=max(forcing, 1e-12), atol=0.0)
         if info != 0:
             raise RuntimeError(f"inner CG stalled (info={info}); "
                                f"residual history {history}")
@@ -346,30 +360,37 @@ def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 # Nehari projection and minimization
 
-def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
-                   tol: float = 1e-12, t0: float = 1.0,
-                   max_doublings: int = 40, check_slope: bool = True) -> float:
-    """Scale t > 0 placing t phi on the Nehari set K = 0.
+# Newton steps tried before the projection falls back to the bracket
+_NEWTON_STEPS = 30
 
-    K(t phi) is positive near t = 0, so the root is bracketed by
-    geometric expansion and then polished by bisection.  A ray along
-    which the nonlinearity vanishes keeps K = t^2 |phi|^2 > 0 forever
-    and is reported as degenerate.
+
+def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
+                  w: np.ndarray):
+    """Exact dK/dt along the ray t phi of X, and the fiber's velocity.
+
+    With w = beta(t phi), z = t phi + w, g = grad Psi(z) and H =
+    hess Psi(z), K(t) = t^2 |phi|^2 - t <g, phi>.  Differentiating the
+    fiber equation w + Q g = 0 gives (I + Q H Q) w' = -Q H phi, one CG
+    solve with the operator ``beta`` steps with, and then
+
+        dK/dt = 2 t |phi|^2 - <g, phi> - t (<H phi, phi> + <w', H phi>).
+
+    Returns (dK/dt, w').
     """
-    phi = np.asarray(phi, dtype=float)
-    if float(phi @ phi) == 0.0:
-        raise ValueError("cannot project the zero direction")
-    warm = {"w": None}
+    z = t * phi + w
+    g = problem.grad_psi(z)
+    h_phi = problem.hess_psi(z, phi)
+    dw, info = cg(_fiber_operator(problem, z), -problem.complement(h_phi),
+                  rtol=1e-6, atol=0.0)
+    if info != 0:
+        raise RuntimeError(f"fiber derivative CG stalled (info={info})")
+    slope = 2.0 * t * (phi @ phi) - g @ phi - t * (h_phi @ phi + dw @ h_phi)
+    return float(slope), dw
 
-    def k_of(t):
-        w = beta(problem, t * phi, tol=max(min(tol, 1e-12), tol * 1e-3),
-                 w0=warm["w"])
-        warm["w"] = w
-        g = t * phi - problem.project(problem.grad_psi(t * phi + w))
-        return float(g @ (t * phi))
 
-    t = float(t0)
-    k = k_of(t)
+def _bracket_root(k_of, t, k, tol, max_doublings):
+    """Root of K bracketed by geometric expansion from t, where K = k,
+    then polished by ``brentq``."""
     if k > 0.0:
         lo, hi = t, t
         for _ in range(max_doublings):
@@ -380,11 +401,8 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
             lo = hi
         else:
             raise ValueError("ray degenerate: K stays positive along the ray")
-        if k_hi == 0.0:
-            root = hi
-        else:
-            root = brentq(k_of, lo, hi, xtol=tol)
-    elif k < 0.0:
+        return hi if k_hi == 0.0 else brentq(k_of, lo, hi, xtol=tol)
+    if k < 0.0:
         lo, hi = t, t
         for _ in range(max_doublings):
             lo *= 0.5
@@ -394,9 +412,52 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
             hi = lo
         else:
             raise RuntimeError("no positive bracket found near t = 0")
-        root = lo if k_lo == 0.0 else brentq(k_of, lo, hi, xtol=tol)
-    else:
-        root = t
+        return lo if k_lo == 0.0 else brentq(k_of, lo, hi, xtol=tol)
+    return t
+
+
+def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
+                 tol: float = 1e-12, t0: float = 1.0,
+                 max_doublings: int = 40, check_slope: bool = True):
+    """``nehari_project``'s scale t and the fiber beta(t phi) solved there."""
+    phi = np.asarray(phi, dtype=float)
+    if float(phi @ phi) == 0.0:
+        raise ValueError("cannot project the zero direction")
+    fiber_tol = max(min(tol, 1e-12), tol * 1e-3)
+    fibers = {}
+    last = {"w": None}
+
+    def k_of(t, w0=None):
+        w = beta(problem, t * phi, tol=fiber_tol,
+                 w0=last["w"] if w0 is None else w0)
+        last["w"] = fibers[t] = w
+        g = t * phi - problem.project(problem.grad_psi(t * phi + w))
+        return float(g @ (t * phi))
+
+    t = float(t0)
+    k = k_of(t)
+    root = None
+    if np.array_equal(problem.project(phi), phi):
+        for _ in range(_NEWTON_STEPS):
+            if k == 0.0:
+                break
+            dk, dw = _nehari_slope(problem, phi, t, fibers[t])
+            if not dk < 0.0:
+                break
+            t_new = t - k / dk
+            if abs(t_new - t) <= tol:
+                root = t
+                break
+            if not t_new > 0.0:
+                break
+            # the fiber's tangent predicts the next fiber
+            k_new = k_of(t_new, fibers[t] + (t_new - t) * dw)
+            if not abs(k_new) < abs(k):
+                break
+            t, k = t_new, k_new
+
+    if root is None:
+        root = _bracket_root(k_of, t, k, tol, max_doublings)
 
     if check_slope:
         h = max(1e-6 * root, 1e-9)
@@ -404,7 +465,30 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
         if not slope < 0.0:
             raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
                                "expected negative")
-    return float(root)
+    return float(root), fibers.get(root, last["w"])
+
+
+def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
+                   tol: float = 1e-12, t0: float = 1.0,
+                   max_doublings: int = 40, check_slope: bool = True) -> float:
+    """Scale t > 0 placing t phi on the Nehari set K = 0.
+
+    Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so
+    the root is found by Newton's method in t from ``t0``, with the
+    exact slope of ``_nehari_slope``.  Each fiber beta(t phi) is warm
+    started from the previous one moved along its tangent.  The iteration
+    stops at the current t once the Newton correction is within ``tol``.
+    A step is taken only if the slope is negative, the new t is positive
+    and |K| decreases there.  When a step is refused, after
+    ``_NEWTON_STEPS`` steps, and for directions outside X, the root is
+    instead bracketed by geometric expansion from the last accepted t
+    and polished by ``brentq``.  K(t phi) is positive near t = 0; a ray
+    along which the nonlinearity vanishes keeps K = t^2 |phi|^2 > 0
+    forever and is reported as degenerate.
+    """
+    return _nehari_root(problem, phi, tol=tol, t0=t0,
+                        max_doublings=max_doublings,
+                        check_slope=check_slope)[0]
 
 
 @dataclass(frozen=True)
@@ -446,7 +530,10 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     and keeps the lowest converged level.  ``initial`` replaces the first
     random direction, which lets a coarse solution warm start a finer
     one.  The inner tolerances follow the current gradient norm down, so
-    early iterates are cheap and converged ones are exact.
+    early iterates are cheap and converged ones are exact.  The
+    projection hands over the fiber it solved at the root, more tightly
+    than the descent asks, so the descent's own fiber solve there only
+    confirms it.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -469,12 +556,11 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             nu = np.linalg.norm(u)
         u = u / nu
         try:
-            t = nehari_project(problem, u, tol=1e-6, check_slope=False)
+            t, w = _nehari_root(problem, u, tol=1e-6, check_slope=False)
         except ValueError:
             degenerate += 1
             continue
 
-        w = None
         prev_u = None
         prev_g = None
         value = math.inf
@@ -502,9 +588,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             prev_u, prev_g = u, g
             u = u - alpha * g
             u = u / np.linalg.norm(u)
-            t = nehari_project(problem, u,
-                               tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t,
-                               check_slope=False)
+            t, w = _nehari_root(problem, u,
+                                tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t,
+                                check_slope=False)
 
         history.append((value, gn))
         if gn <= tol:

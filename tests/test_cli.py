@@ -187,8 +187,12 @@ def test_solve_torus_small_deterministic(capsys):
     assert payload["kernel_dim"] == 0
     assert payload["gamma_crit"] == pytest.approx(3.141592653589793)
     assert set(payload) == {"energy", "quartic_mass", "grad_norm",
-                            "gamma_crit", "kernel_dim", "modes", "seed",
+                            "gamma_crit", "kernel_dim", "modes",
+                            "iterations", "nehari_scale", "seed",
                             "spin", "ok"}
+    assert isinstance(payload["iterations"], int)
+    assert payload["iterations"] >= 1
+    assert payload["nehari_scale"] > 0.0
 
 
 def test_psi0_search(capsys):

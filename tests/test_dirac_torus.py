@@ -20,9 +20,11 @@ from spinlab.dirac_torus import (
     build_dirac,
     ground_state_problem,
     phi_functional,
+    refine_ground_state,
     solve_ground_state,
     tilde_phi,
 )
+from spinlab import dirac_torus, reduction
 from spinlab.reduction import check_hypotheses
 
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -504,3 +506,28 @@ def test_solve_ground_state_with_kernel():
         <= 1e-6 * state.energy
     assert state.summary()["kernel_dim"] == 2
     assert len(state.rows()) == 2 * state.basis.n_modes + 2
+
+
+def test_fiber_solves_per_descent_step(monkeypatch):
+    # the Nehari projection solves few fibers per descent step and hands
+    # the root's fiber to the descent, whose own fiber solve then finds
+    # it converged and runs no CG; counted on the solve at cutoff 3
+    # refined to 6 (without the hand-over: 12.9 CG solves per step)
+    calls = {"beta": 0, "cg": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fiber = counted("beta", reduction.beta)
+    monkeypatch.setattr(reduction, "beta", fiber)
+    monkeypatch.setattr(dirac_torus, "beta", fiber)
+    monkeypatch.setattr(reduction, "cg", counted("cg", reduction.cg))
+    coarse = solve_ground_state(3.0, (0.5, 0.5), tol=1e-8, seed=0, starts=2)
+    fine = refine_ground_state(coarse, 6.0, tol=1e-8)
+    assert (coarse.iterations, fine.iterations) == (45, 24)
+    steps = coarse.iterations + fine.iterations
+    assert calls["beta"] <= 5 * steps
+    assert calls["cg"] <= 12 * steps

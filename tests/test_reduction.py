@@ -4,16 +4,19 @@ Oracles, in order of appearance: closed forms on the toy split (X the
 first axis, quartic nonlinearity), the exact sharp-curvature direction
 w = -(2/3) z of the quartic, scipy trust-region maximization of the
 fiber functional on a random ten-dimensional quartic, hand formulas for
-the separable diagonal instance, and a brute-force grid min-max for a
-coupled three-dimensional instance.
+the separable diagonal instance, a brute-force grid min-max for a
+coupled three-dimensional instance, and for the Newton projection a
+plain bracket-and-brentq root and central differences of K.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
+from spinlab import reduction
+from spinlab.dirac_torus import build_dirac, ground_state_problem
 from spinlab.reduction import (
     EnvelopeAudit,
     IndefiniteProblem,
@@ -418,6 +421,75 @@ def test_nehari_degenerate_ray():
         nehari_project(y_only_problem(), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         nehari_project(toy_problem(), np.zeros(2))
+
+
+def test_nehari_newton_from_far_starts():
+    # K(t x e1) = (tx)^2 - (tx)^4: Newton in t, or its bracket fallback
+    # where K' >= 0 (t < 1 / (sqrt(2) x)), reaches t = 1/x from either side
+    prob = toy_problem()
+    for x in (0.6, 1.0, 3.0):
+        for t0 in (1e-3, 0.5, 2.0, 1e3):
+            t = nehari_project(prob, np.array([x, 0.0]), t0=t0)
+            assert math.isclose(t, 1.0 / x, rel_tol=1e-10)
+
+
+def k_along(prob, phi):
+    return lambda t: reduced(prob, t * phi, tol=1e-13)[2]
+
+
+def test_nehari_newton_matches_bracket_root():
+    prob = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
+    rng = np.random.default_rng(111)
+    for _ in range(5):
+        phi = prob.project(rng.standard_normal(5))
+        k_of = k_along(prob, phi)
+        hi = 1.0
+        while k_of(hi) > 0.0:
+            hi *= 2.0
+        lo = hi
+        while k_of(lo) <= 0.0:
+            lo *= 0.5
+        oracle = brentq(k_of, lo, hi, xtol=1e-14)
+        for t0 in (0.3, 1.0, 4.0):
+            t = nehari_project(prob, phi, t0=t0)
+            assert math.isclose(t, oracle, rel_tol=1e-10)
+
+
+def test_nehari_degenerate_ray_falls_back():
+    # along X the Y-only nonlinearity vanishes: K = t^2 and K' = 2t > 0
+    # reject the Newton step, and the bracket reports the ray
+    for t0 in (1e-3, 1.0, 1e3):
+        with pytest.raises(ValueError, match="ray degenerate"):
+            nehari_project(y_only_problem(), np.array([1.0, 0.0]), t0=t0)
+
+
+def assert_slope_matches_fd(prob, phi, t):
+    k_of = k_along(prob, phi)
+    h = 1e-4 * t
+    fd = (k_of(t + h) - k_of(t - h)) / (2.0 * h)
+    w = beta(prob, t * phi, tol=1e-13)
+    slope, dw = reduction._nehari_slope(prob, phi, t, w)
+    assert math.isclose(slope, fd, rel_tol=1e-6)
+    # dw is the fiber's velocity along the ray
+    fd_w = (beta(prob, (t + h) * phi, tol=1e-13)
+            - beta(prob, (t - h) * phi, tol=1e-13)) / (2.0 * h)
+    assert np.linalg.norm(dw - fd_w) <= 1e-6 * (1.0 + np.linalg.norm(dw))
+
+
+def test_nehari_slope_matches_central_difference():
+    prob = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
+    rng = np.random.default_rng(121)
+    for t in (0.4, 1.1, 2.7):
+        phi = prob.project(rng.standard_normal(5))
+        assert_slope_matches_fd(prob, phi, t)
+
+    basis = build_dirac(2.0, (0.5, 0.5))
+    prob, _, _ = ground_state_problem(basis)
+    phi = prob.project(np.random.default_rng(122).standard_normal(prob.n))
+    phi /= np.linalg.norm(phi)
+    root = nehari_project(prob, phi, tol=1e-10)
+    for t in (0.8 * root, root, 1.3 * root):
+        assert_slope_matches_fd(prob, phi, t)
 
 
 def test_psi_positive_and_rays_bounded_away():
