@@ -38,6 +38,7 @@ from .curvature import (
     random_riemann,
     theta_lambda,
 )
+from .jets import jets_to_tensor
 from .quadrature import panel_nodes, shell_edges, sphere_area, sphere_rule
 from .spinor_fields import (
     TestSpinorParams,
@@ -312,29 +313,6 @@ def _default_rule(m: int):
     return sphere_rule(m, _POLAR.get(m, 5), _CIRCLE.get(m, 10))
 
 
-def _lambda_coefficients(lam):
-    """Dense linear and symmetric quadratic coefficients of the vector term."""
-    space = lam[0].space
-    m = space.m
-    lin = np.zeros((m, m))
-    quad = np.zeros((m, m, m))
-    for k, jet in enumerate(lam):
-        for pos, mono in enumerate(space.monomials):
-            c = float(jet.coeffs[pos])
-            if c == 0.0:
-                continue
-            if len(mono) == 1:
-                lin[k, mono[0]] += c
-            elif len(mono) == 2:
-                a, b = mono
-                if a == b:
-                    quad[k, a, a] += c
-                else:
-                    quad[k, a, b] += 0.5 * c
-                    quad[k, b, a] += 0.5 * c
-    return lin, quad
-
-
 def _angular_slots(T, U, UU):
     """``T[i, j, a1..ad]`` with its d = 2, 3, 4 slots at U[p]: (P, m, m).
 
@@ -437,7 +415,8 @@ class _AuditEngine:
             @ theta.reshape(m ** 3, m ** 3).T
         tables += _theta_tables(C, G, U, psi0)
 
-        lin, quad = _lambda_coefficients(lam)
+        coeffs = np.stack([jet.coeffs for jet in lam])
+        lin, quad = (jets_to_tensor(lam[0].space, coeffs, d) for d in (1, 2))
         for L in (U @ lin.T, UU @ quad.reshape(m, m * m).T):
             tables += [L @ GPsi, np.einsum("pk,pkn->pn", L, GS1)]
 

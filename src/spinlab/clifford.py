@@ -23,6 +23,7 @@ __all__ = [
     "build_rep",
     "vec_mul",
     "gamma_word",
+    "distinct_mask",
     "volume_projectors",
     "inner",
 ]
@@ -98,6 +99,12 @@ def gamma_word(rep: CliffordRep, indices):
     for i in indices:
         out = out @ rep.gammas[i]
     return out
+
+
+def distinct_mask(m: int) -> np.ndarray:
+    """Boolean (m, m, m) mask of the index triples i, j, k pairwise distinct."""
+    i, j, k = np.ogrid[:m, :m, :m]
+    return (i != j) & (j != k) & (i != k)
 
 
 def volume_projectors(rep: CliffordRep):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_space, jmat_det, jmat_identity
+from .clifford import distinct_mask
+from .jets import Jet, jet_space, jmat_det, jmat_identity, tensor_to_jets
 
 __all__ = [
     "RiemannTensor",
@@ -163,49 +164,6 @@ def weyl(R: RiemannTensor) -> RiemannTensor:
 
 
 # ---------------------------------------------------------------------------
-# polynomial assembly helpers
-
-def _contract_poly(space, coeff, extra_axes=0):
-    """Jet coefficients of  sum coeff[a,b,...] x^a x^b ...  for one entry.
-
-    ``coeff`` is a d-dimensional array (d = polynomial degree); the
-    contraction with the commuting monomial x^a x^b .. x^d is performed by
-    walking every index tuple once.  Small m keeps this cheap.
-    """
-    m = space.m
-    d = coeff.ndim
-    out = np.zeros(space.n)
-    for idx in itertools.product(range(m), repeat=d):
-        v = coeff[idx]
-        if v != 0.0:
-            out[space.index[tuple(sorted(idx))]] += v
-    return out
-
-
-def _poly_tensor_to_jets(space, tensor, n_poly_axes):
-    """Vectorised version of _contract_poly for arrays of polynomials.
-
-    ``tensor`` has leading matrix axes and ``n_poly_axes`` trailing axes to
-    be contracted with x.  Returns an array with the matrix axes plus one
-    jet coefficient axis.
-    """
-    m = space.m
-    lead = tensor.shape[:-n_poly_axes]
-    flat = tensor.reshape((-1,) + tensor.shape[-n_poly_axes:])
-    out = np.zeros((flat.shape[0], space.n))
-    # map every multi-index to its canonical monomial slot once
-    slots = {}
-    for idx in itertools.product(range(m), repeat=n_poly_axes):
-        slots.setdefault(space.index[tuple(sorted(idx))], []).append(idx)
-    for slot, idxs in slots.items():
-        acc = np.zeros(flat.shape[0])
-        for idx in idxs:
-            acc += flat[(slice(None),) + idx]
-        out[:, slot] = acc
-    return out.reshape(lead + (space.n,))
-
-
-# ---------------------------------------------------------------------------
 # metric expansion and its square root
 
 def _metric_coefficient_tensors(R: RiemannTensor, jets: CurvatureJets):
@@ -224,9 +182,8 @@ def metric_jet(R: RiemannTensor, jets: CurvatureJets):
     space = jet_space(m, 4)
     G2, G3, G4 = _metric_coefficient_tensors(R, jets)
     G = jmat_identity(space, m)
-    G += _poly_tensor_to_jets(space, G2, 2)
-    G += _poly_tensor_to_jets(space, G3, 3)
-    G += _poly_tensor_to_jets(space, G4, 4)
+    for d, t in ((2, G2), (3, G3), (4, G4)):
+        G += tensor_to_jets(space, t, d)
     return G
 
 
@@ -258,10 +215,9 @@ def b_jets(R: RiemannTensor, jets: CurvatureJets):
     Bt, Ct = b_coefficient_tensors(R, jets)
     B = jmat_identity(space, m)
     Binv = jmat_identity(space, m)
-    for d, t in Bt.items():
-        B += _poly_tensor_to_jets(space, t, d)
-    for d, t in Ct.items():
-        Binv += _poly_tensor_to_jets(space, t, d)
+    for d in Bt:
+        B += tensor_to_jets(space, Bt[d], d)
+        Binv += tensor_to_jets(space, Ct[d], d)
     return B, Binv
 
 
@@ -280,23 +236,14 @@ def theta_lambda(R: RiemannTensor, jets: CurvatureJets):
     c = R.components
     t1 = np.einsum("lbgk,jial->ijkabg", c, c)
     t2 = np.einsum("lbgk,jlai->ijkabg", c, c)
-    theta = -(t1 + t2) / 144.0
-    mask = np.zeros((m, m, m), dtype=bool)
-    for i, j, k in itertools.product(range(m), repeat=3):
-        mask[i, j, k] = i != j and j != k and i != k
-    theta = theta * mask[:, :, :, None, None, None]
+    theta = -(t1 + t2) / 144.0 * distinct_mask(m)[:, :, :, None, None, None]
 
     ric = ricci(R)
-    ric_d = np.einsum("iaikb->akb", jets.first)
+    ric_d = np.einsum("iaikb->kab", jets.first)
     space = jet_space(m, 2)
-    lam = []
-    for k in range(m):
-        lin = np.zeros(space.n)
-        for a in range(m):
-            lin[space.index[(a,)]] = -0.25 * ric[a, k]
-        quad = _contract_poly(space, -ric_d[:, k, :] / 6.0)
-        lam.append(Jet(space, lin + quad))
-    return theta, lam
+    lam = (tensor_to_jets(space, -0.25 * ric.T, 1)
+           + tensor_to_jets(space, -ric_d / 6.0, 2))
+    return theta, [Jet(space, row) for row in lam]
 
 
 def det_expansion_check(R: RiemannTensor, jets: CurvatureJets) -> float:
@@ -326,11 +273,11 @@ def det_expansion_check(R: RiemannTensor, jets: CurvatureJets) -> float:
     rr = np.einsum("iabd,ikld->abkl", R.components, R.components)
     ricric = np.einsum("ab,kl->abkl", ric, ric)
 
-    closed = np.zeros(space.n)
+    closed = (tensor_to_jets(space, -ric / 3.0, 2)
+              + tensor_to_jets(space, -ric_d1 / 6.0, 3)
+              + tensor_to_jets(space, -(ric_d2 / 20.0 + rr / 90.0
+                                        - ricric / 18.0), 4))
     closed[0] = 1.0
-    closed += _contract_poly(space, -ric / 3.0)
-    closed += _contract_poly(space, -ric_d1 / 6.0)
-    closed += _contract_poly(space, -(ric_d2 / 20.0 + rr / 90.0 - ricric / 18.0))
     return float(np.abs(det.coeffs - closed).max())
 
 

@@ -4,8 +4,16 @@ A jet is a polynomial in x_0 .. x_{m-1} kept only up to a fixed total
 degree.  Products silently drop every coefficient whose total degree
 exceeds the truncation order, which is exactly the O(r^{N+1}) arithmetic
 the local curvature expansions need.  Coefficients live in a flat numpy
-vector indexed by a canonical monomial list, so jet products reduce to a
-precomputed gather/scatter and stay fast even for matrices of jets.
+vector indexed by a canonical monomial list.
+
+A product forms only the coefficient pairs whose degrees fit under the
+cap (the space's product table) and scatters them onto their monomials,
+for single jets and for matrices of jets alike.  Index tensors and jets
+meet through one cached 0/1 symmetrizer per (m, degree, d): row
+(a_1, .., a_d) marks the monomial x^a_1 .. x^a_d, so ``tensor_to_jets``
+is one GEMM against it and ``jets_to_tensor``, its transpose scaled by
+the number of index tuples of each monomial, gives back the symmetric
+tensor.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ __all__ = [
     "jmat_mul",
     "jmat_det",
     "jmat_inverse",
+    "tensor_to_jets",
+    "jets_to_tensor",
 ]
 
 
@@ -140,10 +150,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            ii, jj, kk = self.space.product_table
-            out = np.zeros(self.space.n)
-            np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
-            return self._like(out)
+            return self._like(_coeffs_mul(self.space, self.coeffs, other.coeffs))
         return self._like(self.coeffs * other)
 
     __rmul__ = __mul__
@@ -196,9 +203,9 @@ def jmat_mul(space, A, B):
     """Matrix product of two jet matrices under truncation."""
     n = A.shape[0]
     ii, jj, kk = space.product_table
-    contrib = np.einsum("ikp,kjq->ijpq", A, B)
+    contrib = np.einsum("ikp,kjp->ijp", A[:, :, ii], B[:, :, jj])
     out = np.zeros((n, n, space.n))
-    np.add.at(out, (slice(None), slice(None), kk), contrib[:, :, ii, jj])
+    np.add.at(out, (slice(None), slice(None), kk), contrib)
     return out
 
 
@@ -249,3 +256,54 @@ def jmat_inverse(space, A):
         term = -jmat_mul(space, term, E)
         out = out + term
     return out
+
+
+# -- index tensors ---------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _symmetrizer(m: int, degree: int, d: int):
+    """(S, sel): S[(a_1..a_d), c] = 1 iff x^a_1 .. x^a_d is monomial sel[c].
+
+    ``sel`` indexes the degree-d monomials of ``jet_space(m, degree)``; S
+    has one row per index tuple in C order, so a tensor's trailing d axes
+    flatten onto its rows.
+    """
+    space = jet_space(m, degree)
+    sel = space.degree_slice(d)
+    col = {space.monomials[k]: c for c, k in enumerate(sel)}
+    tuples = itertools.product(range(m), repeat=d)
+    S = np.zeros((m ** d, sel.size))
+    S[np.arange(m ** d), [col[tuple(sorted(t))] for t in tuples]] = 1.0
+    S.setflags(write=False)        # shared by every caller of the cache
+    sel.setflags(write=False)
+    return S, sel
+
+
+def tensor_to_jets(space, T, d):
+    """Jets of  sum T[..., a_1, .., a_d] x^a_1 .. x^a_d  over the trailing axes.
+
+    Leading axes of ``T`` are kept; the result has them plus one
+    coefficient axis of length ``space.n``.
+    """
+    m = space.m
+    S, sel = _symmetrizer(m, space.degree, d)
+    T = np.asarray(T, dtype=float)
+    lead = T.shape[:T.ndim - d]
+    out = np.zeros(lead + (space.n,))
+    out[..., sel] = T.reshape(lead + (m ** d,)) @ S
+    return out
+
+
+def jets_to_tensor(space, coeffs, d):
+    """Symmetric index tensor of the degree-d part of jet coefficients.
+
+    The transpose of ``tensor_to_jets``, each monomial's coefficient split
+    evenly over its index tuples, so ``jets_to_tensor(tensor_to_jets(T))``
+    is the symmetrization of T over its trailing d axes.
+    """
+    m = space.m
+    S, sel = _symmetrizer(m, space.degree, d)
+    coeffs = np.asarray(coeffs, dtype=float)
+    lead = coeffs.shape[:-1]
+    flat = coeffs[..., sel] @ (S / S.sum(axis=0)).T
+    return flat.reshape(lead + (m,) * d)

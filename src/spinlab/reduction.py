@@ -423,6 +423,10 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     phi = np.asarray(phi, dtype=float)
     if float(phi @ phi) == 0.0:
         raise ValueError("cannot project the zero direction")
+    x_part = problem.project(phi)
+    if not x_part.any():
+        # P grad Psi is orthogonal to Y, so K = t^2 |phi|^2 on a ray of Y
+        raise ValueError("ray degenerate: K stays positive along the ray")
     fiber_tol = max(min(tol, 1e-12), tol * 1e-3)
     fibers = {}
     last = {"w": None}
@@ -437,7 +441,7 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     t = float(t0)
     k = k_of(t)
     root = None
-    if np.array_equal(problem.project(phi), phi):
+    if np.array_equal(x_part, phi):
         for _ in range(_NEWTON_STEPS):
             if k == 0.0:
                 break

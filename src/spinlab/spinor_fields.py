@@ -14,8 +14,12 @@ find_psi0 constructs a unit spinor annihilating the quartic Clifford form
 
     F(Y) = sum A_ijkl Re< g_i g_j g_k g_l Y, Y >        (i, j, k distinct)
 
-by projector balancing in the first four directions and a bisection along
-unit-sphere great circles for each further direction.
+by projector balancing in the first four directions and then, for each
+further direction, the zero of the form along a unit-sphere great circle.
+On that circle the form is a sinusoid in twice the angle, so the zero
+has a closed form.  The form's matrix is linear in the coefficients:
+the generators are contracted into the masked coefficient tensor from
+the right, one index and one GEMM at a time.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .clifford import CliffordRep, build_rep, gamma_word, volume_projectors
+from .clifford import CliffordRep, build_rep, distinct_mask, volume_projectors
 
 __all__ = [
     "TestSpinorParams",
@@ -210,10 +213,7 @@ def _masked(coeff, m):
     A = np.asarray(coeff, dtype=float)
     if A.shape != (m,) * 4:
         raise ValueError("coefficient array must have shape (m,)*4")
-    mask = np.fromfunction(
-        lambda i, j, k: (i != j) & (j != k) & (i != k), (m, m, m), dtype=int
-    )
-    return A * mask[:, :, :, None]
+    return A * distinct_mask(m)[:, :, :, None]
 
 
 def _form_matrix(rep: CliffordRep, coeff, index_bound: int = None,
@@ -224,22 +224,22 @@ def _form_matrix(rep: CliffordRep, coeff, index_bound: int = None,
     keeps only the terms in which that index occurs.  Words whose real
     pairing vanishes identically drop out via the Hermitian projection.
     """
-    m = rep.m
-    A = _masked(coeff, m)
-    bound = m if index_bound is None else index_bound
-    M = np.zeros((rep.N, rep.N), dtype=complex)
-    for i in range(bound):
-        for j in range(bound):
-            for k in range(bound):
-                if i == j or j == k or i == k:
-                    continue
-                for l in range(bound):
-                    a = A[i, j, k, l]
-                    if a == 0.0:
-                        continue
-                    if must_touch is not None and must_touch not in (i, j, k, l):
-                        continue
-                    M += a * gamma_word(rep, (i, j, k, l))
+    bound = rep.m if index_bound is None else index_bound
+    A = _masked(coeff, rep.m)[:bound, :bound, :bound, :bound]
+    if must_touch is not None:
+        i, j, k, l = np.ogrid[:bound, :bound, :bound, :bound]
+        A = A * ((i == must_touch) | (j == must_touch)
+                 | (k == must_touch) | (l == must_touch))
+    N = rep.N
+    G = np.stack(rep.gammas[:bound])
+    # sum A_ijkl g_i (g_j (g_k g_l)), one GEMM per generator from the
+    # right; Gr[a, (k, b)] = g_k[a, b] contracts an index and a row
+    Gr = G.transpose(1, 0, 2).reshape(N, bound * N)
+    M = (A.reshape(-1, bound) @ G.reshape(bound, -1)).reshape(
+        bound * bound, bound * N, N)                 # [(i, j)][(k, b)][c]
+    M = (Gr @ M).reshape(bound, bound * N, N)        # [i][(j, a)][c]
+    M = (Gr @ M).reshape(bound * N, N)               # [(i, a)][c]
+    M = Gr @ M
     return 0.5 * (M + M.conj().T)
 
 
@@ -273,8 +273,10 @@ def find_psi0(rep: CliffordRep, coeff, f_tol: float = 1e-10) -> np.ndarray:
     Psi_1 kills the sub-form over directions < d, the terms touching
     direction d flip sign under Y -> g_d Y while the rest are fixed, so
     the full sub-form over directions <= d changes sign along the great
-    circle  cos(t) Psi_1 + sin(t) g_d Psi_1  (unit for every t) and a
-    bisection locates a zero.
+    circle  cos(t) Psi_1 + sin(t) g_d Psi_1  (unit for every t).  There
+    the form is  a cos^2 t + 2c sin t cos t + b sin^2 t
+    = (a+b)/2 + rho cos(2t - phi),  whose one zero in (0, pi/2) is the
+    positive root x = tan t of  b x^2 + 2c x + a = 0  (a b < 0).
     """
     m = rep.m
     if m < 3:
@@ -287,23 +289,24 @@ def find_psi0(rep: CliffordRep, coeff, f_tol: float = 1e-10) -> np.ndarray:
     cur = _balanced_spinor(rep)
     for d in range(4, m):
         H = _form_matrix(rep, A, index_bound=d + 1)
-        g = rep.gamma(d)
-
-        def f(t):
-            v = np.cos(t) * cur + np.sin(t) * (g @ cur)
-            return float(np.real(np.vdot(v, H @ v)))
-
-        f0 = f(0.0)
-        if abs(f0) <= f_tol * scale:
+        gcur = rep.gamma(d) @ cur
+        a = float(np.real(np.vdot(cur, H @ cur)))
+        if abs(a) <= f_tol * scale:
             continue
-        f1 = f(np.pi / 2.0)
-        if f0 * f1 >= 0.0:
+        b = float(np.real(np.vdot(gcur, H @ gcur)))
+        if a * b >= 0.0:
             raise ArithmeticError(
                 "could not bracket a zero extending to direction "
-                f"{d}: endpoint values {f0:.3e}, {f1:.3e}"
+                f"{d}: endpoint values {a:.3e}, {b:.3e}"
             )
-        t0 = brentq(f, 0.0, np.pi / 2.0, xtol=1e-13, rtol=8.9e-16)
-        cur = np.cos(t0) * cur + np.sin(t0) * (g @ cur)
+        c = float(np.real(np.vdot(cur, H @ gcur)))
+        # the two roots have opposite signs; take the positive one in the
+        # form that adds quantities of one sign
+        sb = np.copysign(1.0, b)
+        root = np.sqrt(c * c - a * b)
+        x = (sb * root - c) / b if sb * c <= 0.0 else a / (-c - sb * root)
+        t0 = np.arctan(x)
+        cur = np.cos(t0) * cur + np.sin(t0) * gcur
         cur = cur / np.linalg.norm(cur)
 
     val = psi0_functional(rep, A, cur)

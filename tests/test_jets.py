@@ -1,5 +1,7 @@
 """Truncated polynomial arithmetic against direct evaluation oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from spinlab.jets import (
     jmat_identity,
     jmat_inverse,
     jmat_mul,
+    jets_to_tensor,
+    tensor_to_jets,
 )
 
 
@@ -105,3 +109,47 @@ def test_det_multiplicative_up_to_truncation():
     lhs = jmat_det(space, jmat_mul(space, A, B))
     rhs = jmat_det(space, A) * jmat_det(space, B)
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+
+
+# -- index tensors and jet matrices ----------------------------------------
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tensor_to_jets_evaluates_the_contraction(m, d):
+    space = jet_space(m, 4)
+    rng = np.random.default_rng(10 * m + d)
+    T = rng.standard_normal((2,) + (m,) * d)
+    coeffs = tensor_to_jets(space, T, d)
+    assert coeffs.shape == (2, space.n)
+    x = rng.standard_normal((7, m))
+    # x (x) .. (x) x, flattened in the order of T's trailing axes
+    xd = x
+    for _ in range(d - 1):
+        xd = (xd[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+    direct = T.reshape(2, -1) @ xd.T
+    for r in range(2):
+        assert np.allclose(Jet(space, coeffs[r])(x), direct[r],
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_jets_to_tensor_inverts_up_to_symmetrization(m, d):
+    space = jet_space(m, 4)
+    T = np.random.default_rng(d).standard_normal((3,) + (m,) * d)
+    back = jets_to_tensor(space, tensor_to_jets(space, T, d), d)
+    perms = list(itertools.permutations(range(1, d + 1)))
+    sym = sum(T.transpose((0,) + p) for p in perms) / len(perms)
+    assert np.allclose(back, sym, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_jmat_mul_equals_all_pairs_product(m):
+    space = jet_space(m, 4)
+    rng = np.random.default_rng(m)
+    A, B = rng.standard_normal((2, m, m, space.n))
+    ii, jj, kk = space.product_table
+    contrib = np.einsum("ikp,kjq->ijpq", A, B)
+    ref = np.zeros((m, m, space.n))
+    np.add.at(ref, (slice(None), slice(None), kk), contrib[:, :, ii, jj])
+    assert np.array_equal(jmat_mul(space, A, B), ref)

@@ -463,6 +463,13 @@ def test_nehari_degenerate_ray_falls_back():
             nehari_project(y_only_problem(), np.array([1.0, 0.0]), t0=t0)
 
 
+def test_nehari_y_ray_is_degenerate():
+    # on a ray of Y, K = t^2 |phi|^2 > 0 although the fiber is nonzero
+    for t0 in (1e-3, 1.0, 1e3):
+        with pytest.raises(ValueError, match="ray degenerate"):
+            nehari_project(toy_problem(), np.array([0.0, 1.0]), t0=t0)
+
+
 def assert_slope_matches_fd(prob, phi, t):
     k_of = k_along(prob, phi)
     h = 1e-4 * t

@@ -1,9 +1,19 @@
 """Test spinor profile, cutoff, Psi_0 search, and the pointwise identity."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from spinlab.clifford import build_rep, inner, vec_mul, volume_projectors
+from spinlab import spinor_fields
+from spinlab.clifford import (
+    build_rep,
+    gamma_word,
+    inner,
+    vec_mul,
+    volume_projectors,
+)
 from spinlab.curvature import RiemannTensor, random_riemann
 from spinlab.spinor_fields import (
     dirac_residual,
@@ -238,6 +248,64 @@ def test_great_circle_stays_unit():
     for t in np.linspace(0, np.pi / 2, 7):
         w = np.cos(t) * v + np.sin(t) * (g @ v)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-13)
+
+
+def word_sum_form_matrix(rep, A, bound, must_touch):
+    # the form's matrix as the explicit sum of Clifford words
+    M = np.zeros((rep.N, rep.N), dtype=complex)
+    for i in range(bound):
+        for j in range(bound):
+            for k in range(bound):
+                if i == j or j == k or i == k:
+                    continue
+                for l in range(bound):
+                    if must_touch is not None and must_touch not in (i, j, k, l):
+                        continue
+                    M += A[i, j, k, l] * gamma_word(rep, (i, j, k, l))
+    return 0.5 * (M + M.conj().T)
+
+
+@pytest.mark.parametrize("m", range(5, 10))
+def test_form_matrix_matches_word_sum(m):
+    rep = build_rep(m)
+    A = np.random.default_rng(m + 40).standard_normal((m,) * 4)
+    for bound, touch in ((None, None), (m - 1, None), (None, 2),
+                         (m - 1, m - 2)):
+        H = spinor_fields._form_matrix(rep, A, index_bound=bound,
+                                       must_touch=touch)
+        ref = word_sum_form_matrix(rep, A, m if bound is None else bound,
+                                   touch)
+        assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_find_psi0_closed_form_zero(m):
+    rep = build_rep(m)
+    rng = np.random.default_rng(m + 500)
+    for _ in range(50):
+        A = rng.standard_normal((m,) * 4)
+        out = find_psi0(rep, A)
+        scale = np.abs(spinor_fields._masked(A, m)).sum()
+        assert abs(psi0_functional(rep, A, out)) <= 1e-13 * scale
+
+
+def test_find_psi0_same_sign_endpoints_raise(monkeypatch):
+    # a definite form has no zero on any great circle
+    monkeypatch.setattr(spinor_fields, "_form_matrix",
+                        lambda rep, coeff, **sub: np.eye(rep.N))
+    rep = build_rep(5)
+    A = np.random.default_rng(3).standard_normal((5,) * 4)
+    with pytest.raises(ArithmeticError, match="could not bracket"):
+        find_psi0(rep, A)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, spinlab.spinor_fields; "
+            "print(any(k.split('.')[0] == 'scipy' for k in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # -- pointwise vanishing identity -------------------------------------------
