@@ -35,7 +35,6 @@ import math
 
 import numpy as np
 
-from .asymptotics import critical_energy
 from .reduction import IndefiniteProblem, beta, minimize_nehari
 
 __all__ = [
@@ -246,6 +245,8 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
     """
     if not lam_max >= 1.0:
         raise ValueError("mode cutoff must be at least 1")
+    if not math.isfinite(lam_max):
+        raise ValueError("mode cutoff must be finite")
     delta = SpinStructure.coerce(delta)
     min_ng = 4 * (2 * int(math.ceil(lam_max)) + 1)
     if n_g is None:
@@ -589,8 +590,10 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     if abs(energy - 0.25 * quartic) > 1e-4 * max(1.0, abs(energy)):
         raise RuntimeError("critical-value identity failed: "
                            f"{energy} vs {0.25 * quartic}")
+    # the sphere threshold critical_energy(2) = vol(S^2) / 4 of
+    # ``asymptotics``, bitwise equal to pi
     return GroundState(basis, sp, float(energy), float(quartic),
-                       float(grad_norm), float(critical_energy(2)),
+                       float(grad_norm), math.pi,
                        float(result.nehari_scale), int(result.iterations),
                        int(seed))
 

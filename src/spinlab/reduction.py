@@ -25,6 +25,15 @@ approximate critical points must satisfy.
 
 All constants (p, K, mu, kappa) are part of the problem statement and
 are validated, never inferred.
+
+The module runs on numpy alone.  Its two numerical kernels are written
+out here and take exactly the steps of the scipy routines they replace,
+so results are bit-identical to a solver built on scipy: ``cg`` is the
+unpreconditioned conjugate gradient method (Hestenes and Stiefel, J. Res.
+NBS 49, 1952) as ``scipy.sparse.linalg.cg`` runs it from x0 = 0, and
+``brentq`` is Brent's root finder (Brent, "Algorithms for Minimization
+without Derivatives", 1973, ch. 4) as ``scipy.optimize.brentq`` runs it,
+with scipy's tolerance checks and the same errors.
 """
 
 from __future__ import annotations
@@ -34,8 +43,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, cg
 
 __all__ = [
     "IndefiniteProblem",
@@ -276,10 +283,111 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
 
 
 # ---------------------------------------------------------------------------
+# linear and scalar solvers
+
+_EPS = float(np.finfo(float).eps)
+
+
+def cg(A, b, rtol=1e-5, atol=0.0, maxiter=None):
+    """Solve A x = b by conjugate gradients from x = 0, A given by its action.
+
+    A must be symmetric positive definite.  The loop stops once
+    |r| < max(atol, rtol |b|) and returns (x, 0), or after ``maxiter``
+    steps (default 10 n) and returns (x, maxiter); these are the steps of
+    ``scipy.sparse.linalg.cg`` without a preconditioner.
+    """
+    b = np.asarray(b, dtype=float)
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    if maxiter is None:
+        maxiter = 10 * len(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(r, r)
+        p = r.copy() if p is None else p * (rho / rho_prev) + r
+        q = A(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    The port of scipy's C ``brentq``: inverse quadratic or secant steps
+    where they shrink the bracket fast enough, bisection otherwise, until
+    half the bracket is below (xtol + rtol |x|) / 2.  Bad tolerances, a NaN
+    value of f and a bracket without a sign change raise ValueError, and
+    no convergence in ``maxiter`` steps raises RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta \
+                else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < limit:
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# ---------------------------------------------------------------------------
 # the inner maximizer
 
-def _fiber_operator(problem: IndefiniteProblem,
-                    z: np.ndarray) -> LinearOperator:
+def _fiber_operator(problem: IndefiniteProblem, z: np.ndarray):
     """v -> v + Q H(z) Q v with Q = I - P and H the Hessian of Psi.
 
     The Jacobian of the fiber equation at z: ``beta`` steps with it and
@@ -289,7 +397,7 @@ def _fiber_operator(problem: IndefiniteProblem,
         q = problem.complement
         return v + q(problem.hess_psi(z, q(v)))
 
-    return LinearOperator((problem.n, problem.n), matvec=apply)
+    return apply
 
 
 def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
@@ -303,6 +411,8 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
+        raise ValueError("fiber direction phi must be finite")
     w = np.zeros(problem.n) if w0 is None else np.array(w0, dtype=float)
     history = []
 
@@ -541,6 +651,14 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     """
     if starts < 1:
         raise ValueError("need at least one start")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("need at least one iteration")
+    if initial is not None and not np.isfinite(initial).all():
+        # checked here, or the fiber's own check would count it as a
+        # degenerate start
+        raise ValueError("initial direction must be finite")
     rng = np.random.default_rng(seed)
     inner = min(tol * 1e-2, 1e-12)
     best = None

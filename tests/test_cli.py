@@ -366,3 +366,20 @@ def test_module_invocation_subprocess():
          "--m-max", "2"], capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "torus", "--modes", "1.5", "--starts", "1"],
+    ["solve", "toy"],
+    ["solve", "generic", "--spectrum", "1,0.7,-0.4"],
+])
+def test_solve_runs_without_scipy(argv):
+    # the solver path (fiber CG, Nehari bracket and Brent) is numpy only
+    code = ("import sys; from spinlab.cli import run; rc = run(sys.argv[1:]); "
+            "print(rc, any(k.split('.')[0] == 'scipy' for k in sys.modules),"
+            " file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split() == ["0", "False"]
+    assert json.loads(out.stdout)["ok"] is True

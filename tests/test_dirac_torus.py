@@ -8,6 +8,8 @@ best-approximation operator.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +82,28 @@ def test_build_dirac_mode_inventory():
         build_dirac(0.5)
     with pytest.raises(ValueError):
         build_dirac(2.0, (0.5, 0.5), n_g=10)
+
+
+@pytest.mark.parametrize("lam_max", [math.inf, -math.inf, math.nan])
+def test_nonfinite_cutoff_is_rejected(lam_max):
+    with pytest.raises(ValueError, match="mode cutoff"):
+        build_dirac(lam_max)
+    with pytest.raises(ValueError, match="mode cutoff"):
+        solve_ground_state(lam_max)
+
+
+def test_gamma_crit_is_the_sphere_threshold():
+    # the solver stores pi; asymptotics assembles it from vol(S^2) / 4
+    assert critical_energy(2) == math.pi
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, spinlab.dirac_torus; "
+            "print(any(k.split('.')[0] == 'scipy' for k in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_symbol_eigensystem():

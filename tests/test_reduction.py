@@ -6,14 +6,19 @@ w = -(2/3) z of the quartic, scipy trust-region maximization of the
 fiber functional on a random ten-dimensional quartic, hand formulas for
 the separable diagonal instance, a brute-force grid min-max for a
 coupled three-dimensional instance, and for the Newton projection a
-plain bracket-and-brentq root and central differences of K.
+plain bracket-and-brentq root and central differences of K.  The
+module's own ``cg`` and ``brentq`` are checked bit for bit against the
+scipy routines they port.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
+from scipy.sparse.linalg import cg as scipy_cg
 
 from spinlab import reduction
 from spinlab.dirac_torus import build_dirac, ground_state_problem
@@ -308,6 +313,14 @@ def test_beta_iteration_cap():
 def test_beta_validation():
     with pytest.raises(ValueError):
         beta(toy_problem(), np.array([1.0, 0.0]), tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_beta_rejects_nonfinite_direction(bad):
+    # without the check the CG stopping test max(0, rtol |b|) is NaN and
+    # the inner solve ran out its iterations ("inner CG stalled")
+    with pytest.raises(ValueError, match="must be finite"):
+        beta(toy_problem(), np.array([bad, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +663,25 @@ def test_minimize_nehari_validation():
         minimize_nehari(toy_problem(), starts=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_minimize_nehari_rejects_bad_tolerance(tol):
+    # tol = 0 used to end in "Armijo stalled" deep inside the descent
+    with pytest.raises(ValueError, match="tolerance"):
+        minimize_nehari(toy_problem(), tol=tol)
+
+
+def test_minimize_nehari_rejects_nonfinite_initial():
+    with pytest.raises(ValueError, match="initial direction"):
+        minimize_nehari(toy_problem(), initial=np.array([math.nan, 0.0]))
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_minimize_nehari_rejects_no_iterations(max_iter):
+    # max_iter = 0 used to report "no start converged" with (inf, inf)
+    with pytest.raises(ValueError, match="iteration"):
+        minimize_nehari(toy_problem(), max_iter=max_iter)
+
+
 # ---------------------------------------------------------------------------
 # energy envelope
 
@@ -686,3 +718,114 @@ def test_energy_bound_validation():
     prob = toy_problem()
     with pytest.raises(ValueError, match="positive energy"):
         energy_bound_audit(prob, np.array([0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the in-house CG and Brent against scipy
+
+def spd_system(rng, n, spread):
+    """Random symmetric positive definite matrix, eigenvalues in
+    [1, 10^spread], and a right-hand side."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (q * np.logspace(0.0, spread, n)) @ q.T
+    return 0.5 * (A + A.T), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-12])
+def test_cg_matches_scipy_bitwise(rtol):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        A, b = spd_system(rng, n, rng.uniform(0.0, 4.0))
+        for maxiter in (None, 3):
+            want = scipy_cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter)
+            got = reduction.cg(lambda v: A @ v, b, rtol=rtol, atol=0.0,
+                               maxiter=maxiter)
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
+
+
+def test_cg_stops_at_maxiter_like_scipy():
+    rng = np.random.default_rng(5)
+    A, b = spd_system(rng, 30, 4.0)
+    x, info = reduction.cg(lambda v: A @ v, b, rtol=1e-12, maxiter=3)
+    want = scipy_cg(A, b, rtol=1e-12, maxiter=3)
+    assert info == want[1] == 3
+    assert np.array_equal(x, want[0])
+
+
+def test_cg_edge_cases_match_scipy():
+    # a zero right-hand side returns at once; at rtol = 1 the first
+    # residual equals the threshold, and the strict test takes one step
+    A = np.diag([1.0, 2.0, 3.0])
+    for b, rtol in ((np.zeros(3), 1e-5), (np.array([1.0, 0.0, 0.0]), 1.0)):
+        x, info = reduction.cg(lambda v: A @ v, b, rtol=rtol)
+        want = scipy_cg(A, b, rtol=rtol)
+        assert info == want[1] == 0
+        assert np.array_equal(x, want[0])
+    assert x[0] == 1.0
+
+
+def bracket_function(c):
+    return lambda x: c[0] + c[1] * x + c[2] * x ** 3 + math.sin(c[3] * x)
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-6, 1e-3])
+def test_brentq_matches_scipy_bitwise(xtol):
+    rng = np.random.default_rng(23)
+    roots = 0
+    for _ in range(1500):
+        f = bracket_function(rng.standard_normal(4))
+        a, b = rng.uniform(-5.0, 5.0, 2)
+        try:
+            want = brentq(f, a, b, xtol=xtol)
+        except ValueError:
+            with pytest.raises(ValueError, match="different signs"):
+                reduction.brentq(f, a, b, xtol=xtol)
+            continue
+        got = reduction.brentq(f, a, b, xtol=xtol)
+        assert got == want and math.copysign(1.0, got) \
+            == math.copysign(1.0, want)
+        roots += 1
+    assert roots > 500
+
+
+def test_brentq_zero_at_an_endpoint():
+    f = lambda x: x * (x - 1.0)  # noqa: E731
+    assert reduction.brentq(f, 1.0, 3.0) == brentq(f, 1.0, 3.0) == 1.0
+    assert reduction.brentq(f, -0.5, 0.0) == brentq(f, -0.5, 0.0) == 0.0
+
+
+BRENT_ERRORS = {
+    "xtol": (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
+    "rtol": (lambda x: x, -1.0, 1.0, {"rtol": float(np.finfo(float).eps)}),
+    "nan": (lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, {}),
+    "same sign": (lambda x: x * x + 1.0, -1.0, 1.0, {}),
+    "no convergence": (lambda x: x ** 3 - 2.0, 0.0, 5.0, {"maxiter": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(BRENT_ERRORS))
+def test_brentq_errors_match_scipy(case):
+    f, a, b, kwargs = BRENT_ERRORS[case]
+    with pytest.raises((ValueError, RuntimeError)) as want:
+        brentq(f, a, b, **kwargs)
+    with pytest.raises(want.type):
+        reduction.brentq(f, a, b, **kwargs)
+
+
+def test_solver_kernels_stay_private():
+    # the benchmark's tracer wraps cg and brentq once each by name; a
+    # public name would be wrapped a second time
+    assert callable(reduction.cg) and callable(reduction.brentq)
+    assert "cg" not in reduction.__all__
+    assert "brentq" not in reduction.__all__
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, spinlab.reduction; "
+            "print(any(k.split('.')[0] == 'scipy' for k in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
