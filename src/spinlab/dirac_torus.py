@@ -23,6 +23,22 @@ basis, exp(i (k + delta_j) x) for the labels k of the box and the grid
 points x, carry the spin-structure phase, so a transform is one pair of
 matrix products on the (2, box, box) coefficient array.
 
+The grid is exact at n_g >= 2 nk - 1, where nk = modes.max() -
+modes.min() + 1 is the width of the box, and that threshold is the
+default.  Proof: on each axis a field is sum_k a_k exp(i (k + delta) x)
+with nk consecutive labels k, so conj(psi) psi' has integer frequencies
+k' - k of modulus <= nk - 1 and the spin phase cancels.  The integrand
+|psi|^4, and the integrand |psi|^2 psi exp(-i (k + delta) x) of every
+box coefficient of |psi|^2 psi, are then trigonometric polynomials of
+degree <= 2 (nk - 1) per axis; so are the Hessian products 2 Re<psi, chi>
+psi + |psi|^2 chi and the kernel Gram sums, since the constant spinors
+lie in the box.  The n-point trapezoidal rule integrates exp(i m x)
+exactly unless m is a nonzero multiple of n, hence exactly for every
+|m| <= 2 (nk - 1) once n >= 2 nk - 1 (Trefethen and Weideman, SIAM
+Review 56, 2014; Orszag, J. Atmos. Sci. 28, 1971, on dealiasing
+products).  At n = 2 nk - 2 the top frequency m = n aliases onto the
+mean, and the quartic of a generic field is wrong.
+
 The surface is 2-dimensional, so the critical exponent is 4 and the
 solver exercises the desk-scale instance of the general machinery;
 nothing here claims the high-dimensional results.
@@ -32,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import numbers
 
 import numpy as np
 
@@ -119,8 +136,9 @@ class SpectralBasis:
     modes.max() on both axes, which holds every mode and the kernel mode
     (0, 0).  ``__post_init__`` builds E1[x, k] = exp(i (k + delta_1) x)
     and E2t[k, x] = exp(i (k + delta_2) x) over the grid points
-    x = 2 pi j / n_g, their conjugate transposes, and the flat box index
-    of every mode and of the kernel mode.  ``to_grid`` is then
+    x = 2 pi j / n_g, their conjugate transposes, the conjugate symbol
+    eigenvectors stacked as (plus/minus, mode, component), and the flat
+    box index of every mode and of the kernel mode.  ``to_grid`` is then
     E1 @ box @ E2t / (2 pi) and ``from_grid`` E1^H @ grid @ E2t^H
     times 2 pi / n_g^2: every mode gets the discrete Fourier coefficient
     an FFT of the grid with the spin phase removed would give it.
@@ -138,6 +156,7 @@ class SpectralBasis:
     _e2t: np.ndarray = field(init=False, repr=False, compare=False)
     _e1h: np.ndarray = field(init=False, repr=False, compare=False)
     _e2c: np.ndarray = field(init=False, repr=False, compare=False)
+    _ec: np.ndarray = field(init=False, repr=False, compare=False)
     _flat: np.ndarray = field(init=False, repr=False, compare=False)
     _flat0: int = field(init=False, repr=False, compare=False)
 
@@ -160,6 +179,7 @@ class SpectralBasis:
         put(self, "_e2t", e2t)
         put(self, "_e1h", np.ascontiguousarray(e1.conj().T))
         put(self, "_e2c", np.ascontiguousarray(e2t.conj().T))
+        put(self, "_ec", np.conj(np.stack((self.e_plus, self.e_minus))))
         put(self, "_flat",
             (self.modes[:, 0] - lo) * nk + (self.modes[:, 1] - lo))
         put(self, "_flat0", -lo * nk - lo)
@@ -214,8 +234,7 @@ class SpectralBasis:
         box = (self._e1h @ grid @ self._e2c).reshape(2, -1)
         box *= TWO_PI / self.n_g ** 2
         w = box[:, self._flat].T
-        plus = np.sum(np.conj(self.e_plus) * w, axis=1)
-        minus = np.sum(np.conj(self.e_minus) * w, axis=1)
+        plus, minus = (self._ec * w).sum(axis=2)
         if self.kernel_dim:
             kernel = box[:, self._flat0].copy()
         else:
@@ -240,20 +259,26 @@ class SpectralBasis:
 def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBasis:
     """Enumerate the modes below the cutoff and diagonalize the symbol.
 
-    The grid resolution defaults to 4 (2 lam_max + 1) so quartic
-    integrands of band-limited spinors are integrated without aliasing.
+    The grid resolution ``n_g`` defaults to the exact threshold
+    2 nk - 1, with nk = modes.max() - modes.min() + 1 the width of the
+    transform box; a smaller grid, or one that is not an integer, is
+    rejected.  Proof of exactness: products conj(psi) psi' of box fields
+    have integer frequencies of modulus <= nk - 1 per axis, so the
+    quartic integral, the box coefficients of |psi|^2 psi and the
+    Hessian products integrate trigonometric polynomials of degree
+    <= 2 (nk - 1).  The n-point trapezoidal rule is exact for
+    exp(i m x) unless m is a nonzero multiple of n, so it is exact from
+    n = 2 nk - 1 on; at 2 nk - 2 the top frequency aliases onto the
+    mean (module docstring).
     """
     if not lam_max >= 1.0:
         raise ValueError("mode cutoff must be at least 1")
     if not math.isfinite(lam_max):
         raise ValueError("mode cutoff must be finite")
+    if n_g is not None and (isinstance(n_g, bool)
+                            or not isinstance(n_g, numbers.Integral)):
+        raise ValueError(f"grid size must be an integer, got {n_g!r}")
     delta = SpinStructure.coerce(delta)
-    min_ng = 4 * (2 * int(math.ceil(lam_max)) + 1)
-    if n_g is None:
-        n_g = min_ng
-    elif n_g < min_ng:
-        raise ValueError(f"grid size {n_g} aliases the quartic term; "
-                         f"need at least {min_ng}")
 
     span = int(math.ceil(lam_max)) + 1
     ks = np.arange(-span, span + 1)
@@ -265,6 +290,13 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
     modes, theta, lam = modes[keep], theta[keep], lam[keep]
     order = np.lexsort((modes[:, 1], modes[:, 0], lam))
     modes, theta, lam = modes[order], theta[order], lam[order]
+
+    exact_ng = 2 * (int(modes.max()) - int(modes.min()) + 1) - 1
+    if n_g is None:
+        n_g = exact_ng
+    elif n_g < exact_ng:
+        raise ValueError(f"grid size {n_g} aliases the quartic term; "
+                         f"need at least {exact_ng}")
 
     # symbol -(theta . sigma) has eigenvector (1, -c/|theta|) for +|theta|
     # and (1, c/|theta|) for -|theta|, with c = theta_1 + i theta_2

@@ -46,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "IndefiniteProblem",
+    "DegenerateRay",
     "HypothesisReport",
     "NehariResult",
     "EnvelopeAudit",
@@ -188,6 +189,13 @@ def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
         n=d.size, P=P, psi=psi, grad_psi=grad, hess_psi=hess,
         p=4.0, K=max(1.0, float(s.max())), mu=0.75, kappa=5.0 / 3.0,
     )
+
+
+class DegenerateRay(ValueError):
+    """K(t) stays positive along the ray, so it never meets the Nehari set."""
+
+    def __init__(self, msg="ray degenerate: K stays positive along the ray"):
+        super().__init__(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +518,7 @@ def _bracket_root(k_of, t, k, tol, max_doublings):
                 break
             lo = hi
         else:
-            raise ValueError("ray degenerate: K stays positive along the ray")
+            raise DegenerateRay()
         return hi if k_hi == 0.0 else brentq(k_of, lo, hi, xtol=tol)
     if k < 0.0:
         lo, hi = t, t
@@ -536,7 +544,7 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     x_part = problem.project(phi)
     if not x_part.any():
         # P grad Psi is orthogonal to Y, so K = t^2 |phi|^2 on a ray of Y
-        raise ValueError("ray degenerate: K stays positive along the ray")
+        raise DegenerateRay()
     fiber_tol = max(min(tol, 1e-12), tol * 1e-3)
     fibers = {}
     last = {"w": None}
@@ -598,7 +606,7 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     instead bracketed by geometric expansion from the last accepted t
     and polished by ``brentq``.  K(t phi) is positive near t = 0; a ray
     along which the nonlinearity vanishes keeps K = t^2 |phi|^2 > 0
-    forever and is reported as degenerate.
+    forever and raises ``DegenerateRay``.
     """
     return _nehari_root(problem, phi, tol=tol, t0=t0,
                         max_doublings=max_doublings,
@@ -656,8 +664,6 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     if max_iter < 1:
         raise ValueError("need at least one iteration")
     if initial is not None and not np.isfinite(initial).all():
-        # checked here, or the fiber's own check would count it as a
-        # degenerate start
         raise ValueError("initial direction must be finite")
     rng = np.random.default_rng(seed)
     inner = min(tol * 1e-2, 1e-12)
@@ -679,7 +685,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         u = u / nu
         try:
             t, w = _nehari_root(problem, u, tol=1e-6, check_slope=False)
-        except ValueError:
+        except DegenerateRay:
             degenerate += 1
             continue
 

@@ -155,15 +155,16 @@ def test_solve_generic_needs_spectrum(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "torus", "--spin", "0.3,0"],
     ["solve", "torus", "--modes", "0.5"],
-    ["solve", "torus", "--modes", "2", "--grid", "19"],
-    ["solve", "torus", "--modes", "1.5", "--grid", "10"],
+    ["solve", "torus", "--modes", "2", "--grid", "6"],
+    ["solve", "torus", "--modes", "1.5", "--grid", "2"],
     ["solve", "torus", "--modes", "nan"],
     ["solve", "generic", "--spectrum", "1,inf,-1"],
     ["solve", "generic", "--spectrum", "1,nan,-1"],
 ])
 def test_solve_bad_input_is_usage_error(capsys, argv):
-    # a grid must hold 4 (2 ceil(modes) + 1) points per axis: 20 at
-    # --modes 1.5 and 2
+    # a grid must hold 2 nk - 1 points per axis, nk the width of the
+    # box of mode labels: 7 at --modes 2 (labels -2..1), 3 at --modes 1.5
+    # (labels -1..0)
     start = time.perf_counter()
     rc = run(argv)
     captured = capsys.readouterr()

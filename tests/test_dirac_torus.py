@@ -7,6 +7,7 @@ Hessians, and a refined grid search over the kernel 4-ball for the
 best-approximation operator.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -80,8 +81,17 @@ def test_build_dirac_mode_inventory():
 
     with pytest.raises(ValueError):
         build_dirac(0.5)
-    with pytest.raises(ValueError):
-        build_dirac(2.0, (0.5, 0.5), n_g=10)
+    # the box of labels -2..1 has width 4, so the exact grid has 7 points
+    assert basis.n_g == 7
+    assert build_dirac(2.0, (0.5, 0.5), n_g=7).n_g == 7
+    with pytest.raises(ValueError, match="aliases"):
+        build_dirac(2.0, (0.5, 0.5), n_g=6)
+
+
+@pytest.mark.parametrize("n_g", [30.5, math.inf, True, 31.0, "31"])
+def test_build_dirac_rejects_non_integer_grid(n_g):
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        build_dirac(2.0, (0.5, 0.5), n_g=n_g)
 
 
 @pytest.mark.parametrize("lam_max", [math.inf, -math.inf, math.nan])
@@ -160,6 +170,8 @@ def test_to_grid_matches_mode_sum():
              + sp.minus[:, None] * basis.e_minus)
         for j1, j2 in ((0, 0), (1, 5), (basis.n_g - 1, 3),
                        (7, basis.n_g - 2)):
+            # the default grid at this cutoff has only 7 points
+            j1, j2 = j1 % basis.n_g, j2 % basis.n_g
             x = TWO_PI * np.array([j1, j2]) / basis.n_g
             waves = np.exp(1j * (basis.theta @ x)) / TWO_PI
             expected = waves @ w
@@ -194,6 +206,52 @@ def test_from_grid_matches_fft_projection():
             assert np.abs(got.kernel - w_all[:, 0, 0]).max() <= 1e-12
         else:
             assert got.kernel.shape == (0,)
+
+
+def rel_diff(a, b):
+    """Largest entry difference relative to the largest entry of b."""
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def blocks(sp):
+    return np.concatenate((sp.plus, sp.kernel, sp.minus))
+
+
+@pytest.mark.parametrize("lam_max", [2.0, 3.5])
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0),
+                                   (0.0, 0.5)])
+def test_default_grid_is_exact_and_sharp(lam_max, delta):
+    # every grid quantity at n_g = 2 nk - 1 equals its value on a grid
+    # four times finer; one point fewer aliases the quartic
+    basis = build_dirac(lam_max, delta)
+    nk = int(basis.modes.max() - basis.modes.min()) + 1
+    assert basis.n_g == 2 * nk - 1
+    fine = build_dirac(lam_max, delta, 4 * basis.n_g)
+    rng = np.random.default_rng(67)
+    sp = basis.random_spinor(rng)
+
+    assert rel_diff(basis.quartic_integral(sp),
+                    fine.quartic_integral(sp)) <= 1e-13
+    value, grad = phi_functional(basis, sp)
+    value_f, grad_f = phi_functional(fine, sp)
+    assert rel_diff(value, value_f) <= 1e-13
+    assert rel_diff(blocks(grad), blocks(grad_f)) <= 1e-13
+    if basis.kernel_dim:
+        assert rel_diff(T_project(basis, sp), T_project(fine, sp)) <= 1e-13
+
+    problem, _, _ = ground_state_problem(basis)
+    problem_f, _, _ = ground_state_problem(fine)
+    u = rng.standard_normal(problem.n)
+    v = rng.standard_normal(problem.n)
+    assert rel_diff(problem.grad_psi(u), problem_f.grad_psi(u)) <= 1e-13
+    assert rel_diff(problem.hess_psi(u, v),
+                    problem_f.hess_psi(u, v)) <= 1e-13
+
+    # build_dirac refuses the aliasing grid, so shrink the basis directly
+    coarse = dataclasses.replace(basis, n_g=basis.n_g - 1)
+    assert rel_diff(coarse.quartic_integral(sp),
+                    fine.quartic_integral(sp)) > 1e-8
 
 
 # ---------------------------------------------------------------------------

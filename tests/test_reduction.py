@@ -658,6 +658,42 @@ def test_minimize_nehari_all_degenerate():
         minimize_nehari(y_only_problem(), starts=3, seed=0)
 
 
+def test_minimize_nehari_counts_degenerate_starts():
+    # X = span(e1, e2) and Psi = (z1^2 + z3^2)^2 / 4 vanishes along e2:
+    # the initial direction e2 is a degenerate ray, the random start is not
+    P = np.diag([1.0, 1.0, 0.0])
+    s = np.array([1.0, 0.0, 1.0])
+    prob = IndefiniteProblem(
+        n=3, P=P,
+        psi=lambda z: 0.25 * float((s * z) @ z) ** 2,
+        grad_psi=lambda z: float((s * z) @ z) * s * z,
+        hess_psi=lambda z, v: (float((s * z) @ z) * s * v
+                               + 2.0 * float((s * z) @ v) * s * z),
+        p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
+    )
+    result = minimize_nehari(prob, starts=2, seed=3,
+                             initial=np.array([0.0, 1.0, 0.0]))
+    assert result.degenerate_starts == 1
+    assert result.converged_starts == 1
+    assert math.isclose(result.gamma, 0.25, rel_tol=1e-8)
+
+
+def test_minimize_nehari_propagates_callback_value_error():
+    # a ValueError from the problem's own callback is not a degenerate ray
+    base = toy_problem()
+
+    def psi(z):
+        if np.any(z != 0.0):
+            raise ValueError("callback failed")
+        return base.psi(z)
+
+    prob = IndefiniteProblem(
+        n=2, P=base.P, psi=psi, grad_psi=base.grad_psi,
+        hess_psi=base.hess_psi, p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0)
+    with pytest.raises(ValueError, match="callback failed"):
+        minimize_nehari(prob, starts=3, seed=0)
+
+
 def test_minimize_nehari_validation():
     with pytest.raises(ValueError):
         minimize_nehari(toy_problem(), starts=0)
