@@ -17,8 +17,9 @@ The quadrature is the product of one shared angular rule (see
 
 Every audited field is a sum of real radial coefficients times fixed
 angular spinor tables (see ``_AuditEngine``): a pairing reduces to the
-tables' angular Gram matrix, a q-norm to one real GEMM per block of
-radial nodes, and each audit computes only the outputs it reads.
+tables' angular Gram matrix, a q-norm to the pointwise Gram products of
+the tables the field uses, and each audit computes only the outputs it
+reads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .clifford import build_rep
 from .curvature import (
@@ -94,6 +94,8 @@ def critical_energy(m: int) -> float:
 
 def radial_I(m: int, r_upper: float = math.inf) -> float:
     """Adaptive quadrature of int_0^R r^{m-1} (1+r^2)^{-m} dr."""
+    from scipy import integrate
+
     if m < 1:
         raise ValueError("need m >= 1")
     val, _ = integrate.quad(
@@ -152,6 +154,8 @@ def moment_table(m: int, rho: float = math.inf, n_polar: int = 3) -> MomentTable
     The angular factors come from the product sphere rule, so the ratio
     M4 = 3 M22 is a live check of that rule rather than an input.
     """
+    from scipy import integrate
+
     if m < 2:
         raise ValueError("need m >= 2")
     if not np.isfinite(rho) and m <= 4:
@@ -303,9 +307,8 @@ _PAIR_KEYS = J_TERMS + ("J4_abs", "J4_pre", "den")
 _NORM_KEYS = A_TERMS + ("total", "num")
 _KEYS = J_TERMS + A_TERMS + ("total", "num", "J4_abs", "J4_pre", "den")
 
-# byte budget of one GEMM output block (q-norm fields, curvature tables);
-# at m = 6 blocks of 13-28 MB ran the q-norms in 0.38-0.41 s per scale,
-# blocks over 32 MB (fresh pages on every allocation) in 0.6 s or more
+# byte budget of one (angles, m^d) block in ``_angular_slots``; blocks over
+# 32 MB take fresh pages on every allocation and run markedly slower
 _BLOCK_BYTES = 1 << 24
 
 
@@ -364,18 +367,20 @@ class _AuditEngine:
     array: S0, S1 (the profile spinor and its angular partner), TH0, TH1
     (cubic Clifford term), L1S0..L2S1 (vector term), Q2..Q4, Z2..Z4 and
     P2..P4 (the B-jet terms by degree), plus S0g, S1g, TH0g, TH1g for a
-    generic spinor.  Set-up keeps the real view (K, P*2N) of the stack,
-    the real Gram matrix G_kl = sum_p WA_p Re<T_k(p), T_l(p)> and the
-    four pointwise products <TH_a(p), S_b(p)>.
+    generic spinor.  Set-up keeps the real Gram matrix
+    G_kl = sum_p WA_p Re<T_k(p), T_l(p)> and the four pointwise products
+    <TH_a(p), S_b(p)>.
 
     ``terms`` maps the radial nodes of one epsilon to a coefficient
-    matrix (nodes, K) per field.  A pairing is then sum_t meas_t
+    matrix c (nodes, K) per field.  A pairing is then sum_t meas_t
     a(t)^T G b(t), and |J4| needs one (nodes, P) array of pointwise
-    products.  A q-norm needs |A|^2 at every node and angle: one real
-    GEMM of the coefficient rows of all requested fields against the
-    table view per block of nodes, squared and summed over the 2N
-    interleaved floats of each angle.  Only the part an audit reads is
-    computed.
+    products.  A q-norm needs |A|^2 at every node and angle, which is
+    sum_{k<=l} (2 - delta_kl) c_tk c_tl H_kl(p) with the pointwise Gram
+    H_kl(p) = Re<T_k(p), T_l(p)>, kept as its upper triangle and built
+    on the first q-norm.  Each field uses only its support (the tables
+    with a nonzero coefficient) and its live nodes (the rows that are
+    not all zero), so |A|^2 is one GEMM of the support's pair products
+    against their rows of H.  Only the part an audit reads is computed.
     """
 
     def __init__(self, R: RiemannTensor, jets, params: TestSpinorParams,
@@ -435,11 +440,27 @@ class _AuditEngine:
 
         self.tables = np.ascontiguousarray(np.stack(tables), dtype=complex)
         K = self.tables.shape[0]
-        self.flat = self.tables.view(float).reshape(K, P * 2 * self.N)
-        self.gram = (self.flat * np.repeat(WA, 2 * self.N)) @ self.flat.T
+        flat = self.tables.view(float).reshape(K, P * 2 * self.N)
+        self.gram = (flat * np.repeat(WA, 2 * self.N)) @ flat.T
         TH = self.tables[[_ROW["TH0"], _ROW["TH1"]]]
         S = self.tables[[_ROW["S0"], _ROW["S1"]]]
         self.th_s = np.einsum("apn,bpn->abp", TH.conj(), S).reshape(4, P)
+        self._point_gram = None
+
+    def _pointwise_gram(self):
+        """(H, row): H[row[k, l]] = Re<T_k(p), T_l(p)> over p, for k <= l."""
+        if self._point_gram is None:
+            K, P, N = self.tables.shape
+            F = self.tables.view(float).reshape(K, P, 2 * N)
+            upper = np.triu_indices(K)
+            row = np.zeros((K, K), dtype=int)
+            row[upper] = np.arange(upper[0].size)
+            H = np.empty((upper[0].size, P))
+            for k in range(K):
+                H[row[k, k]:row[k, K - 1] + 1] = np.einsum(
+                    "pn,lpn->lp", F[k], F[k:])
+            self._point_gram = H, row
+        return self._point_gram
 
     def _coefficients(self, eps: float, r: np.ndarray) -> dict:
         """Coefficient rows (nodes, K) of every field at the radii r.
@@ -502,20 +523,23 @@ class _AuditEngine:
         return out
 
     def _qnorms(self, c: dict, meas: np.ndarray, names) -> dict:
-        coef = np.stack([c[name] for name in names], axis=1)
-        n_t, n_f, K = coef.shape
-        P, two_n = self.WA.size, 2 * self.N
-        step = max(1, _BLOCK_BYTES // (8 * n_f * self.flat.shape[1]))
-        acc = np.zeros(n_f)
-        for lo in range(0, n_t, step):
-            vals = coef[lo:lo + step].reshape(-1, K) @ self.flat
-            vals *= vals
-            dens = (vals.reshape(-1, two_n) @ np.ones(two_n)).reshape(-1, P)
-            per = (dens ** (self.q / 2.0)) @ self.WA
-            acc += meas[lo:lo + step] @ per.reshape(-1, n_f)
-        return {name: float(v ** ((self.m + 1.0) / self.m if name == "num"
-                                  else 1.0 / self.q))
-                for name, v in zip(names, acc)}
+        H, row = self._pointwise_gram()
+        out = {}
+        for name in names:
+            coef = c[name]
+            s = np.flatnonzero(coef.any(axis=0))
+            live = np.flatnonzero(coef[:, s].any(axis=1))
+            acc = 0.0
+            if live.size:
+                a = coef[np.ix_(live, s)]
+                i, j = np.triu_indices(s.size)
+                pairs = a[:, i] * a[:, j]
+                pairs[:, i != j] *= 2.0
+                dens = pairs @ H[row[s[i], s[j]]]
+                acc = meas[live] @ ((dens ** (self.q / 2.0)) @ self.WA)
+            power = (self.m + 1.0) / self.m if name == "num" else 1.0 / self.q
+            out[name] = float(acc ** power)
+        return out
 
     def terms(self, eps: float, keys=None) -> dict:
         """Audited quantities at one concentration scale.
@@ -699,12 +723,21 @@ def _resolve(m, R, params, jets, seed, first_scale):
     return R, params, jets
 
 
-def _sweep(engine, eps_grid, keys):
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if np.any(np.diff(eps_grid) >= 0):
+def _eps_grid(eps_grid, fallback) -> np.ndarray:
+    """The audit scales: finite, positive and strictly decreasing."""
+    eps = np.asarray(fallback() if eps_grid is None else eps_grid, dtype=float)
+    if eps.ndim != 1 or eps.size == 0:
+        raise ValueError("eps grid must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
+        raise ValueError("eps grid entries must be positive and finite")
+    if np.any(np.diff(eps) >= 0):
         raise ValueError("eps grid must be strictly decreasing")
-    rows = [engine.terms(e, keys) for e in eps_grid]
-    return eps_grid, {k: np.array([r[k] for r in rows]) for k in keys}
+    return eps
+
+
+def _sweep(engine, eps, keys):
+    rows = [engine.terms(e, keys) for e in eps]
+    return {k: np.array([r[k] for r in rows]) for k in keys}
 
 
 def residual_audit(m: int, R: RiemannTensor = None,
@@ -715,11 +748,11 @@ def residual_audit(m: int, R: RiemannTensor = None,
     """Fit the decay orders of the six residual norms and their sum."""
     if m < AUDIT_MIN_M["residual"]:
         raise ValueError("residual audit needs m >= 4")
+    eps = _eps_grid(eps_grid, default_eps_grid)
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
-    eps_grid = default_eps_grid() if eps_grid is None else eps_grid
-    eps, vals = _sweep(engine, eps_grid, A_TERMS + ("total",))
+    vals = _sweep(engine, eps, A_TERMS + ("total",))
     expected = residual_exponents(m) if 4 <= m <= 8 else {
         k: None for k in A_TERMS + ("total",)}
     slopes = {k: _window_slope(eps, vals[k], lower=True)
@@ -740,6 +773,7 @@ def energy_audit(m: int, R: RiemannTensor = None,
     """Decompose the curved pairing and audit each term's behaviour."""
     if m < AUDIT_MIN_M["energy"]:
         raise ValueError("energy audit needs m >= 5 (finite quartic moments)")
+    eps = _eps_grid(eps_grid, default_eps_grid)
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     if R.frobenius() == 0.0:
         raise ValueError("energy audit needs a nonzero curvature tensor")
@@ -750,8 +784,7 @@ def energy_audit(m: int, R: RiemannTensor = None,
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree,
                           generic_psi0=generic)
-    eps_grid = default_eps_grid() if eps_grid is None else eps_grid
-    eps, vals = _sweep(engine, eps_grid, J_TERMS + ("J4_abs", "J4_pre"))
+    vals = _sweep(engine, eps, J_TERMS + ("J4_abs", "J4_pre"))
 
     j2_limit = m ** m * sphere_area(m) * radial_I(m)
     j2_rel = float(abs(vals["J2"][-1] - j2_limit) / j2_limit)
@@ -808,11 +841,11 @@ def rayleigh_audit(m: int, R: RiemannTensor = None,
     """
     if m < AUDIT_MIN_M["rayleigh"]:
         raise ValueError("rayleigh audit needs m >= 5")
+    eps = _eps_grid(eps_grid, rayleigh_eps_grid)
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
-    eps_grid = rayleigh_eps_grid() if eps_grid is None else eps_grid
-    eps, vals = _sweep(engine, eps_grid, ("num", "den"))
+    vals = _sweep(engine, eps, ("num", "den"))
     num, den = vals["num"], vals["den"]
     om = sphere_volume(m)
     num_limit = (0.5 * m) ** (m + 1) * om ** ((m + 1.0) / m)

@@ -8,14 +8,18 @@ pointwise spinor fields on the same quadrature nodes and compared.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import spinlab.asymptotics as asymptotics
 from spinlab.asymptotics import (
     A_TERMS,
     J_TERMS,
+    _ROW,
     AuditInputs,
     MomentTable,
     _angular_slots,
@@ -441,7 +445,7 @@ def _pointwise_terms(engine, eps):
 
     The fields are the engine's own coefficient rows times its tables,
     paired and normed point by point: a check of the Gram pairings, the
-    |J4| products and the blocked GEMM q-norms, not of the tables.
+    |J4| products and the pointwise-Gram q-norms, not of the tables.
     """
     m, q, WA = engine.m, engine.q, engine.WA
     r, w = panel_nodes(shell_edges(eps, engine.delta), engine.n_leg)
@@ -486,6 +490,76 @@ def test_engine_factored_contractions_at_m8():
             assert math.isclose(out[key], value, rel_tol=1e-12,
                                 abs_tol=1e-14 * scale), key
         assert out["J4_abs"] > 0.0 and out["J4_pre"] != 0.0
+
+
+# residual norms on the audit-m6 grid geomspace(1e-2, 1e-3, 4) at the
+# default rule, recorded from the table-GEMM q-norms that the pointwise
+# Gram replaced; A6 is rounding dust (B_d(u) u = 0), so its entries also
+# pin the arithmetic of the Q/Z tables
+_AUDIT_M6 = {
+    "A1": (0.004646270608569246, 0.0006820432815879128,
+           0.00010011228764636129, 1.4694538277384681e-05),
+    "A2": (7.200093130094259e-06, 4.906008818050233e-07,
+           3.342519210679047e-08, 2.277245672372261e-09),
+    "A3": (1.8558808776213237e-06, 2.724961257886471e-07,
+           3.9999915308813254e-08, 5.871280214830184e-09),
+    "A4": (0.006230227726782643, 0.0009242343323942221,
+           0.00013639929294717668, 2.0076863237291316e-05),
+    "A5": (9.967090708883174e-06, 1.4635465124519243e-06,
+           2.1483823050233087e-07, 3.1534554554392e-08),
+    "A6": (6.1433081621200045e-19, 9.017891071223794e-20,
+           1.3236690418674916e-20, 1.9428879294150135e-21),
+    "total": (0.008041917728177861, 0.0011885761068894827,
+              0.00017507924373436144, 2.5745181389727923e-05),
+    "num": (129590.60567484115, 129590.60433862716,
+            129590.60428772887, 129590.60428579366),
+}
+
+
+def test_qnorms_match_recorded_audit_m6():
+    eps = np.geomspace(1e-2, 1e-3, 4)
+    got = dict(residual_audit(6, eps_grid=eps).norms)
+    got["num"] = rayleigh_audit(6, eps_grid=eps).num
+    for name, want in _AUDIT_M6.items():
+        for g, w in zip(got[name], want):
+            assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), name
+
+
+def test_qnorms_of_hand_built_fields(m5_inputs):
+    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
+                          rule=sphere_rule(5, 2, 4), n_leg=8)
+    r, w = panel_nodes(shell_edges(0.02, engine.delta), engine.n_leg)
+    meas = w * r ** 4
+    n, K = r.size, engine.tables.shape[0]
+    rng = np.random.default_rng(1)
+    block = rng.standard_normal((n, K))
+    block[n // 3: 2 * n // 3] = 0.0
+    block[-1, :-1] = 0.0  # a live row with a single table
+    single = np.zeros((n, K))
+    single[:, _ROW["TH1"]] = rng.standard_normal(n)
+    c = {"A1": np.zeros((n, K)), "A2": block, "A3": single}
+    out = engine._qnorms(c, meas, ("A1", "A2", "A3"))
+    assert out["A1"] == 0.0
+    for name in ("A2", "A3"):
+        F = np.einsum("tk,kpn->tpn", c[name], engine.tables)
+        dens = np.einsum("tpn,tpn->tp", F.conj(), F).real
+        want = (meas @ dens ** (engine.q / 2.0) @ engine.WA) ** (1.0 / engine.q)
+        assert math.isclose(out[name], want, rel_tol=1e-13), name
+
+
+def test_pointwise_gram_waits_for_a_qnorm(m5_inputs):
+    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
+                          rule=sphere_rule(5, 2, 4), n_leg=8)
+    engine.terms(0.02, ("J2",))
+    assert engine._point_gram is None
+    engine.terms(0.02, ("A1",))
+    H, row = engine._point_gram
+    K, P, _ = engine.tables.shape
+    assert H.shape == (K * (K + 1) // 2, P)
+    k, l = _ROW["S1"], _ROW["P3"]
+    want = np.einsum("pn,pn->p", engine.tables[k].conj(),
+                     engine.tables[l]).real
+    assert np.allclose(H[row[k, l]], want, rtol=0.0, atol=1e-15)
 
 
 def test_angular_slots_match_einsum():
@@ -642,6 +716,38 @@ def test_rayleigh_audit_limits(rayleigh_m5):
     assert isinstance(summary["excess_positive_smallest_two"], bool)
     rows = list(report.rows())
     assert len(rows) == 3 * report.eps.size
+
+
+def test_residual_and_rayleigh_audits_leave_scipy_integrate_unloaded():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from spinlab.asymptotics import rayleigh_audit, residual_audit\n"
+            "from spinlab.quadrature import sphere_rule\n"
+            "kw = dict(eps_grid=np.geomspace(1e-1, 1e-2, 4),\n"
+            "          rule=sphere_rule(5, 2, 4), n_leg=4)\n"
+            "residual_audit(5, **kw)\n"
+            "rayleigh_audit(5, **kw)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("audit", [residual_audit, energy_audit,
+                                   rayleigh_audit])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+def test_audits_reject_bad_eps_before_any_work(audit, bad, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("audit work started on an invalid eps grid")
+
+    monkeypatch.setattr(asymptotics, "audit_inputs", unreachable)
+    monkeypatch.setattr(asymptotics, "_AuditEngine", unreachable)
+    # each bad entry sits where the grid still decreases strictly
+    grid = [bad, 1e-2, 5e-3, 1e-3] if bad == math.inf else [1e-2, 5e-3,
+                                                             1e-3, bad]
+    with pytest.raises(ValueError, match="positive and finite"):
+        audit(6, eps_grid=grid)
 
 
 def test_audit_validation():
