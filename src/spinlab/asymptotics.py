@@ -50,7 +50,7 @@ from .spinor_fields import (
 )
 
 __all__ = [
-    "AUDIT_MIN_M",
+    "AUDIT_M_RANGE",
     "MomentTable",
     "OrderFit",
     "AuditInputs",
@@ -75,8 +75,10 @@ __all__ = [
 A_TERMS = ("A1", "A2", "A3", "A4", "A5", "A6")
 J_TERMS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7")
 
-# smallest dimension each audit accepts
-AUDIT_MIN_M = {"residual": 4, "energy": 5, "rayleigh": 5}
+# (min, max) m of each audit: the floors are the residual orders and the
+# finite quartic moments; the cap is memory, as at m = 10 the default
+# sphere rule has 10 * 5^8 points and the pair products U (x) U take 3.1 GB
+AUDIT_M_RANGE = {"residual": (4, 9), "energy": (5, 9), "rayleigh": (5, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +725,19 @@ def _resolve(m, R, params, jets, seed, first_scale):
     return R, params, jets
 
 
-def _eps_grid(eps_grid, fallback) -> np.ndarray:
-    """The audit scales: finite, positive and strictly decreasing."""
+def _check_m(audit, m):
+    lo, hi = AUDIT_M_RANGE[audit]
+    if not lo <= m <= hi:
+        raise ValueError(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
+
+
+def _eps_grid(eps_grid, fallback, min_points=1) -> np.ndarray:
+    """The audit scales: finite, positive, strictly decreasing, and at
+    least ``min_points`` of them."""
     eps = np.asarray(fallback() if eps_grid is None else eps_grid, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("eps grid must be a non-empty 1-d sequence")
+    if eps.ndim != 1 or eps.size < min_points:
+        raise ValueError(f"eps grid must be a 1-d sequence of at least "
+                         f"{min_points} points")
     if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
         raise ValueError("eps grid entries must be positive and finite")
     if np.any(np.diff(eps) >= 0):
@@ -746,9 +756,8 @@ def residual_audit(m: int, R: RiemannTensor = None,
                    vol_coeff: float = 0.1, vol_degree: int = 5,
                    seed: int = 0, first_scale: float = 100.0) -> ResidualReport:
     """Fit the decay orders of the six residual norms and their sum."""
-    if m < AUDIT_MIN_M["residual"]:
-        raise ValueError("residual audit needs m >= 4")
-    eps = _eps_grid(eps_grid, default_eps_grid)
+    _check_m("residual", m)
+    eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
@@ -771,9 +780,8 @@ def energy_audit(m: int, R: RiemannTensor = None,
                  vol_coeff: float = 0.1, vol_degree: int = 5,
                  seed: int = 0, first_scale: float = 10.0) -> EnergyReport:
     """Decompose the curved pairing and audit each term's behaviour."""
-    if m < AUDIT_MIN_M["energy"]:
-        raise ValueError("energy audit needs m >= 5 (finite quartic moments)")
-    eps = _eps_grid(eps_grid, default_eps_grid)
+    _check_m("energy", m)
+    eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     if R.frobenius() == 0.0:
         raise ValueError("energy audit needs a nonzero curvature tensor")
@@ -839,8 +847,7 @@ def rayleigh_audit(m: int, R: RiemannTensor = None,
     the quotient sits above the critical threshold at the smallest two
     grid points.
     """
-    if m < AUDIT_MIN_M["rayleigh"]:
-        raise ValueError("rayleigh audit needs m >= 5")
+    _check_m("rayleigh", m)
     eps = _eps_grid(eps_grid, rayleigh_eps_grid)
     R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
     engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,

@@ -346,9 +346,9 @@ def _audit_report(cfg, audit):
     """Run one audit at the configured m, scales, seed and first scale."""
     from . import asymptotics
 
-    low = asymptotics.AUDIT_MIN_M[audit]
-    if cfg["m"] < low:
-        raise UsageError(f"{audit} audit needs m >= {low}")
+    lo, hi = asymptotics.AUDIT_M_RANGE[audit]
+    if not lo <= cfg["m"] <= hi:
+        raise UsageError(f"{audit} audit needs {lo} <= m <= {hi}")
     fallback = (asymptotics.rayleigh_eps_grid if audit == "rayleigh"
                 else asymptotics.default_eps_grid)
     return getattr(asymptotics, f"{audit}_audit")(
@@ -412,7 +412,11 @@ def _run_solve_generic(cfg):
     if spectrum is None:
         raise UsageError("solve generic needs a spectrum "
                          "(--spectrum or config)")
-    return _nehari_payload(cfg, diagonal_quartic_problem(spectrum), {
+    try:
+        problem = diagonal_quartic_problem(spectrum)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return _nehari_payload(cfg, problem, {
         "problem": "generic", "spectrum": [float(d) for d in spectrum]})
 
 

@@ -119,10 +119,6 @@ class TorusSpinor:
     kernel: np.ndarray
     minus: np.ndarray
 
-    def copy(self) -> "TorusSpinor":
-        return TorusSpinor(self.plus.copy(), self.kernel.copy(),
-                           self.minus.copy())
-
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -363,7 +359,9 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
     """Best approximation of the spinor in the Dirac kernel.
 
     Minimizes the quartic distance over the kernel by damped Newton on
-    four real coordinates, starting from the L2 kernel projection.
+    four real coordinates, starting from the L2 kernel projection, until
+    the gradient norm is at most ``tol`` or, where the line search
+    stalls, at its rounding floor 4 eps w sum |z|^3 / (2 pi).
     Returns the kernel coefficients; empty when the kernel is trivial.
     """
     if basis.kernel_dim == 0:
@@ -399,7 +397,11 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
                 break
             lam_step *= 0.5
         else:
-            raise RuntimeError("kernel projection line search stalled")
+            # 2^-50 = 4 eps; the floor grows as the amplitude cubed
+            floor = 2.0 ** -50 * w * float(np.sum(dens ** 1.5)) / TWO_PI
+            if not gn <= floor:
+                raise RuntimeError("kernel projection line search stalled")
+            break
     else:
         raise RuntimeError(f"kernel projection did not converge; "
                            f"gradient norm {gn:.3e}")
@@ -425,21 +427,35 @@ def tilde_phi(basis: SpectralBasis, sp: TorusSpinor):
 # ---------------------------------------------------------------------------
 # the indefinite problem in solver coordinates
 
-def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
+def ground_state_problem(basis: SpectralBasis):
     """Wrap the truncated functional as an IndefiniteProblem.
 
     Real coordinates are sqrt(lambda)-scaled coefficient parts, so the
     H^(1/2) norm is Euclidean and the quadratic part of the energy is
-    exactly (|u+|^2 - |u-|^2)/2.  Returns (problem, to_coords,
-    from_coords).  The growth constant for the gradient bound is
-    calibrated on random samples and inflated by ``growth_margin``; the
+    exactly (|u+|^2 - |u-|^2)/2.  X is the plus block, the first 2M
+    coordinates.  Returns (problem, to_coords, from_coords).  The
     curvature constant 5/3 and the superquadraticity exponent 4 are
     exact for the quartic (kernel-reduced or not).
+
+    The growth constant K = sqrt(n_freq / (2 pi lambda_min)), with
+    n_freq = n_modes + 1 with a kernel and n_modes without, gives
+    |grad Psi(u)| <= K <grad Psi(u), u>^(3/4) for every u.  Proof, with
+    psi the field of u (minus T(psi) with a kernel) on the torus of area
+    4 pi^2:
+
+    - grad Psi(u) holds <|psi|^2 psi, phi_j> / sqrt(lambda_j) over the
+      L2-orthonormal modes phi_j, exact on the exact grid, so by Bessel
+      |grad Psi|^2 <= int |psi|^6 / lambda_min;
+    - int |psi|^6 <= sup |psi|^2 int |psi|^4;
+    - psi has n_freq frequencies, each of modulus |c| / (2 pi) for its
+      C^2 coefficient c, so sup |psi|^2 <= n_freq |psi|_2^2 / (4 pi^2);
+    - by Cauchy-Schwarz |psi|_2^2 <= 2 pi (int |psi|^4)^(1/2);
+    - <grad Psi(u), u> = int |psi|^4 by 4-homogeneity, with a kernel
+      too, since T(s psi) = s T(psi) and T is stationary.
     """
     M = basis.n_modes
     n = 4 * M
     sq = np.sqrt(basis.lam)
-    y_zeros = np.zeros(2 * M)
 
     # Coordinates are [Re plus, Im plus, Re minus, Im minus] (M each):
     # read as (block, part, mode), they are the transposed real view of
@@ -459,9 +475,6 @@ def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
     def to_coords(sp):
         return np.multiply(real_view(sp.plus, sp.minus), sq,
                            order="C").reshape(n)
-
-    def project(u):
-        return np.concatenate((u[:2 * M], y_zeros))
 
     cache = {}
 
@@ -519,23 +532,11 @@ def ground_state_problem(basis: SpectralBasis, growth_margin: float = 1.2):
         G = 2.0 * chi_pair[None, :, :] * z + dens[None, :, :] * chi
         return coeffs_to_grad(basis.from_grid(G))
 
-    # growth constant: the gradient-to-pairing ratio is scale-free for
-    # the quartic, so moderate random samples calibrate it
-    rng = np.random.default_rng(1234)
-    mu = 0.75
-    worst = 1.0
-    for _ in range(60):
-        u = rng.standard_normal(n) * 10.0 ** rng.uniform(-0.5, 0.5)
-        g = grad_psi(u)
-        ip = float(g @ u)
-        gn = float(np.linalg.norm(g))
-        if ip > 0.0 and gn > 0.0:
-            worst = max(worst, gn / ip ** mu)
-
+    n_freq = M + (1 if basis.kernel_dim else 0)
     problem = IndefiniteProblem(
-        n=n, P=project, psi=psi, grad_psi=grad_psi, hess_psi=hess_psi,
-        p=4.0, K=growth_margin * worst, mu=mu, kappa=5.0 / 3.0,
-    )
+        x_mask=np.arange(n) < 2 * M, psi=psi, grad_psi=grad_psi,
+        hess_psi=hess_psi, p=4.0, mu=0.75, kappa=5.0 / 3.0,
+        K=math.sqrt(n_freq / (TWO_PI * float(basis.lam.min()))))
     return problem, to_coords, from_coords
 
 

@@ -4,18 +4,19 @@ The object of study is
 
     L(z) = (|Pz|^2 - |(I - P)z|^2) / 2 - Psi(z)
 
-on R^n, where P projects orthogonally onto the positive subspace X and
-Psi is a convex superquadratic nonlinearity supplied through callbacks.
-Because L is strictly concave along the negative subspace Y, each
-X-component phi owns a unique fiber maximizer beta(phi); eliminating Y
-this way leaves a reduced functional J on X whose critical points are
-exactly those of L.  Ground states are then found by minimizing J over
-its Nehari set {K = <grad J, phi> = 0}.  Along a ray t phi of X, K has
-a simple root with dK/dt < 0 (Szulkin and Weth, "The method of Nehari
-manifold", 2010), so the projection onto the set is a safeguarded
-Newton iteration in t with the exact slope, which differentiates the
-fiber through one linear solve; rays where a Newton step is refused
-fall back to a geometric bracket polished by ``brentq``.
+on R^n, where the positive subspace X is spanned by a set of coordinate
+axes and the negative subspace Y by the others, P is the orthogonal
+projection onto X, and Psi is a convex superquadratic nonlinearity
+supplied through callbacks.  Because L is strictly concave along Y,
+each X-component phi owns a unique fiber maximizer beta(phi);
+eliminating Y this way leaves a reduced functional J on X whose
+critical points are exactly those of L.  Ground states are then found
+by minimizing J over its Nehari set {K = <grad J, phi> = 0}.  Along a
+ray t phi of X, K has a simple root with dK/dt < 0 (Szulkin and Weth,
+"The method of Nehari manifold", 2010), so the projection onto the set
+is a safeguarded Newton iteration in t with the exact slope, which
+differentiates the fiber through one linear solve; rays where a Newton
+step is refused fall back to a geometric bracket polished by ``brentq``.
 
 The module exposes the hypothesis checker for the structural conditions
 the reduction needs (labelled H1 to H5 throughout), the inner maximizer,
@@ -67,13 +68,13 @@ HYPOTHESES = ("H1", "H2", "H3", "H4", "H5", "positivity")
 class IndefiniteProblem:
     """Splitting, nonlinearity callbacks and structural constants.
 
-    ``P`` may be a dense (n, n) projector or a callable applying it.
-    ``hess_psi(z, v)`` applies the Hessian of Psi at z to v; the solver
-    never needs the dense matrix.
+    X is spanned by the coordinate axes where ``x_mask`` is true and Y
+    by the rest, so ``project`` zeroes the Y coordinates; ``n`` is the
+    mask's size.  ``hess_psi(z, v)`` applies the Hessian of Psi at z to
+    v; the solver never needs the dense matrix.
     """
 
-    n: int
-    P: object
+    x_mask: np.ndarray
     psi: Callable[[np.ndarray], float]
     grad_psi: Callable[[np.ndarray], np.ndarray]
     hess_psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -83,8 +84,10 @@ class IndefiniteProblem:
     kappa: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need an ambient dimension of at least 2")
+        mask = np.asarray(self.x_mask)
+        if mask.dtype != bool or mask.ndim != 1 or mask.size < 2:
+            raise ValueError("x_mask must be a 1-d boolean array, size >= 2")
+        object.__setattr__(self, "x_mask", mask)
         if not self.p > 2.0:
             raise ValueError("superquadraticity needs p > 2")
         if not self.K > 0.0:
@@ -93,24 +96,6 @@ class IndefiniteProblem:
             raise ValueError("growth exponent mu must lie in (1/2, 1)")
         if not self.kappa > 1.0:
             raise ValueError("curvature constant kappa must exceed 1")
-        if not callable(self.P):
-            mat = np.asarray(self.P, dtype=float)
-            if mat.shape != (self.n, self.n):
-                raise ValueError("projector shape does not match n")
-            if np.abs(mat - mat.T).max() > 1e-12:
-                raise ValueError("projector must be symmetric")
-            if np.abs(mat @ mat - mat).max() > 1e-12:
-                raise ValueError("projector must be idempotent")
-            object.__setattr__(self, "P", mat)
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(3):
-                v, w = rng.standard_normal((2, self.n))
-                pv, pw = self.P(v), self.P(w)
-                if np.linalg.norm(self.P(pv) - pv) > 1e-10 * (1 + np.linalg.norm(pv)):
-                    raise ValueError("projector callback is not idempotent")
-                if abs(pv @ w - v @ pw) > 1e-10 * (1 + abs(pv @ w)):
-                    raise ValueError("projector callback is not symmetric")
         zero = np.zeros(self.n)
         if abs(self.psi(zero)) > 1e-12:
             raise ValueError("Psi must vanish at the origin")
@@ -119,8 +104,12 @@ class IndefiniteProblem:
 
     # -- splitting helpers ------------------------------------------------
 
+    @property
+    def n(self) -> int:
+        return self.x_mask.size
+
     def project(self, z: np.ndarray) -> np.ndarray:
-        return self.P(z) if callable(self.P) else self.P @ z
+        return np.where(self.x_mask, z, 0.0)
 
     def complement(self, z: np.ndarray) -> np.ndarray:
         return z - self.project(z)
@@ -142,10 +131,8 @@ def toy_problem(n: int = 2) -> IndefiniteProblem:
     ground level 1/4 at x = +-1.  The curvature constant 5/3 is sharp for
     this quartic.
     """
-    P = np.zeros((n, n))
-    P[0, 0] = 1.0
     return IndefiniteProblem(
-        n=n, P=P,
+        x_mask=np.arange(n) == 0,
         psi=lambda z: 0.25 * float(z @ z) ** 2,
         grad_psi=lambda z: float(z @ z) * z,
         hess_psi=lambda z, v: float(z @ z) * v + 2.0 * float(z @ v) * z,
@@ -170,7 +157,6 @@ def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
     if not (np.any(d > 0.0) and np.any(d < 0.0)):
         raise ValueError("spectrum must be indefinite (both signs)")
     s = 1.0 / np.sqrt(np.abs(d))
-    P = np.diag((d > 0.0).astype(float))
     s2 = s * s
 
     def psi(z):
@@ -186,7 +172,7 @@ def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
         return w2 * s2 * v + 2.0 * float((s2 * z) @ v) * s2 * z
 
     return IndefiniteProblem(
-        n=d.size, P=P, psi=psi, grad_psi=grad, hess_psi=hess,
+        x_mask=d > 0.0, psi=psi, grad_psi=grad, hess_psi=hess,
         p=4.0, K=max(1.0, float(s.max())), mu=0.75, kappa=5.0 / 3.0,
     )
 

@@ -734,20 +734,50 @@ def test_residual_and_rayleigh_audits_leave_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+class _WorkStarted(Exception):
+    pass
+
+
+def _forbid_audit_work(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise _WorkStarted
+
+    monkeypatch.setattr(asymptotics, "audit_inputs", unreachable)
+    monkeypatch.setattr(asymptotics, "_AuditEngine", unreachable)
+
+
 @pytest.mark.parametrize("audit", [residual_audit, energy_audit,
                                    rayleigh_audit])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
 def test_audits_reject_bad_eps_before_any_work(audit, bad, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("audit work started on an invalid eps grid")
-
-    monkeypatch.setattr(asymptotics, "audit_inputs", unreachable)
-    monkeypatch.setattr(asymptotics, "_AuditEngine", unreachable)
+    _forbid_audit_work(monkeypatch)
     # each bad entry sits where the grid still decreases strictly
     grid = [bad, 1e-2, 5e-3, 1e-3] if bad == math.inf else [1e-2, 5e-3,
                                                              1e-3, bad]
     with pytest.raises(ValueError, match="positive and finite"):
         audit(6, eps_grid=grid)
+
+
+def test_audits_reject_short_eps_grid_before_any_work(monkeypatch):
+    # the residual and energy audits fit slopes on at least four scales;
+    # the Rayleigh audit fits none and takes the short grid on to work
+    _forbid_audit_work(monkeypatch)
+    short = [1e-2, 5e-3, 1e-3]
+    for audit in (residual_audit, energy_audit):
+        with pytest.raises(ValueError, match="at least 4 points"):
+            audit(6, eps_grid=short)
+    with pytest.raises(_WorkStarted):
+        rayleigh_audit(6, eps_grid=short)
+
+
+@pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])
+def test_audits_reject_m_outside_range_before_any_work(audit, monkeypatch):
+    _forbid_audit_work(monkeypatch)
+    lo, hi = asymptotics.AUDIT_M_RANGE[audit]
+    run_audit = getattr(asymptotics, f"{audit}_audit")
+    for m in (lo - 1, hi + 1, 40):
+        with pytest.raises(ValueError, match="audit needs"):
+            run_audit(m)
 
 
 def test_audit_validation():

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from spinlab.asymptotics import AUDIT_M_RANGE
 from spinlab.cli import _COMMANDS, RunConfig, UsageError, run
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli-output.md"
@@ -112,6 +113,10 @@ def test_audit_energy_stdout_is_strict_json(capsys):
     ["audit", "residual", "--m", "3"],
     ["audit", "energy", "--m", "4"],
     ["audit", "rayleigh", "--m", "4"],
+    # past the cap the default sphere rule would need gigabytes
+    ["audit", "residual", "--m", "10"],
+    ["audit", "energy", "--m", "10"],
+    ["audit", "rayleigh", "--m", "10"],
 ])
 def test_audit_bad_input_is_usage_error(capsys, argv):
     start = time.perf_counter()
@@ -160,6 +165,9 @@ def test_solve_generic_needs_spectrum(capsys):
     ["solve", "torus", "--modes", "nan"],
     ["solve", "generic", "--spectrum", "1,inf,-1"],
     ["solve", "generic", "--spectrum", "1,nan,-1"],
+    ["solve", "generic", "--spectrum", "1,0"],
+    ["solve", "generic", "--spectrum", "1,2"],
+    ["solve", "generic", "--spectrum", "1"],
 ])
 def test_solve_bad_input_is_usage_error(capsys, argv):
     # a grid must hold 2 nk - 1 points per axis, nk the width of the
@@ -336,6 +344,13 @@ def test_docs_usage_lines_match_table():
     for name, command in _COMMANDS.items():
         flags = {"--" + key.replace("_", "-") for key in command.options}
         assert usage[name] == flags, name
+
+
+def test_docs_audit_m_ranges_match_table():
+    rows = re.findall(r"^\| (\w+) \| (\d+) to (\d+) \|$", DOCS.read_text(),
+                      re.MULTILINE)
+    assert {audit: (int(lo), int(hi)) for audit, lo, hi in rows} \
+        == AUDIT_M_RANGE
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,18 @@ def test_T_homogeneity_and_translation():
     assert np.abs(T_project(basis, shifted) - (tc + shift)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("lam_max", [1.0, 2.0, 8.0])
+def test_T_homogeneity_at_large_amplitude(lam_max):
+    # the gradient's rounding floor grows as s^3 and passes the absolute
+    # tolerance 1e-12 here; the line search used to stall at s = 100
+    basis = build_dirac(lam_max, (0.0, 0.0))
+    sp = basis.random_spinor(np.random.default_rng(29))
+    tc = T_project(basis, sp)
+    for s in (100.0, 1000.0):
+        scaled = axpy(basis.spinor(), sp, s)
+        assert rel_diff(T_project(basis, scaled), s * tc) <= 1e-12
+
+
 def test_T_grid_search_oracle():
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(29)
@@ -553,6 +565,60 @@ def test_problem_hypotheses():
     assert report.ok
     assert abs(report.margins["H2"]) <= 1e-12
     assert report.margins["H5"] >= -1e-12
+
+
+GROWTH_BASES = [(1.0, (0.5, 0.5)), (2.0, (0.5, 0.5)), (1.0, (0.0, 0.0)),
+                (1.5, (0.0, 0.0)), (2.0, (0.0, 0.0)), (2.0, (0.0, 0.5))]
+
+
+@pytest.mark.parametrize("lam_max, delta", GROWTH_BASES)
+def test_growth_constant_bounds_adversarial_fields(lam_max, delta):
+    # |grad Psi(u)| <= K <grad Psi(u), u>^(3/4) on fields built to
+    # concentrate: every plus mode in phase, plus and minus combs (a+ =
+    # a- aligns every frequency's C^2 coefficient), the lowest mode alone
+    # and random draws.  The largest ratio to K per basis measured
+    # 0.32-0.61 here, so K is also not vacuous: within a factor 4 of it.
+    basis = build_dirac(lam_max, delta)
+    problem, _, _ = ground_state_problem(basis)
+    M = basis.n_modes
+    sq = np.sqrt(basis.lam)
+    plus, minus = np.zeros((2, 4 * M))
+    plus[:M] = sq
+    minus[2 * M:3 * M] = sq
+    lowest = np.zeros(4 * M)
+    lowest[0] = 1.0
+    rng = np.random.default_rng(71)
+    fields = [plus, plus + minus, plus - minus, lowest,
+              *rng.standard_normal((4, 4 * M))]
+    ratios = []
+    for u in fields:
+        g = problem.grad_psi(u)
+        ratios.append(np.linalg.norm(g) / float(g @ u) ** 0.75 / problem.K)
+    assert max(ratios) <= 1.0
+    assert max(ratios) >= 0.25
+
+
+@pytest.mark.parametrize("lam_max, delta", GROWTH_BASES)
+def test_growth_constant_sup_step_is_sharp(lam_max, delta):
+    # the proof's one step that counts frequencies, sup |psi|^2 <= n_freq
+    # |psi|_2^2 / (4 pi^2), holds with equality at x = 0 for the field
+    # whose n_freq coefficients are all (sqrt 2, 0): a+ = a- = 1 on
+    # every mode, and the kernel too when there is one.  K^2 2 pi
+    # lambda_min must give back exactly that count.
+    basis = build_dirac(lam_max, delta)
+    problem, _, _ = ground_state_problem(basis)
+    ones = np.ones(basis.n_modes)
+    sp = basis.spinor(plus=ones, minus=ones,
+                      kernel=[math.sqrt(2.0), 0.0][:basis.kernel_dim])
+    grid = basis.to_grid(sp)
+    dens = np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2
+    l2_sq = sum(float(np.sum(np.abs(b) ** 2))
+                for b in (sp.plus, sp.kernel, sp.minus))
+    sharp = float(dens.max()) * TWO_PI ** 2 / l2_sq
+    assert math.isclose(sharp, basis.n_modes + basis.kernel_dim // 2,
+                        rel_tol=1e-12)
+    assert math.isclose(problem.K ** 2 * TWO_PI * float(basis.lam.min()),
+                        sharp, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

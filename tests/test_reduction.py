@@ -39,10 +39,8 @@ from spinlab.reduction import (
 
 def zero_problem(n=2):
     """Psi identically zero: every hypothesis holds except nonvanishing."""
-    P = np.zeros((n, n))
-    P[0, 0] = 1.0
     return IndefiniteProblem(
-        n=n, P=P,
+        x_mask=np.arange(n) == 0,
         psi=lambda z: 0.0,
         grad_psi=lambda z: np.zeros(n),
         hess_psi=lambda z, v: np.zeros(n),
@@ -52,9 +50,8 @@ def zero_problem(n=2):
 
 def y_only_problem():
     """Psi = y^4 / 4 vanishes along X, so every X-ray is degenerate."""
-    P = np.diag([1.0, 0.0])
     return IndefiniteProblem(
-        n=2, P=P,
+        x_mask=np.array([True, False]),
         psi=lambda z: 0.25 * z[1] ** 4,
         grad_psi=lambda z: np.array([0.0, z[1] ** 3]),
         hess_psi=lambda z, v: np.array([0.0, 3.0 * z[1] ** 2 * v[1]]),
@@ -74,8 +71,6 @@ def coupled_quartic_problem(n, k, seed):
     A = np.eye(n) + 0.3 * (B + B.T) / math.sqrt(n)
     lam = np.linalg.eigvalsh(A)
     assert lam[0] > 0.05
-    P = np.zeros((n, n))
-    P[np.arange(k), np.arange(k)] = 1.0
 
     def psi(z):
         return 0.25 * float(z @ A @ z) ** 2
@@ -88,7 +83,7 @@ def coupled_quartic_problem(n, k, seed):
         return 2.0 * float(Az @ v) * Az + float(z @ A @ z) * (A @ v)
 
     return IndefiniteProblem(
-        n=n, P=P, psi=psi, grad_psi=grad, hess_psi=hess,
+        x_mask=np.arange(n) < k, psi=psi, grad_psi=grad, hess_psi=hess,
         p=4.0, K=float(lam[-1] / math.sqrt(lam[0])), mu=0.75,
         kappa=5.0 / 3.0,
     ), A
@@ -99,21 +94,22 @@ def coupled_quartic_problem(n, k, seed):
 
 def test_problem_validation():
     good = dict(
-        n=2, P=np.diag([1.0, 0.0]),
+        x_mask=np.array([True, False]),
         psi=lambda z: 0.25 * float(z @ z) ** 2,
         grad_psi=lambda z: float(z @ z) * z,
         hess_psi=lambda z, v: float(z @ z) * v + 2.0 * float(z @ v) * z,
         p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
     )
-    IndefiniteProblem(**good)
+    assert IndefiniteProblem(**good).n == 2
     for bad in (dict(p=2.0), dict(K=0.0), dict(mu=0.5), dict(mu=1.0),
-                dict(kappa=1.0), dict(n=1)):
+                dict(kappa=1.0)):
         with pytest.raises(ValueError):
             IndefiniteProblem(**{**good, **bad})
-    with pytest.raises(ValueError):
-        IndefiniteProblem(**{**good, "P": np.array([[1.0, 0.3], [0.0, 0.0]])})
-    with pytest.raises(ValueError):
-        IndefiniteProblem(**{**good, "P": np.diag([0.5, 0.0])})
+    # the mask must be a 1-d boolean array of size >= 2
+    for mask in (np.array([1.0, 0.0]), np.array([[True, False]]),
+                 np.array([True])):
+        with pytest.raises(ValueError, match="x_mask"):
+            IndefiniteProblem(**{**good, "x_mask": mask})
     with pytest.raises(ValueError):
         IndefiniteProblem(**{**good, "psi": lambda z: 1.0 + float(z @ z)})
     with pytest.raises(ValueError):
@@ -131,32 +127,6 @@ def test_energy_closed_form():
                             abs_tol=1e-14)
         gexp = np.array([x - (x * x + y * y) * x, -y - (x * x + y * y) * y])
         assert np.linalg.norm(prob.energy_gradient(z) - gexp) <= 1e-13
-
-
-def test_projector_callback_equivalent():
-    mat = toy_problem(n=3)
-
-    def apply_P(v):
-        out = np.zeros_like(v)
-        out[0] = v[0]
-        return out
-
-    cb = IndefiniteProblem(
-        n=3, P=apply_P,
-        psi=mat.psi, grad_psi=mat.grad_psi, hess_psi=mat.hess_psi,
-        p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
-    )
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal(3)
-    assert math.isclose(cb.energy(z), mat.energy(z), rel_tol=1e-14)
-    assert np.linalg.norm(cb.energy_gradient(z) - mat.energy_gradient(z)) == 0.0
-
-    with pytest.raises(ValueError):
-        IndefiniteProblem(
-            n=3, P=lambda v: np.array([v[0] + 0.1 * v[1], 0.0, 0.0]),
-            psi=mat.psi, grad_psi=mat.grad_psi, hess_psi=mat.hess_psi,
-            p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +174,8 @@ def test_hypotheses_zero_nonlinearity():
 
 def test_hypotheses_violation_named():
     # a quadratic nonlinearity breaks superquadraticity at p = 4
-    P = np.diag([1.0, 0.0])
     prob = IndefiniteProblem(
-        n=2, P=P,
+        x_mask=np.array([True, False]),
         psi=lambda z: 0.5 * float(z @ z),
         grad_psi=lambda z: np.array(z, dtype=float),
         hess_psi=lambda z, v: np.array(v, dtype=float),
@@ -661,10 +630,9 @@ def test_minimize_nehari_all_degenerate():
 def test_minimize_nehari_counts_degenerate_starts():
     # X = span(e1, e2) and Psi = (z1^2 + z3^2)^2 / 4 vanishes along e2:
     # the initial direction e2 is a degenerate ray, the random start is not
-    P = np.diag([1.0, 1.0, 0.0])
     s = np.array([1.0, 0.0, 1.0])
     prob = IndefiniteProblem(
-        n=3, P=P,
+        x_mask=np.array([True, True, False]),
         psi=lambda z: 0.25 * float((s * z) @ z) ** 2,
         grad_psi=lambda z: float((s * z) @ z) * s * z,
         hess_psi=lambda z, v: (float((s * z) @ z) * s * v
@@ -688,7 +656,7 @@ def test_minimize_nehari_propagates_callback_value_error():
         return base.psi(z)
 
     prob = IndefiniteProblem(
-        n=2, P=base.P, psi=psi, grad_psi=base.grad_psi,
+        x_mask=base.x_mask, psi=psi, grad_psi=base.grad_psi,
         hess_psi=base.hess_psi, p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0)
     with pytest.raises(ValueError, match="callback failed"):
         minimize_nehari(prob, starts=3, seed=0)
