@@ -31,6 +31,7 @@ import numpy as np
 
 from .clifford import build_rep
 from .curvature import (
+    CurvatureJets,
     RiemannTensor,
     b_coefficient_tensors,
     j6_leading,
@@ -234,11 +235,20 @@ def _window_slope(eps, values, lower=True) -> float:
 
 @dataclass(frozen=True)
 class AuditInputs:
-    """Curvature draw, its derivative jets and the spinor parameters."""
+    """Curvature draw, its derivative jets and the spinor parameters.
+
+    An audit runs on one such bundle, whole, by default on
+    ``audit_inputs(m, seed, first_scale)``.  Its three parts must share
+    one dimension m, which construction checks.
+    """
 
     riemann: RiemannTensor
-    jets: object
+    jets: CurvatureJets
     params: TestSpinorParams
+
+    def __post_init__(self):
+        if not self.riemann.m == self.jets.m == self.params.m:
+            raise ValueError("tensor, jets and params disagree on m")
 
     @property
     def m(self) -> int:
@@ -385,12 +395,10 @@ class _AuditEngine:
     against their rows of H.  Only the part an audit reads is computed.
     """
 
-    def __init__(self, R: RiemannTensor, jets, params: TestSpinorParams,
-                 rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
-                 vol_degree: int = 5, generic_psi0=None):
-        m = R.m
-        if params.m != m:
-            raise ValueError("params dimension does not match the tensor")
+    def __init__(self, inputs: AuditInputs, rule=None, n_leg: int = 16,
+                 vol_coeff: float = 0.1, vol_degree: int = 5,
+                 generic_psi0=None):
+        m, params = inputs.m, inputs.params
         rep = params.rep
         self.m = m
         self.N = rep.N
@@ -417,7 +425,7 @@ class _AuditEngine:
         GS1 = np.einsum("pa,ian->pin", U, GG)
         tables = [np.broadcast_to(psi0, (P, self.N)), U @ GPsi]
 
-        theta, lam = theta_lambda(R, jets)
+        theta, lam = theta_lambda(inputs.riemann, inputs.jets)
         C = (UU[:, :, None] * U[:, None, :]).reshape(P, m ** 3) \
             @ theta.reshape(m ** 3, m ** 3).T
         tables += _theta_tables(C, G, U, psi0)
@@ -427,7 +435,7 @@ class _AuditEngine:
         for L in (U @ lin.T, UU @ quad.reshape(m, m * m).T):
             tables += [L @ GPsi, np.einsum("pk,pkn->pn", L, GS1)]
 
-        Bt, _ = b_coefficient_tensors(R, jets)
+        Bt, _ = b_coefficient_tensors(inputs.riemann, inputs.jets)
         bh = [_angular_slots(Bt[d], U, UU) for d in (2, 3, 4)]
         wh = [(b @ U[:, :, None])[..., 0] for b in bh]
         tables += [w @ GPsi for w in wh]
@@ -714,15 +722,13 @@ class RayleighReport:
 # ---------------------------------------------------------------------------
 # audit drivers
 
-def _resolve(m, R, params, jets, seed, first_scale):
-    if R is None or params is None or jets is None:
-        data = audit_inputs(m, seed=seed, first_scale=first_scale)
-        R = R if R is not None else data.riemann
-        jets = jets if jets is not None else data.jets
-        params = params if params is not None else data.params
-    if R.m != m or params.m != m:
-        raise ValueError("dimension mismatch between inputs")
-    return R, params, jets
+def _inputs_for(m, inputs, seed, first_scale) -> AuditInputs:
+    """The bundle an audit runs on: ``inputs``, or else the seeded draw."""
+    if inputs is None:
+        return audit_inputs(m, seed=seed, first_scale=first_scale)
+    if inputs.m != m:
+        raise ValueError(f"audit inputs have m = {inputs.m}, not {m}")
+    return inputs
 
 
 def _check_m(audit, m):
@@ -750,16 +756,16 @@ def _sweep(engine, eps, keys):
     return {k: np.array([r[k] for r in rows]) for k in keys}
 
 
-def residual_audit(m: int, R: RiemannTensor = None,
-                   params: TestSpinorParams = None, eps_grid=None, *,
-                   jets=None, rule=None, n_leg: int = 16,
-                   vol_coeff: float = 0.1, vol_degree: int = 5,
-                   seed: int = 0, first_scale: float = 100.0) -> ResidualReport:
-    """Fit the decay orders of the six residual norms and their sum."""
+def residual_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
+                   rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
+                   vol_degree: int = 5, seed: int = 0,
+                   first_scale: float = 100.0) -> ResidualReport:
+    """Fit the decay orders of the six residual norms and their sum, on
+    the ``AuditInputs`` bundle ``inputs``."""
     _check_m("residual", m)
     eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
-    R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
-    engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
+    inputs = _inputs_for(m, inputs, seed, first_scale)
+    engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
     vals = _sweep(engine, eps, A_TERMS + ("total",))
     expected = residual_exponents(m) if 4 <= m <= 8 else {
@@ -774,22 +780,25 @@ def residual_audit(m: int, R: RiemannTensor = None,
                           slopes, full, expected, floor)
 
 
-def energy_audit(m: int, R: RiemannTensor = None,
-                 params: TestSpinorParams = None, eps_grid=None, *,
-                 jets=None, rule=None, n_leg: int = 16,
-                 vol_coeff: float = 0.1, vol_degree: int = 5,
-                 seed: int = 0, first_scale: float = 10.0) -> EnergyReport:
-    """Decompose the curved pairing and audit each term's behaviour."""
+def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
+                 rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
+                 vol_degree: int = 5, seed: int = 0,
+                 first_scale: float = 10.0) -> EnergyReport:
+    """Decompose the curved pairing of ``inputs`` (an ``AuditInputs``
+    bundle with nonzero curvature) and audit each term's behaviour.
+
+    ``seed`` also draws the generic spinor that J4_pre pairs against.
+    """
     _check_m("energy", m)
     eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
-    R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
-    if R.frobenius() == 0.0:
+    inputs = _inputs_for(m, inputs, seed, first_scale)
+    if inputs.riemann.frobenius() == 0.0:
         raise ValueError("energy audit needs a nonzero curvature tensor")
-    rep = params.rep
-    theta, _ = theta_lambda(R, jets)
+    rep = inputs.params.rep
+    theta, _ = theta_lambda(inputs.riemann, inputs.jets)
     coeff = theta_pairing_coefficients(theta)
     generic = _generic_spinor(rep, coeff, seed=seed)
-    engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
+    engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree,
                           generic_psi0=generic)
     vals = _sweep(engine, eps, J_TERMS + ("J4_abs", "J4_pre"))
@@ -813,7 +822,7 @@ def energy_audit(m: int, R: RiemannTensor = None,
 
     j6_slope = _window_slope(eps, np.abs(vals["J6"]), lower=True)
     j6_coeff = float(vals["J6"][-1] / eps[-1] ** 4)
-    j6_pred = m ** (m - 1) * j6_leading(R, mom)
+    j6_pred = m ** (m - 1) * j6_leading(inputs.riemann, mom)
     j6_rel = float(abs(j6_coeff - j6_pred) / abs(j6_pred))
     j6_neg = bool(np.all(vals["J6"][_window(eps, True)] < 0.0))
 
@@ -834,23 +843,22 @@ def energy_audit(m: int, R: RiemannTensor = None,
     )
 
 
-def rayleigh_audit(m: int, R: RiemannTensor = None,
-                   params: TestSpinorParams = None, eps_grid=None, *,
-                   jets=None, rule=None, n_leg: int = 16,
-                   vol_coeff: float = 0.1, vol_degree: int = 5,
-                   seed: int = 0, first_scale: float = 100.0) -> RayleighReport:
+def rayleigh_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
+                   rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
+                   vol_degree: int = 5, seed: int = 0,
+                   first_scale: float = 100.0) -> RayleighReport:
     """Assemble the quotient and compare it against its flat-model limit.
 
     The numerator is the L^{2m/(m+1)} integral of the curved image raised
     to (m+1)/m, the denominator the pairing decomposition; both use the
     same quadrature tables.  The report records the limits and whether
     the quotient sits above the critical threshold at the smallest two
-    grid points.
+    grid points.  ``inputs`` is the ``AuditInputs`` bundle audited.
     """
     _check_m("rayleigh", m)
     eps = _eps_grid(eps_grid, rayleigh_eps_grid)
-    R, params, jets = _resolve(m, R, params, jets, seed, first_scale)
-    engine = _AuditEngine(R, jets, params, rule=rule, n_leg=n_leg,
+    inputs = _inputs_for(m, inputs, seed, first_scale)
+    engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_coeff=vol_coeff, vol_degree=vol_degree)
     vals = _sweep(engine, eps, ("num", "den"))
     num, den = vals["num"], vals["den"]

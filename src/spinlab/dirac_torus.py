@@ -354,14 +354,14 @@ def _kernel_coeffs(r: np.ndarray) -> np.ndarray:
     return np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])
 
 
-def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
-              max_iter: int = 50) -> np.ndarray:
+def T_project(basis: SpectralBasis, sp: TorusSpinor,
+              tol: float = 1e-12) -> np.ndarray:
     """Best approximation of the spinor in the Dirac kernel.
 
-    Minimizes the quartic distance over the kernel by damped Newton on
-    four real coordinates, starting from the L2 kernel projection, until
-    the gradient norm is at most ``tol`` or, where the line search
-    stalls, at its rounding floor 4 eps w sum |z|^3 / (2 pi).
+    Minimizes the quartic distance over the kernel by at most 50 damped
+    Newton steps on four real coordinates, starting from the L2 kernel
+    projection, until the gradient norm is at most ``tol`` or, where the
+    line search stalls, at its rounding floor 4 eps w sum |z|^3 / (2 pi).
     Returns the kernel coefficients; empty when the kernel is trivial.
     """
     if basis.kernel_dim == 0:
@@ -379,7 +379,7 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor, tol: float = 1e-12,
                   sp.kernel[1].real, sp.kernel[1].imag])
     g, P, dens = grad_at(r)
     gn = float(np.linalg.norm(g))
-    for _ in range(max_iter):
+    for _ in range(50):
         if gn <= tol:
             break
         H = w * _kernel_gram(P, dens)
@@ -581,7 +581,7 @@ class GroundState:
 
 
 def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
-                       seed: int = 0, starts: int = 2, max_iter: int = 400,
+                       seed: int = 0, starts: int = 2,
                        n_g: int = None) -> GroundState:
     """Ground state of the truncated functional through the reduction.
 
@@ -592,17 +592,16 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
     the critical-value identity Phi = (1/4) int |psi|^4 must hold.
     """
     basis = build_dirac(lam_max, delta, n_g)
-    return _solve_on_basis(basis, tol=tol, seed=seed, starts=starts,
-                           max_iter=max_iter)
+    return _solve_on_basis(basis, tol=tol, seed=seed, starts=starts)
 
 
 def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
-                    max_iter: int, initial: TorusSpinor = None) -> GroundState:
+                    initial: TorusSpinor = None) -> GroundState:
     problem, to_coords, from_coords = ground_state_problem(basis)
     if initial is not None:
         initial = to_coords(initial)
     result = minimize_nehari(problem, starts=starts, tol=tol, seed=seed,
-                             max_iter=max_iter, initial=initial)
+                             max_iter=400, initial=initial)
     # the Nehari minimizer lives in the positive block; the critical
     # point of the full functional adds the fiber maximizer over the
     # negative block
@@ -632,8 +631,7 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
 
 
 def refine_ground_state(state: GroundState, lam_max: float,
-                        tol: float = 1e-8, max_iter: int = 400,
-                        n_g: int = None) -> GroundState:
+                        tol: float = 1e-8, n_g: int = None) -> GroundState:
     """Re-solve on a finer mode cutoff, warm started from a coarse state.
 
     The coarse positive-block coefficients are embedded into the finer
@@ -650,4 +648,4 @@ def refine_ground_state(state: GroundState, lam_max: float,
     for i, (k1, k2) in enumerate(coarse.modes):
         plus[lookup[(int(k1), int(k2))]] = state.psi.plus[i]
     return _solve_on_basis(basis, tol=tol, seed=state.seed, starts=1,
-                           max_iter=max_iter, initial=basis.spinor(plus=plus))
+                           initial=basis.spinor(plus=plus))

@@ -112,7 +112,7 @@ class IndefiniteProblem:
         return np.where(self.x_mask, z, 0.0)
 
     def complement(self, z: np.ndarray) -> np.ndarray:
-        return z - self.project(z)
+        return np.where(self.x_mask, 0.0, z)
 
     def energy(self, z: np.ndarray) -> float:
         zx = self.project(z)
@@ -464,8 +464,10 @@ def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 # Nehari projection and minimization
 
-# Newton steps tried before the projection falls back to the bracket
+# Newton steps tried before the projection falls back to the bracket,
+# and the bracket's doublings (or halvings) of t before it gives up
 _NEWTON_STEPS = 30
+_MAX_DOUBLINGS = 40
 
 
 def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
@@ -492,45 +494,39 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
     return float(slope), dw
 
 
-def _bracket_root(k_of, t, k, tol, max_doublings):
-    """Root of K bracketed by geometric expansion from t, where K = k,
-    then polished by ``brentq``."""
-    if k > 0.0:
-        lo, hi = t, t
-        for _ in range(max_doublings):
-            hi *= 2.0
-            k_hi = k_of(hi)
-            if k_hi <= 0.0:
-                break
-            lo = hi
-        else:
+def _bracket_root(k_of, t, k, tol):
+    """Root of K bracketed from t, where K = k, by doubling t while K > 0
+    or halving it while K < 0, then polished by ``brentq``."""
+    if k == 0.0:
+        return t
+    factor = 2.0 if k > 0.0 else 0.5
+    near = far = t
+    for _ in range(_MAX_DOUBLINGS):
+        far *= factor
+        k_far = k_of(far)
+        if (k_far <= 0.0) if k > 0.0 else (k_far >= 0.0):
+            break
+        near = far
+    else:
+        if k > 0.0:
             raise DegenerateRay()
-        return hi if k_hi == 0.0 else brentq(k_of, lo, hi, xtol=tol)
-    if k < 0.0:
-        lo, hi = t, t
-        for _ in range(max_doublings):
-            lo *= 0.5
-            k_lo = k_of(lo)
-            if k_lo >= 0.0:
-                break
-            hi = lo
-        else:
-            raise RuntimeError("no positive bracket found near t = 0")
-        return lo if k_lo == 0.0 else brentq(k_of, lo, hi, xtol=tol)
-    return t
+        raise RuntimeError("no positive bracket found near t = 0")
+    if k_far == 0.0:
+        return far
+    return brentq(k_of, *((near, far) if k > 0.0 else (far, near)), xtol=tol)
 
 
 def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
-                 tol: float = 1e-12, t0: float = 1.0,
-                 max_doublings: int = 40, check_slope: bool = True):
+                 tol: float = 1e-12, t0: float = 1.0):
     """``nehari_project``'s scale t and the fiber beta(t phi) solved there."""
     phi = np.asarray(phi, dtype=float)
     if float(phi @ phi) == 0.0:
         raise ValueError("cannot project the zero direction")
-    x_part = problem.project(phi)
-    if not x_part.any():
+    if not problem.project(phi).any():
         # P grad Psi is orthogonal to Y, so K = t^2 |phi|^2 on a ray of Y
         raise DegenerateRay()
+    if problem.complement(phi).any():
+        raise ValueError("direction must lie in X: its Y part is nonzero")
     fiber_tol = max(min(tol, 1e-12), tol * 1e-3)
     fibers = {}
     last = {"w": None}
@@ -544,42 +540,35 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
 
     t = float(t0)
     k = k_of(t)
-    root = None
-    if np.array_equal(x_part, phi):
-        for _ in range(_NEWTON_STEPS):
-            if k == 0.0:
-                break
-            dk, dw = _nehari_slope(problem, phi, t, fibers[t])
-            if not dk < 0.0:
-                break
-            t_new = t - k / dk
-            if abs(t_new - t) <= tol:
-                root = t
-                break
-            if not t_new > 0.0:
-                break
-            # the fiber's tangent predicts the next fiber
-            k_new = k_of(t_new, fibers[t] + (t_new - t) * dw)
-            if not abs(k_new) < abs(k):
-                break
-            t, k = t_new, k_new
+    for _ in range(_NEWTON_STEPS):
+        if k == 0.0:
+            break
+        dk, dw = _nehari_slope(problem, phi, t, fibers[t])
+        if not dk < 0.0:
+            break
+        t_new = t - k / dk
+        if abs(t_new - t) <= tol:
+            # the slope at this root is dk < 0
+            return t, fibers[t]
+        if not t_new > 0.0:
+            break
+        # the fiber's tangent predicts the next fiber
+        k_new = k_of(t_new, fibers[t] + (t_new - t) * dw)
+        if not abs(k_new) < abs(k):
+            break
+        t, k = t_new, k_new
 
-    if root is None:
-        root = _bracket_root(k_of, t, k, tol, max_doublings)
-
-    if check_slope:
-        h = max(1e-6 * root, 1e-9)
-        slope = (k_of(root + h) - k_of(root - h)) / (2.0 * h)
-        if not slope < 0.0:
-            raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
-                               "expected negative")
-    return float(root), fibers.get(root, last["w"])
+    root = float(_bracket_root(k_of, t, k, tol))
+    slope, _ = _nehari_slope(problem, phi, root, fibers[root])
+    if not slope < 0.0:
+        raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
+                           "expected negative")
+    return root, fibers[root]
 
 
 def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
-                   tol: float = 1e-12, t0: float = 1.0,
-                   max_doublings: int = 40, check_slope: bool = True) -> float:
-    """Scale t > 0 placing t phi on the Nehari set K = 0.
+                   tol: float = 1e-12, t0: float = 1.0) -> float:
+    """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
 
     Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so
     the root is found by Newton's method in t from ``t0``, with the
@@ -587,16 +576,16 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     started from the previous one moved along its tangent.  The iteration
     stops at the current t once the Newton correction is within ``tol``.
     A step is taken only if the slope is negative, the new t is positive
-    and |K| decreases there.  When a step is refused, after
-    ``_NEWTON_STEPS`` steps, and for directions outside X, the root is
-    instead bracketed by geometric expansion from the last accepted t
-    and polished by ``brentq``.  K(t phi) is positive near t = 0; a ray
-    along which the nonlinearity vanishes keeps K = t^2 |phi|^2 > 0
-    forever and raises ``DegenerateRay``.
+    and |K| decreases there.  When a step is refused, or after
+    ``_NEWTON_STEPS`` steps, the root is instead bracketed by geometric
+    expansion from the last accepted t and polished by ``brentq``, and
+    one exact slope there confirms K' < 0 (RuntimeError otherwise).
+    K(t phi) is positive near t = 0; a ray along which the nonlinearity
+    vanishes keeps K = t^2 |phi|^2 > 0 forever and raises
+    ``DegenerateRay``, as does every ray of Y.  The zero direction and a
+    direction with both an X and a nonzero Y part raise ValueError.
     """
-    return _nehari_root(problem, phi, tol=tol, t0=t0,
-                        max_doublings=max_doublings,
-                        check_slope=check_slope)[0]
+    return _nehari_root(problem, phi, tol=tol, t0=t0)[0]
 
 
 @dataclass(frozen=True)
@@ -635,7 +624,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     lengths, rescaling onto the Nehari set every iterate; on the set the
     reduced gradient is automatically tangent to the ray, so the sphere
     step needs no extra projection.  Runs from several random directions
-    and keeps the lowest converged level.  ``initial`` replaces the first
+    and keeps the earliest converged start whose level is within 1e-12
+    relative of the lowest, so that starts that tie up to rounding do not
+    trade places on the last bit.  ``initial`` replaces the first
     random direction, which lets a coarse solution warm start a finer
     one.  The inner tolerances follow the current gradient norm down, so
     early iterates are cheap and converged ones are exact.  The
@@ -653,10 +644,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         raise ValueError("initial direction must be finite")
     rng = np.random.default_rng(seed)
     inner = min(tol * 1e-2, 1e-12)
-    best = None
+    found = []
     total = 0
     degenerate = 0
-    converged = 0
     history = []
 
     for start_idx in range(starts):
@@ -670,7 +660,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             nu = np.linalg.norm(u)
         u = u / nu
         try:
-            t, w = _nehari_root(problem, u, tol=1e-6, check_slope=False)
+            t, w = _nehari_root(problem, u, tol=1e-6)
         except DegenerateRay:
             degenerate += 1
             continue
@@ -703,27 +693,26 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             u = u - alpha * g
             u = u / np.linalg.norm(u)
             t, w = _nehari_root(problem, u,
-                                tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t,
-                                check_slope=False)
+                                tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t)
 
         history.append((value, gn))
         if gn <= tol:
-            converged += 1
-            if best is None or value < best[0]:
-                best = (value, t * u, gn, t)
+            found.append((value, t * u, gn, t))
 
     if degenerate == starts:
         raise RuntimeError("all starts hit degenerate rays")
-    if best is None:
+    if not found:
         raise RuntimeError(f"no start converged to tolerance {tol}; "
                            f"history {history}")
-    gamma, phi_star, gn, t = best
+    lowest = min(level for level, *_ in found)
+    gamma, phi_star, gn, t = next(
+        f for f in found if f[0] - lowest <= 1e-12 * abs(lowest))
     if not gamma > 0.0:
         raise RuntimeError(f"ground level {gamma} is not positive")
     if not problem.psi(phi_star) > 0.0:
         raise RuntimeError("nonlinearity vanishes at the reported minimizer")
     return NehariResult(float(gamma), phi_star, gn, float(t), total,
-                        converged, degenerate, tuple(history))
+                        len(found), degenerate, tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -757,28 +746,32 @@ class EnvelopeAudit:
 
 
 def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
-                       tol: float = 1e-10, s_grid=None, directions: int = 4,
-                       seed: int = 0, result: NehariResult = None) -> EnvelopeAudit:
+                       tol: float = 1e-10, s_grid=None, seed: int = 0,
+                       result: NehariResult = None) -> EnvelopeAudit:
     """Fit the envelope constant over perturbations z + s * noise.
 
-    The minimal admissible C is the largest ratio of the level deficit
-    gamma - L to the squared gradient across the family; the envelope
-    holds when that ratio stays finite (a positive deficit with a zero
-    gradient would break it).
+    Each scale s of ``s_grid`` (1-d, non-empty, positive and finite,
+    checked before any solve) perturbs z along four random unit
+    directions.  The minimal admissible C is the largest
+    ratio of the level deficit gamma - L to the squared gradient across
+    the family; the envelope holds when that ratio stays finite (a
+    positive deficit with a zero gradient would break it).
     """
     z = np.asarray(z, dtype=float)
     base = problem.energy(z)
     if not base > 0.0:
         raise ValueError("audit point must carry positive energy")
+    s_grid = np.asarray(np.geomspace(1e-3, 1e-1, 7) if s_grid is None
+                        else s_grid, dtype=float)
+    if (s_grid.ndim != 1 or s_grid.size == 0
+            or not np.all(np.isfinite(s_grid) & (s_grid > 0.0))):
+        raise ValueError("s_grid must be 1-d, non-empty, positive and finite")
     if result is None:
         result = minimize_nehari(problem, seed=seed)
     gamma = result.gamma
-    if s_grid is None:
-        s_grid = np.geomspace(1e-3, 1e-1, 7)
-    s_grid = np.asarray(s_grid, dtype=float)
 
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions, z.size))
+    dirs = rng.standard_normal((4, z.size))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
     points = [z] + [z + s * d for s in s_grid for d in dirs]

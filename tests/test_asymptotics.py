@@ -289,7 +289,7 @@ def test_engine_matches_direct_field_evaluation(m5_inputs):
     psi0 = m5_inputs.params.psi0
     params = make_params(m, 1.0, delta, psi0)
     rule = sphere_rule(m, 2, 4)
-    engine = _AuditEngine(R, jets, params, rule=rule, n_leg=8)
+    engine = _AuditEngine(AuditInputs(R, jets, params), rule=rule, n_leg=8)
     out = engine.terms(eps)
 
     # flatten the product quadrature into one list of points
@@ -366,7 +366,7 @@ def test_engine_matches_direct_field_evaluation(m5_inputs):
 def test_engine_radial_oracles(m5_inputs):
     # J2, J3 and the first two residual norms reduce to 1d integrals
     m, eps = 5, 1e-2
-    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params)
+    engine = _AuditEngine(m5_inputs)
     out = engine.terms(eps)
     area = sphere_area(m)
     two_star = 2.0 * m / (m - 1.0)
@@ -407,14 +407,20 @@ def test_engine_radial_oracles(m5_inputs):
 
 
 def test_engine_rejects_mismatched_params(m5_inputs):
-    with pytest.raises(ValueError):
-        _AuditEngine(m5_inputs.riemann, m5_inputs.jets, make_params(4))
+    # the engine takes one bundle, which refuses parts of two dimensions
+    with pytest.raises(ValueError, match="disagree on m"):
+        AuditInputs(m5_inputs.riemann, m5_inputs.jets, make_params(4))
+
+
+def test_audit_inputs_reject_jets_of_another_m(m5_inputs):
+    data4 = audit_inputs(4, seed=0)
+    with pytest.raises(ValueError, match="disagree on m"):
+        AuditInputs(data4.riemann, m5_inputs.jets, data4.params)
 
 
 def test_quadrature_self_consistency(m5_inputs):
-    coarse = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params)
-    fine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
-                        rule=sphere_rule(5, 6, 12), n_leg=24)
+    coarse = _AuditEngine(m5_inputs)
+    fine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 6, 12), n_leg=24)
     a, b = coarse.terms(1e-2), fine.terms(1e-2)
     for key in ("J2", "J3", "J6", "den", "num"):
         assert a[key] == pytest.approx(b[key], rel=1e-8), key
@@ -426,8 +432,7 @@ def test_quadrature_self_consistency(m5_inputs):
 
 def test_engine_terms_returns_requested_keys(m5_inputs):
     generic = np.ones(m5_inputs.params.rep.N, dtype=complex) / 2.0
-    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
-                          rule=sphere_rule(5, 2, 4), n_leg=8,
+    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2, 4), n_leg=8,
                           generic_psi0=generic)
     full = engine.terms(0.02)
     assert set(full) == set(J_TERMS + A_TERMS) | {"total", "num", "J4_abs",
@@ -480,8 +485,9 @@ def test_engine_factored_contractions_at_m8():
     rng = np.random.default_rng(3)
     generic = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     generic /= np.linalg.norm(generic)
-    engine = _AuditEngine(R, jets, params, rule=sphere_rule(m, 2, 4),
-                          n_leg=4, generic_psi0=generic)
+    engine = _AuditEngine(AuditInputs(R, jets, params),
+                          rule=sphere_rule(m, 2, 4), n_leg=4,
+                          generic_psi0=generic)
     for eps in (0.05, 2e-3):
         out = engine.terms(eps)
         want = _pointwise_terms(engine, eps)
@@ -526,8 +532,7 @@ def test_qnorms_match_recorded_audit_m6():
 
 
 def test_qnorms_of_hand_built_fields(m5_inputs):
-    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
-                          rule=sphere_rule(5, 2, 4), n_leg=8)
+    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2, 4), n_leg=8)
     r, w = panel_nodes(shell_edges(0.02, engine.delta), engine.n_leg)
     meas = w * r ** 4
     n, K = r.size, engine.tables.shape[0]
@@ -548,8 +553,7 @@ def test_qnorms_of_hand_built_fields(m5_inputs):
 
 
 def test_pointwise_gram_waits_for_a_qnorm(m5_inputs):
-    engine = _AuditEngine(m5_inputs.riemann, m5_inputs.jets, m5_inputs.params,
-                          rule=sphere_rule(5, 2, 4), n_leg=8)
+    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2, 4), n_leg=8)
     engine.terms(0.02, ("J2",))
     assert engine._point_gram is None
     engine.terms(0.02, ("A1",))
@@ -583,19 +587,17 @@ def test_angular_slots_match_einsum():
 
 def test_flat_curvature_zeroes_the_curved_terms():
     m = 5
-    R0 = RiemannTensor(m, np.zeros((m,) * 4))
-    jets0 = CurvatureJets(m)
-    params = make_params(m)
-    engine = _AuditEngine(R0, jets0, params, rule=sphere_rule(m, 2, 4),
-                          n_leg=8)
+    flat = AuditInputs(RiemannTensor(m, np.zeros((m,) * 4)), CurvatureJets(m),
+                       make_params(m))
+    engine = _AuditEngine(flat, rule=sphere_rule(m, 2, 4), n_leg=8)
     out = engine.terms(0.02)
     for key in ("A3", "A4", "A5", "A6", "J4", "J5", "J6", "J7"):
         assert out[key] == 0.0, key
     assert out["A1"] > 0.0 and out["A2"] > 0.0
     assert abs(out["J1"]) <= 1e-10 * out["J2"]
 
-    report = residual_audit(m, R0, params, jets=jets0,
-                            rule=sphere_rule(m, 2, 4), n_leg=8)
+    report = residual_audit(m, inputs=flat, rule=sphere_rule(m, 2, 4),
+                            n_leg=8)
     summary = report.summary()
     for key in ("A3", "A4", "A5", "A6"):
         assert report.slopes[key] == math.inf
@@ -606,7 +608,7 @@ def test_flat_curvature_zeroes_the_curved_terms():
     assert summary["total_floor_ok"]
 
     with pytest.raises(ValueError):
-        energy_audit(m, R0, params, jets=jets0)
+        energy_audit(m, inputs=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -619,23 +621,20 @@ def m5_rule():
 
 @pytest.fixture(scope="module")
 def residual_m5(m5_inputs, m5_rule):
-    return residual_audit(5, m5_inputs.riemann, m5_inputs.params,
-                          jets=m5_inputs.jets, rule=m5_rule, n_leg=12)
+    return residual_audit(5, inputs=m5_inputs, rule=m5_rule, n_leg=12)
 
 
 @pytest.fixture(scope="module")
 def energy_m5(m5_inputs, m5_rule):
     # a degree-4 volume factor keeps the truncation order min(m, 4) = 4
     # clean; at degree m the two error sources tie and pick up a logarithm
-    return energy_audit(5, m5_inputs.riemann, m5_inputs.params,
-                        jets=m5_inputs.jets, rule=m5_rule, n_leg=12,
+    return energy_audit(5, inputs=m5_inputs, rule=m5_rule, n_leg=12,
                         vol_degree=4)
 
 
 @pytest.fixture(scope="module")
 def rayleigh_m5(m5_inputs, m5_rule):
-    return rayleigh_audit(5, m5_inputs.riemann, m5_inputs.params,
-                          jets=m5_inputs.jets, rule=m5_rule, n_leg=12)
+    return rayleigh_audit(5, inputs=m5_inputs, rule=m5_rule, n_leg=12)
 
 
 def test_residual_audit_recovers_exponents(residual_m5):
@@ -789,7 +788,7 @@ def test_audit_validation():
         rayleigh_audit(4)
     data = audit_inputs(4, seed=0)
     with pytest.raises(ValueError):
-        residual_audit(4, data.riemann, data.params, jets=data.jets,
+        residual_audit(4, inputs=data,
                        eps_grid=np.array([1e-1, 1e-1, 1e-2, 1e-3]))
-    with pytest.raises(ValueError):
-        residual_audit(5, data.riemann, data.params, jets=data.jets)
+    with pytest.raises(ValueError, match="audit inputs have m = 4"):
+        residual_audit(5, inputs=data)

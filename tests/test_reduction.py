@@ -12,6 +12,7 @@ scipy routines they port.
 """
 
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -21,7 +22,11 @@ from scipy.optimize import brentq, minimize
 from scipy.sparse.linalg import cg as scipy_cg
 
 from spinlab import reduction
-from spinlab.dirac_torus import build_dirac, ground_state_problem
+from spinlab.dirac_torus import (
+    build_dirac,
+    ground_state_problem,
+    solve_ground_state,
+)
 from spinlab.reduction import (
     EnvelopeAudit,
     IndefiniteProblem,
@@ -367,12 +372,10 @@ def test_fiber_data_at_point():
     value, _, k = reduced(prob, phi, tol=1e-12)
     assert math.isclose(value, 0.5 * 0.49 - 0.25 * 0.7 ** 4, rel_tol=1e-12)
     assert math.isclose(k, 0.49 - 0.7 ** 4, rel_tol=1e-12)
-    assert math.isclose(nehari_project(prob, phi, check_slope=False),
-                        1.0 / 0.7, rel_tol=1e-9)
+    assert math.isclose(nehari_project(prob, phi), 1.0 / 0.7, rel_tol=1e-9)
     # along X the Y-only nonlinearity vanishes: no Nehari scale exists
     with pytest.raises(ValueError, match="ray degenerate"):
-        nehari_project(y_only_problem(), np.array([1.0, 0.0]),
-                       check_slope=False)
+        nehari_project(y_only_problem(), np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +455,35 @@ def test_nehari_y_ray_is_degenerate():
             nehari_project(toy_problem(), np.array([0.0, 1.0]), t0=t0)
 
 
+def test_nehari_rejects_direction_with_y_part():
+    # the Nehari set is met along rays of X; a direction with a Y part
+    # has no scale on it (t = 1.342 on (1, 1) had K(t phi_X) = -1.44)
+    for phi in ([1.0, 1.0], [1.0, -1e-300]):
+        with pytest.raises(ValueError, match="Y part") as info:
+            nehari_project(toy_problem(), np.array(phi))
+        assert not isinstance(info.value, reduction.DegenerateRay)
+
+
+def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
+    # a root that the bracket found gets one exact slope there, and a
+    # slope that is not negative is refused
+    prob = toy_problem()
+    calls = []
+    slope = reduction._nehari_slope
+
+    def nonnegative_at_root(problem, phi, t, w):
+        calls.append(t)
+        return 0.0, slope(problem, phi, t, w)[1]
+
+    monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
+    assert math.isclose(nehari_project(prob, np.array([0.5, 0.0])), 2.0,
+                        rel_tol=1e-10)
+    monkeypatch.setattr(reduction, "_nehari_slope", nonnegative_at_root)
+    with pytest.raises(RuntimeError, match="slope"):
+        nehari_project(prob, np.array([0.5, 0.0]))
+    assert len(calls) == 1 and math.isclose(calls[0], 2.0, rel_tol=1e-10)
+
+
 def assert_slope_matches_fd(prob, phi, t):
     k_of = k_along(prob, phi)
     h = 1e-4 * t
@@ -490,7 +522,7 @@ def test_psi_positive_and_rays_bounded_away():
     for _ in range(10):
         u = prob.project(rng.standard_normal(6))
         u /= np.linalg.norm(u)
-        t = nehari_project(prob, u, check_slope=False)
+        t = nehari_project(prob, u)
         point = t * u
         assert prob.psi(point) > 0.0
         assert prob.psi(point + beta(prob, point)) > 0.0
@@ -662,6 +694,24 @@ def test_minimize_nehari_propagates_callback_value_error():
         minimize_nehari(prob, starts=3, seed=0)
 
 
+def test_multistart_keeps_earliest_of_equal_levels():
+    # the starts reach one level up to its last bits (3.580961977704561
+    # and ...5603 on the torus); the earliest of them wins, so adding
+    # starts leaves the state as a single start finds it
+    one = solve_ground_state(2.0, starts=1)
+    two = solve_ground_state(2.0, starts=2)
+    for block in ("plus", "kernel", "minus"):
+        assert (getattr(one.psi, block).tobytes()
+                == getattr(two.psi, block).tobytes()), block
+    assert one.nehari_scale == two.nehari_scale
+    prob = diagonal_quartic_problem([1.0, 0.7, -0.4])
+    one = minimize_nehari(prob, starts=1)
+    eight = minimize_nehari(prob, starts=8)
+    assert eight.converged_starts == 8
+    assert one.minimizer.tobytes() == eight.minimizer.tobytes()
+    assert one.gamma == eight.gamma
+
+
 def test_minimize_nehari_validation():
     with pytest.raises(ValueError):
         minimize_nehari(toy_problem(), starts=0)
@@ -722,6 +772,19 @@ def test_energy_bound_validation():
     prob = toy_problem()
     with pytest.raises(ValueError, match="positive energy"):
         energy_bound_audit(prob, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("s_grid", [[math.nan], [], [1e-2, math.inf],
+                                    [1e-2, 0.0], [-1e-2], [[1e-2, 1e-1]]])
+def test_energy_bound_rejects_bad_s_grid_before_solving(s_grid, monkeypatch):
+    # these grids used to report bound_ok with C = 0.0, 0.0 and 0.254
+    def unreachable(*args, **kwargs):
+        raise AssertionError("minimize_nehari ran before the grid check")
+
+    monkeypatch.setattr(reduction, "minimize_nehari", unreachable)
+    with pytest.raises(ValueError, match="s_grid"):
+        energy_bound_audit(toy_problem(), np.array([1.02, 0.01]),
+                           s_grid=s_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +887,20 @@ def test_solver_kernels_stay_private():
     assert callable(reduction.cg) and callable(reduction.brentq)
     assert "cg" not in reduction.__all__
     assert "brentq" not in reduction.__all__
+    # it also binds by name the basis transforms, the audit engine's
+    # methods and the problem callbacks of ground_state_problem's 3-tuple:
+    # installing it and building a kernel problem fails on any rename
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "bench")]
+    code = ("import sys\n"
+            f"sys.path[:0] = {paths!r}\n"
+            "import tracer\n"
+            "tracer.install(tracer.Tracer())\n"
+            "from spinlab import dirac_torus as dt\n"
+            "dt.ground_state_problem(dt.build_dirac(1.0, (0, 0)))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_import_leaves_scipy_unloaded():
