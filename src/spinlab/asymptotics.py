@@ -87,7 +87,7 @@ AUDIT_M_RANGE = {"residual": (4, 9), "energy": (5, 9), "rayleigh": (5, 9)}
 
 def sphere_volume(k: int) -> float:
     """Riemannian volume of the unit k-sphere (the round S^k)."""
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    return sphere_area(k + 1)
 
 
 def critical_energy(m: int) -> float:

@@ -247,9 +247,7 @@ class SpectralBasis:
         return self.h_inner(sp, sp)
 
     def quartic_integral(self, sp: TorusSpinor) -> float:
-        grid = self.to_grid(sp)
-        dens = np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2
-        return self.quad_weight * float(np.sum(dens * dens))
+        return _quartic_part(self, sp)[2]
 
 
 def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBasis:
@@ -310,16 +308,21 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
 # ---------------------------------------------------------------------------
 # the functional
 
+def _quartic_part(basis: SpectralBasis, sp: TorusSpinor):
+    """Grid field z, density |z|^2, int |psi|^4 and the coefficients of
+    |psi|^2 psi at a spinor, all exact on the exact grid."""
+    z = basis.to_grid(sp)
+    dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
+    quartic = basis.quad_weight * float(np.sum(dens * dens))
+    return z, dens, quartic, basis.from_grid(dens[None, :, :] * z)
+
+
 def phi_functional(basis: SpectralBasis, sp: TorusSpinor):
     """Value and H^(1/2) gradient of Phi at a truncated spinor."""
-    grid = basis.to_grid(sp)
-    dens = np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2
-    quartic = basis.quad_weight * float(np.sum(dens * dens))
+    _, _, quartic, cubic = _quartic_part(basis, sp)
     qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
     qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
     value = 0.5 * (qplus - qminus) - 0.25 * quartic
-
-    cubic = basis.from_grid(dens[None, :, :] * grid)
     grad = TorusSpinor(sp.plus - cubic.plus / basis.lam,
                        -cubic.kernel,
                        -sp.minus - cubic.minus / basis.lam)
@@ -408,6 +411,13 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor,
     return _kernel_coeffs(r)
 
 
+def _kernel_reduced(basis: SpectralBasis, sp: TorusSpinor) -> TorusSpinor:
+    """psi - T(psi) for psi with a zero kernel block; psi if no kernel."""
+    if basis.kernel_dim == 0:
+        return sp
+    return TorusSpinor(sp.plus, -T_project(basis, sp), sp.minus)
+
+
 def tilde_phi(basis: SpectralBasis, sp: TorusSpinor):
     """Kernel-reduced functional and gradient on the plus/minus blocks.
 
@@ -418,10 +428,7 @@ def tilde_phi(basis: SpectralBasis, sp: TorusSpinor):
     """
     if basis.kernel_dim and np.any(sp.kernel != 0.0):
         raise ValueError("kernel block must be zero here")
-    if basis.kernel_dim == 0:
-        return phi_functional(basis, sp)
-    tc = T_project(basis, sp)
-    return phi_functional(basis, TorusSpinor(sp.plus, -tc, sp.minus))
+    return phi_functional(basis, _kernel_reduced(basis, sp))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +443,11 @@ def ground_state_problem(basis: SpectralBasis):
     coordinates.  Returns (problem, to_coords, from_coords).  The
     curvature constant 5/3 and the superquadraticity exponent 4 are
     exact for the quartic (kernel-reduced or not).
+
+    The callbacks share a cache, keyed by the bytes of u, of the
+    ``_quartic_part`` of the (kernel-reduced) field and, with a kernel,
+    the pairings and inverse Gram matrix: Psi and grad Psi run no
+    transform at a cached point.
 
     The growth constant K = sqrt(n_freq / (2 pi lambda_min)), with
     n_freq = n_modes + 1 with a kernel and n_modes without, gives
@@ -479,18 +491,13 @@ def ground_state_problem(basis: SpectralBasis):
     cache = {}
 
     def resolve(u):
-        """Grid field, density and, with a kernel, the pairings P and
-        the inverse Gram matrix at u; cached by value."""
+        """The cache entry at u: (z, dens, quartic, cubic, gram)."""
         key = u.tobytes()
         hit = cache.get(key)
         if hit is None:
-            sp = from_coords(u)
+            z, dens, quartic, cubic = _quartic_part(
+                basis, _kernel_reduced(basis, from_coords(u)))
             gram = None
-            if basis.kernel_dim:
-                tc = T_project(basis, sp)
-                sp = TorusSpinor(sp.plus, -tc, sp.minus)
-            z = basis.to_grid(sp)
-            dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
             if basis.kernel_dim and np.any(dens != 0.0):
                 P = _kernel_pairings(z)
                 # the Gram matrix is well conditioned (cond <= 3), so its
@@ -498,7 +505,7 @@ def ground_state_problem(basis: SpectralBasis):
                 gram = (P, np.linalg.inv(_kernel_gram(P, dens)))
             if len(cache) > 8:
                 cache.clear()
-            hit = (z, dens, gram)
+            hit = (z, dens, quartic, cubic, gram)
             cache[key] = hit
         return hit
 
@@ -507,16 +514,13 @@ def ground_state_problem(basis: SpectralBasis):
                          order="C").reshape(n)
 
     def psi(u):
-        _, dens, _ = resolve(u)
-        return 0.25 * basis.quad_weight * float(np.sum(dens * dens))
+        return 0.25 * resolve(u)[2]
 
     def grad_psi(u):
-        z, dens, _ = resolve(u)
-        cubic = basis.from_grid(dens[None, :, :] * z)
-        return coeffs_to_grad(cubic)
+        return coeffs_to_grad(resolve(u)[3])
 
     def hess_psi(u, v):
-        z, dens, gram = resolve(u)
+        z, dens, _, _, gram = resolve(u)
         chi = basis.to_grid(from_coords(v))
         chi_pair = np.real(z[0] * np.conj(chi[0]) + z[1] * np.conj(chi[1]))
         if gram is not None:
@@ -597,6 +601,8 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
 
 def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
                     initial: TorusSpinor = None) -> GroundState:
+    """Nehari minimizer on ``basis`` (warm started from ``initial``),
+    mapped to psi + beta - T and checked as ``solve_ground_state`` says."""
     problem, to_coords, from_coords = ground_state_problem(basis)
     if initial is not None:
         initial = to_coords(initial)
@@ -606,10 +612,7 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     # point of the full functional adds the fiber maximizer over the
     # negative block
     fiber = beta(problem, result.minimizer, tol=min(tol * 1e-2, 1e-12))
-    sp = from_coords(result.minimizer + fiber)
-    if basis.kernel_dim:
-        tc = T_project(basis, sp)
-        sp = TorusSpinor(sp.plus, -tc, sp.minus)
+    sp = _kernel_reduced(basis, from_coords(result.minimizer + fiber))
     energy, grad = phi_functional(basis, sp)
     grad_norm = math.sqrt(basis.h_norm_sq(grad))
     quartic = basis.quartic_integral(sp)

@@ -88,18 +88,19 @@ class IndefiniteProblem:
         if mask.dtype != bool or mask.ndim != 1 or mask.size < 2:
             raise ValueError("x_mask must be a 1-d boolean array, size >= 2")
         object.__setattr__(self, "x_mask", mask)
-        if not self.p > 2.0:
-            raise ValueError("superquadraticity needs p > 2")
-        if not self.K > 0.0:
-            raise ValueError("growth constant K must be positive")
+        if not 2.0 < self.p < math.inf:
+            raise ValueError("superquadraticity needs finite p > 2")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError("growth constant K must be finite and positive")
         if not 0.5 < self.mu < 1.0:
             raise ValueError("growth exponent mu must lie in (1/2, 1)")
-        if not self.kappa > 1.0:
-            raise ValueError("curvature constant kappa must exceed 1")
+        if not 1.0 < self.kappa < math.inf:
+            raise ValueError("curvature constant kappa must be finite, > 1")
+        # "not <=" so that a NaN fails too
         zero = np.zeros(self.n)
-        if abs(self.psi(zero)) > 1e-12:
+        if not abs(self.psi(zero)) <= 1e-12:
             raise ValueError("Psi must vanish at the origin")
-        if np.linalg.norm(self.grad_psi(zero)) > 1e-12:
+        if not np.linalg.norm(self.grad_psi(zero)) <= 1e-12:
             raise ValueError("grad Psi must vanish at the origin")
 
     # -- splitting helpers ------------------------------------------------
@@ -127,17 +128,11 @@ class IndefiniteProblem:
 def toy_problem(n: int = 2) -> IndefiniteProblem:
     """X = span(e1), Y its complement, Psi = |z|^4 / 4.
 
-    The reduced functional along X is x^2/2 - x^4/4 in closed form, with
-    ground level 1/4 at x = +-1.  The curvature constant 5/3 is sharp for
-    this quartic.
+    The diagonal problem of (1, -1, ..., -1), with identity scaling.  Its
+    reduced functional along X is x^2/2 - x^4/4, with ground level 1/4
+    at x = +-1.  The curvature constant 5/3 is sharp for this quartic.
     """
-    return IndefiniteProblem(
-        x_mask=np.arange(n) == 0,
-        psi=lambda z: 0.25 * float(z @ z) ** 2,
-        grad_psi=lambda z: float(z @ z) * z,
-        hess_psi=lambda z, v: float(z @ z) * v + 2.0 * float(z @ v) * z,
-        p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
-    )
+    return diagonal_quartic_problem([1.0] + [-1.0] * (n - 1))
 
 
 def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
@@ -147,11 +142,14 @@ def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
     the unit indefinite form by z_i -> z_i / sqrt(|d_i|); the |z|^4 / 4
     nonlinearity becomes |S z|^4 / 4 with S the scaling.  The curvature
     constant is unchanged by the linear substitution; the growth constant
-    picks up the largest scaling factor.
+    picks up the largest scaling factor.  Entries must be finite: an
+    infinite one would drop its coordinate out of Psi.
     """
     d = np.asarray(spectrum, dtype=float)
     if d.ndim != 1 or d.size < 2:
         raise ValueError("spectrum must be a vector of length >= 2")
+    if not np.isfinite(d).all():
+        raise ValueError("spectrum entries must be finite")
     if np.any(d == 0.0):
         raise ValueError("spectrum entries must be nonzero")
     if not (np.any(d > 0.0) and np.any(d < 0.0)):
@@ -447,18 +445,21 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     return w
 
 
-def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12):
+def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
+            w0: np.ndarray = None):
     """Value, gradient and Nehari functional of the reduced problem.
 
     J(phi) = L(phi + beta(phi)), grad J(phi) = phi - P grad Psi, and
-    K(phi) = <grad J(phi), phi>.
+    K(phi) = <grad J(phi), phi>.  The fiber w = beta(phi) is solved to
+    ``tol`` from the warm start ``w0`` (zero by default) and returned as
+    well: (value, grad, K, w).
     """
     phi = np.asarray(phi, dtype=float)
-    w = beta(problem, phi, tol=tol)
+    w = beta(problem, phi, tol=tol, w0=w0)
     z = phi + w
     value = problem.energy(z)
     grad = phi - problem.project(problem.grad_psi(z))
-    return value, grad, float(grad @ phi)
+    return value, grad, float(grad @ phi), w
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +533,10 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     last = {"w": None}
 
     def k_of(t, w0=None):
-        w = beta(problem, t * phi, tol=fiber_tol,
-                 w0=last["w"] if w0 is None else w0)
+        _, _, k, w = reduced(problem, t * phi, tol=fiber_tol,
+                             w0=last["w"] if w0 is None else w0)
         last["w"] = fibers[t] = w
-        g = t * phi - problem.project(problem.grad_psi(t * phi + w))
-        return float(g @ (t * phi))
+        return k
 
     t = float(t0)
     k = k_of(t)
@@ -671,13 +671,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         gn = math.inf
         for _ in range(max_iter):
             total += 1
-            phi = t * u
-            w = beta(problem, phi,
-                     tol=max(inner, min(1e-8, 1e-3 * gn)), w0=w)
-            z = phi + w
-            g = phi - problem.project(problem.grad_psi(z))
+            value, g, _, w = reduced(
+                problem, t * u, tol=max(inner, min(1e-8, 1e-3 * gn)), w0=w)
             gn = float(np.linalg.norm(g))
-            value = problem.energy(z)
             if gn <= tol:
                 break
             if prev_u is None:

@@ -69,6 +69,9 @@ def test_sphere_volume_known_values():
     assert sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-14)
     assert sphere_volume(3) == pytest.approx(2.0 * math.pi ** 2, rel=1e-14)
     assert sphere_volume(5) == pytest.approx(math.pi ** 3, rel=1e-14)
+    # S^k is the unit sphere of R^(k+1): one formula for both
+    for k in range(1, 13):
+        assert sphere_volume(k) == sphere_area(k + 1)
 
 
 def test_critical_energy_surface_case():

@@ -517,6 +517,26 @@ def test_problem_hessian_fd():
         assert abs(slope - 2.0) <= 0.3
 
 
+@pytest.mark.parametrize("lam_max, delta", [(1.0, (0.0, 0.0)),
+                                            (2.0, (0.5, 0.5))])
+def test_grad_psi_reuses_the_cached_cubic(lam_max, delta, monkeypatch):
+    # the cache holds the coefficients of |psi|^2 psi, so the gradient at
+    # a point whose value is known runs no transform back to the basis
+    problem, _, _ = ground_state_problem(build_dirac(lam_max, delta))
+    u = np.random.default_rng(49).standard_normal(problem.n)
+    problem.psi(u)
+    calls = []
+    from_grid = dirac_torus.SpectralBasis.from_grid
+
+    def counted(self, grid):
+        calls.append(1)
+        return from_grid(self, grid)
+
+    monkeypatch.setattr(dirac_torus.SpectralBasis, "from_grid", counted)
+    problem.grad_psi(u)
+    assert calls == []
+
+
 def test_hess_psi_kernel_gram_matches_loop_solve():
     # the cached Gram step against a solve that assembles the 4x4
     # system entry by entry from grid sums

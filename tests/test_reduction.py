@@ -97,28 +97,69 @@ def coupled_quartic_problem(n, k, seed):
 # ---------------------------------------------------------------------------
 # problem construction and validation
 
+# the valid fields of the two-dimensional quartic problem
+GOOD = dict(
+    x_mask=np.array([True, False]),
+    psi=lambda z: 0.25 * float(z @ z) ** 2,
+    grad_psi=lambda z: float(z @ z) * z,
+    hess_psi=lambda z, v: float(z @ z) * v + 2.0 * float(z @ v) * z,
+    p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
+)
+
+
 def test_problem_validation():
-    good = dict(
-        x_mask=np.array([True, False]),
-        psi=lambda z: 0.25 * float(z @ z) ** 2,
-        grad_psi=lambda z: float(z @ z) * z,
-        hess_psi=lambda z, v: float(z @ z) * v + 2.0 * float(z @ v) * z,
-        p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0,
-    )
-    assert IndefiniteProblem(**good).n == 2
+    assert IndefiniteProblem(**GOOD).n == 2
     for bad in (dict(p=2.0), dict(K=0.0), dict(mu=0.5), dict(mu=1.0),
                 dict(kappa=1.0)):
         with pytest.raises(ValueError):
-            IndefiniteProblem(**{**good, **bad})
+            IndefiniteProblem(**{**GOOD, **bad})
     # the mask must be a 1-d boolean array of size >= 2
     for mask in (np.array([1.0, 0.0]), np.array([[True, False]]),
                  np.array([True])):
         with pytest.raises(ValueError, match="x_mask"):
-            IndefiniteProblem(**{**good, "x_mask": mask})
+            IndefiniteProblem(**{**GOOD, "x_mask": mask})
     with pytest.raises(ValueError):
-        IndefiniteProblem(**{**good, "psi": lambda z: 1.0 + float(z @ z)})
+        IndefiniteProblem(**{**GOOD, "psi": lambda z: 1.0 + float(z @ z)})
     with pytest.raises(ValueError):
-        IndefiniteProblem(**{**good, "grad_psi": lambda z: z + 1.0})
+        IndefiniteProblem(**{**GOOD, "grad_psi": lambda z: z + 1.0})
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(psi=lambda z: math.nan), "Psi must vanish"),
+    (dict(grad_psi=lambda z: np.full(z.shape, math.nan)), "grad Psi"),
+    (dict(p=math.inf), "superquadraticity"),
+    (dict(K=math.inf), "growth constant"),
+    (dict(kappa=math.inf), "curvature constant"),
+])
+def test_problem_rejects_nan_and_infinite_constants(bad, match):
+    # NaN compares False both ways, so "> tol" checks let it through
+    with pytest.raises(ValueError, match=match):
+        IndefiniteProblem(**{**GOOD, **bad})
+
+
+@pytest.mark.parametrize("spectrum", [
+    [1.0, -1.0, math.nan], [1.0, -math.inf], [1.0, -1.0, math.inf],
+    [math.inf, -1.0],
+])
+def test_diagonal_problem_rejects_nonfinite_spectrum(spectrum):
+    with pytest.raises(ValueError, match="spectrum entries must be finite"):
+        diagonal_quartic_problem(spectrum)
+
+
+def test_toy_callbacks_are_the_plain_quartic():
+    # the toy is the diagonal problem of (1, -1, -1), whose scaling is
+    # the identity: its callbacks are the unscaled quartic, bit for bit
+    prob = toy_problem(3)
+    assert prob.x_mask.tolist() == [True, False, False]
+    assert (prob.p, prob.K, prob.mu, prob.kappa) == (4.0, 1.0, 0.75, 5.0 / 3.0)
+    rng = np.random.default_rng(81)
+    for _ in range(5):
+        z, v = rng.standard_normal((2, 3))
+        zz = float(z @ z)
+        assert prob.psi(z) == 0.25 * zz ** 2
+        assert np.array_equal(prob.grad_psi(z), zz * z)
+        assert np.array_equal(prob.hess_psi(z, v),
+                              zz * v + 2.0 * float(z @ v) * z)
 
 
 def test_energy_closed_form():
@@ -303,13 +344,25 @@ def test_beta_rejects_nonfinite_direction(bad):
 def test_reduced_toy_closed_form():
     prob = toy_problem()
     for x in (0.2, 0.7, 1.0, 1.6):
-        value, grad, k = reduced(prob, np.array([x, 0.0]))
+        value, grad, k, _ = reduced(prob, np.array([x, 0.0]))
         assert math.isclose(value, 0.5 * x * x - 0.25 * x ** 4,
                             rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(grad[0], x - x ** 3, rel_tol=1e-12,
                             abs_tol=1e-12)
         assert abs(grad[1]) <= 1e-12
         assert math.isclose(k, x * x - x ** 4, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_reduced_returns_its_fiber():
+    # the fiber is beta's from the same warm start, and K = <grad J, phi>
+    prob, _ = coupled_quartic_problem(n=8, k=3, seed=53)
+    rng = np.random.default_rng(54)
+    phi = prob.project(rng.standard_normal(8))
+    w0 = prob.complement(rng.standard_normal(8))
+    for start in (None, w0):
+        _, grad, k, w = reduced(prob, phi, tol=1e-11, w0=start)
+        assert np.array_equal(w, beta(prob, phi, tol=1e-11, w0=start))
+        assert k == float(grad @ phi)
 
 
 def test_reduced_gradient_norm_identity():
@@ -319,7 +372,7 @@ def test_reduced_gradient_norm_identity():
     rng = np.random.default_rng(52)
     for _ in range(5):
         phi = prob.project(rng.standard_normal(8)) * rng.uniform(0.3, 1.5)
-        value, grad, _ = reduced(prob, phi, tol=1e-13)
+        value, grad, _, _ = reduced(prob, phi, tol=1e-13)
         w = beta(prob, phi, tol=1e-13)
         full = prob.energy_gradient(phi + w)
         assert abs(np.linalg.norm(grad) - np.linalg.norm(full)) <= 1e-10
@@ -332,14 +385,14 @@ def test_reduced_fd_gradient_order():
     phi = prob.project(rng.standard_normal(6)) * 0.9
     d = prob.project(rng.standard_normal(6))
     d /= np.linalg.norm(d)
-    _, grad, _ = reduced(prob, phi, tol=1e-13)
+    _, grad, _, _ = reduced(prob, phi, tol=1e-13)
     exact = float(grad @ d)
 
     errs = []
     hs = (1e-2, 1e-3)
     for h in hs:
-        jp, _, _ = reduced(prob, phi + h * d, tol=1e-13)
-        jm, _, _ = reduced(prob, phi - h * d, tol=1e-13)
+        jp, _, _, _ = reduced(prob, phi + h * d, tol=1e-13)
+        jm, _, _, _ = reduced(prob, phi - h * d, tol=1e-13)
         errs.append(abs((jp - jm) / (2.0 * h) - exact))
     slope = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
     assert abs(slope - 2.0) <= 0.3
@@ -369,7 +422,7 @@ def test_fiber_data_at_point():
     residual = w + prob.complement(prob.grad_psi(phi + w))
     assert np.linalg.norm(residual) <= 1e-12
     assert float(w @ w) <= 2.0 * prob.psi(phi) + 1e-10
-    value, _, k = reduced(prob, phi, tol=1e-12)
+    value, _, k, _ = reduced(prob, phi, tol=1e-12)
     assert math.isclose(value, 0.5 * 0.49 - 0.25 * 0.7 ** 4, rel_tol=1e-12)
     assert math.isclose(k, 0.49 - 0.7 ** 4, rel_tol=1e-12)
     assert math.isclose(nehari_project(prob, phi), 1.0 / 0.7, rel_tol=1e-9)
@@ -889,15 +942,27 @@ def test_solver_kernels_stay_private():
     assert "brentq" not in reduction.__all__
     # it also binds by name the basis transforms, the audit engine's
     # methods and the problem callbacks of ground_state_problem's 3-tuple:
-    # installing it and building a kernel problem fails on any rename
+    # installing it and building a kernel problem fails on any rename, and
+    # calling the callbacks must record a span for every layer the torus
+    # workloads report, so a cache that bypasses one fails too
     root = pathlib.Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), str(root / "bench")]
     code = ("import sys\n"
             f"sys.path[:0] = {paths!r}\n"
             "import tracer\n"
-            "tracer.install(tracer.Tracer())\n"
+            "import numpy as np\n"
+            "tr = tracer.Tracer()\n"
+            "tracer.install(tr)\n"
             "from spinlab import dirac_torus as dt\n"
-            "dt.ground_state_problem(dt.build_dirac(1.0, (0, 0)))\n")
+            "basis = dt.build_dirac(1.0, (0, 0))\n"
+            "prob, _, _ = dt.ground_state_problem(basis)\n"
+            "u = np.linspace(0.5, 1.5, prob.n)\n"
+            "prob.psi(u), prob.grad_psi(u), prob.hess_psi(u, u[::-1].copy())\n"
+            "seen = {span[0] for span in tr.spans}\n"
+            "names = ['dirac_torus.' + s for s in ('psi', 'grad_psi', "
+            "'hess_psi', 'to_grid', 'from_grid', 'T_project')]\n"
+            "missing = [n for n in names if n not in seen]\n"
+            "assert not missing, missing\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert out.returncode == 0, out.stderr
