@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -95,21 +96,33 @@ def critical_energy(m: int) -> float:
     return (0.5 / m) * (0.5 * m) ** m * sphere_volume(m)
 
 
-def radial_I(m: int, r_upper: float = math.inf) -> float:
-    """Adaptive quadrature of int_0^R r^{m-1} (1+r^2)^{-m} dr."""
-    from scipy import integrate
+def _radial_moment(m: int, k: int, upper) -> float:
+    """int_0^upper r^(m-1+k) (1+r^2)^(-m) dr: (1/2) B((m+k)/2, (m-k)/2) at
+    infinity, else Gauss-Legendre on r = tan(theta), where the integrand is
+    sin^(m-1+k) cos^(m-1-k), on panels cut at r = s/2, s, 2s, ..., upper/2
+    (s < 2): theta itself up to s, then pi/2 - theta = arctan(1/r), exact to
+    rounding near the pole at pi/2, each panel as long as its distance to it."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"need an integer m >= 1, got {m!r}")
+    if not upper > 0.0:
+        raise ValueError(f"upper radius must be positive, got {upper!r}")
+    if math.isinf(upper):
+        if m <= k:
+            raise ValueError(f"moment diverges at infinite radius for m <= {k}")
+        return 0.5 * math.gamma((m + k) / 2) * math.gamma((m - k) / 2) / math.gamma(m)
+    cuts = upper / 2.0 ** np.arange(max(math.floor(math.log2(upper)), 0), -1, -1)
+    theta, w = panel_nodes(np.arctan([0.0, cuts[0] / 2, cuts[0]]))
+    total = w @ (np.sin(theta) ** (m - 1 + k) * np.cos(theta) ** (m - 1 - k))
+    if cuts.size > 1:
+        phi, w = panel_nodes(np.arctan(1.0 / cuts[::-1]))
+        total += w @ (np.sin(phi) ** (m - 1 - k) * np.cos(phi) ** (m - 1 + k))
+    return float(total)
 
-    if m < 1:
-        raise ValueError("need m >= 1")
-    val, _ = integrate.quad(
-        lambda r: r ** (m - 1) / (1.0 + r * r) ** m,
-        0.0,
-        r_upper,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return float(val)
+
+def radial_I(m: int, r_upper: float = math.inf) -> float:
+    """int_0^R r^{m-1} (1+r^2)^{-m} dr: Gamma(m/2)^2 / (2 Gamma(m)) at
+    R = inf, theta-substituted Gauss-Legendre below."""
+    return _radial_moment(m, 0, r_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -135,42 +148,26 @@ class MomentTable:
 
     def tensor(self) -> np.ndarray:
         """Dense (m,m,m,m) moment tensor."""
-        m = self.m
-        d = np.eye(m)
+        d = np.eye(self.m)
         t = self.M22 * (
             np.einsum("ab,kl->abkl", d, d)
             + np.einsum("ak,bl->abkl", d, d)
             + np.einsum("al,bk->abkl", d, d)
         )
-        extra = self.M4 - 3.0 * self.M22
-        if extra != 0.0:
-            for a in range(m):
-                t[a, a, a, a] += extra
+        t[np.diag_indices(self.m, 4)] += self.M4 - 3.0 * self.M22
         return t
 
 
 def moment_table(m: int, rho: float = math.inf, n_polar: int = 3) -> MomentTable:
-    """Quadrature moments; the radius must be finite when m <= 4.
+    """Quartic moments; the radius must be finite when m <= 4.
 
     The radial factor int_0^rho r^{m+3} (1+r^2)^{-m} dr only converges at
-    infinity for m >= 5; for the borderline dimensions pass a finite rho.
+    infinity for m >= 5, where it is a Beta function; a finite rho (needed
+    for the borderline dimensions) takes theta-substituted Gauss-Legendre.
     The angular factors come from the product sphere rule, so the ratio
     M4 = 3 M22 is a live check of that rule rather than an input.
     """
-    from scipy import integrate
-
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if not np.isfinite(rho) and m <= 4:
-        raise ValueError("quartic moment diverges at infinite radius for m <= 4")
-    radial, _ = integrate.quad(
-        lambda r: r ** (m + 3) / (1.0 + r * r) ** m,
-        0.0,
-        rho,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=400,
-    )
+    radial = _radial_moment(m, 4, rho)
     rule = sphere_rule(m, n_polar, 2 * n_polar)
     u = rule.points
     a4 = float(rule.integrate(u[:, 0] ** 4))

@@ -246,9 +246,6 @@ class SpectralBasis:
     def h_norm_sq(self, sp: TorusSpinor) -> float:
         return self.h_inner(sp, sp)
 
-    def quartic_integral(self, sp: TorusSpinor) -> float:
-        return _quartic_part(self, sp)[2]
-
 
 def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBasis:
     """Enumerate the modes below the cutoff and diagonalize the symbol.
@@ -317,8 +314,8 @@ def _quartic_part(basis: SpectralBasis, sp: TorusSpinor):
     return z, dens, quartic, basis.from_grid(dens[None, :, :] * z)
 
 
-def phi_functional(basis: SpectralBasis, sp: TorusSpinor):
-    """Value and H^(1/2) gradient of Phi at a truncated spinor."""
+def _phi_parts(basis: SpectralBasis, sp: TorusSpinor):
+    """Phi, its H^(1/2) gradient and int |psi|^4 from one quartic pass."""
     _, _, quartic, cubic = _quartic_part(basis, sp)
     qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
     qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
@@ -326,7 +323,12 @@ def phi_functional(basis: SpectralBasis, sp: TorusSpinor):
     grad = TorusSpinor(sp.plus - cubic.plus / basis.lam,
                        -cubic.kernel,
                        -sp.minus - cubic.minus / basis.lam)
-    return value, grad
+    return value, grad, quartic
+
+
+def phi_functional(basis: SpectralBasis, sp: TorusSpinor):
+    """Value and H^(1/2) gradient of Phi at a truncated spinor."""
+    return _phi_parts(basis, sp)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +615,8 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     # negative block
     fiber = beta(problem, result.minimizer, tol=min(tol * 1e-2, 1e-12))
     sp = _kernel_reduced(basis, from_coords(result.minimizer + fiber))
-    energy, grad = phi_functional(basis, sp)
+    energy, grad, quartic = _phi_parts(basis, sp)
     grad_norm = math.sqrt(basis.h_norm_sq(grad))
-    quartic = basis.quartic_integral(sp)
 
     if grad_norm > 10.0 * tol:
         raise RuntimeError(f"mapped critical point has gradient norm "

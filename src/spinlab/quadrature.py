@@ -1,6 +1,7 @@
 """Product quadrature on spheres and pinned-edge radial panels.
 
-The angular rule tensors Gauss-Jacobi nodes in the polar cosines with a
+The angular rule tensors Gauss-Jacobi nodes in the polar cosines, taken
+from the Golub-Welsch eigenproblem (Math. Comp. 23, 1969), with a
 uniform rule on the final circle.  With ``n_polar`` nodes per polar axis
 it integrates polynomials of total degree <= 2 n_polar - 1 exactly
 against the surface measure, and the node set is closed under the
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = [
     "SphereRule",
@@ -43,13 +44,19 @@ class SphereRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
     def integrate(self, values: np.ndarray):
         """Contract the trailing axis of ``values`` with the weights."""
         return np.asarray(values) @ self.weights
+
+
+def _gauss_gegenbauer(n: int, alpha: float):
+    """Golub-Welsch rule for the weight (1 - t^2)^alpha on [-1, 1], weights
+    B(1/2, alpha + 1) v_0^2, made exactly antipodal: -t is a node of t's weight."""
+    k = np.arange(1.0, n)
+    off = np.sqrt(k * (k + 2.0 * alpha) / (4.0 * (k + alpha) ** 2 - 1.0))
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = math.sqrt(math.pi) * math.gamma(alpha + 1) / math.gamma(alpha + 1.5) * v[0] ** 2
+    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
 
 
 def sphere_rule(m: int, n_polar: int = 5, n_circle: int = 10) -> SphereRule:
@@ -59,30 +66,25 @@ def sphere_rule(m: int, n_polar: int = 5, n_circle: int = 10) -> SphereRule:
     antipodal symmetry; it must also stay at least 2*n_polar so the final
     angle never becomes the accuracy bottleneck.
     """
-    if m < 2:
-        raise ValueError("sphere rule needs m >= 2")
-    if n_circle % 2:
-        n_circle += 1
-    n_circle = max(n_circle, 2 * n_polar)
+    for name, value, low in (("m", m, 2), ("n_polar", n_polar, 1),
+                             ("n_circle", n_circle, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < low:
+            raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+    n_circle = max(n_circle + n_circle % 2, 2 * n_polar)
 
     phi = 2.0 * math.pi * np.arange(n_circle) / n_circle
-    circle = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    pts = circle
+    pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     wts = np.full(n_circle, 2.0 * math.pi / n_circle)
 
     # prepend polar axes innermost-last so axis j carries weight
     # (1 - t^2)^((m - 2 - j)/2), j = 1 .. m-2
     for j in range(m - 2, 0, -1):
-        alpha = 0.5 * (m - 2 - j)
-        t, w = roots_jacobi(n_polar, alpha, alpha)
+        t, w = _gauss_gegenbauer(n_polar, 0.5 * (m - 2 - j))
         s = np.sqrt(1.0 - t ** 2)
-        pts = np.concatenate(
-            [
-                np.repeat(t, pts.shape[0])[:, None],
-                np.kron(s, np.ones(pts.shape[0]))[:, None] * np.tile(pts, (n_polar, 1)),
-            ],
-            axis=1,
-        )
+        pts = np.concatenate([np.repeat(t, len(pts))[:, None],
+                              (s[:, None, None] * pts).reshape(-1, pts.shape[1])],
+                             axis=1)
         wts = np.kron(w, wts)
 
     return SphereRule(m, pts, wts)

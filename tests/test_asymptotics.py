@@ -24,6 +24,7 @@ from spinlab.asymptotics import (
     MomentTable,
     _angular_slots,
     _AuditEngine,
+    _radial_moment,
     audit_inputs,
     critical_energy,
     default_eps_grid,
@@ -95,6 +96,33 @@ def test_radial_I_finite_upper():
 def test_radial_I_validates():
     with pytest.raises(ValueError):
         radial_I(0)
+    for m in (2.5, True, 5.0):
+        with pytest.raises(ValueError, match="integer m"):
+            radial_I(m)
+    for upper in (math.nan, -1.0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="upper radius"):
+            radial_I(5, upper)
+
+
+def _adaptive(a, b, upper):
+    val, _ = integrate.quad(lambda r: r ** a / (1.0 + r * r) ** b, 0.0, upper,
+                            epsabs=0.0, epsrel=1e-12, limit=400)
+    return val
+
+
+def test_radial_constants_match_adaptive_quadrature():
+    # the finite limits the tests use, and the Beta closed forms at infinity
+    for m, upper in ((1, 1.0), (2, 1.0)):
+        assert radial_I(m, upper) == pytest.approx(
+            _adaptive(m - 1, m, upper), rel=1e-13, abs=0.0)
+    for m, rho in ((2, 2.5), (3, 2.5), (4, 2.5), (4, 3.0), (4, 10.0)):
+        assert _radial_moment(m, 4, rho) == pytest.approx(
+            _adaptive(m + 3, m, rho), rel=1e-13, abs=0.0)
+    for m in range(5, 10):
+        assert radial_I(m) == pytest.approx(
+            _adaptive(m - 1, m, math.inf), rel=1e-13, abs=0.0)
+        assert _radial_moment(m, 4, math.inf) == pytest.approx(
+            _adaptive(m + 3, m, math.inf), rel=1e-13, abs=0.0)
 
 
 def test_volume_doubling_identity():
@@ -150,18 +178,17 @@ def test_moment_ratio_is_three():
 
 
 def test_moment_table_finite_radius_closed_form():
-    # m = 4: substitute t = r^2, integrand t^3 (1+t)^{-4} / 2
-    rho = 3.0
-    t = rho * rho
-
+    # m = 4: substitute t = r^2, integrand t^3 (1+t)^{-4} / 2; the far
+    # radius puts nearly all the mass next to the pole of the angle rule
     def anti(u):
         return math.log(1.0 + u) + 3.0 / (1.0 + u) \
             - 1.5 / (1.0 + u) ** 2 + 1.0 / (3.0 * (1.0 + u) ** 3)
 
-    radial = 0.5 * (anti(t) - anti(0.0))
-    tab = moment_table(4, rho=rho)
-    assert tab.M22 == pytest.approx(radial * math.pi ** 2 / 12.0, rel=1e-10)
-    assert tab.M4 == pytest.approx(radial * math.pi ** 2 / 4.0, rel=1e-10)
+    for rho in (3.0, 1e12):
+        radial = 0.5 * (anti(rho * rho) - anti(0.0))
+        tab = moment_table(4, rho=rho)
+        assert tab.M22 == pytest.approx(radial * math.pi ** 2 / 12.0, rel=1e-10)
+        assert tab.M4 == pytest.approx(radial * math.pi ** 2 / 4.0, rel=1e-10)
 
 
 def test_moment_table_validations():
@@ -169,6 +196,15 @@ def test_moment_table_validations():
         moment_table(4)
     with pytest.raises(ValueError):
         moment_table(1, rho=2.0)
+    for m in (5.5, True):
+        with pytest.raises(ValueError, match="integer m"):
+            moment_table(m)
+    for rho in (math.nan, -2.0):
+        with pytest.raises(ValueError, match="upper radius"):
+            moment_table(5, rho=rho)
+    for n_polar in (0, True, 3.0):
+        with pytest.raises(ValueError, match="integer n_polar"):
+            moment_table(5, n_polar=n_polar)
 
 
 def test_moment_tensor_entries():
@@ -504,7 +540,8 @@ def test_engine_factored_contractions_at_m8():
 # residual norms on the audit-m6 grid geomspace(1e-2, 1e-3, 4) at the
 # default rule, recorded from the table-GEMM q-norms that the pointwise
 # Gram replaced; A6 is rounding dust (B_d(u) u = 0), so its entries also
-# pin the arithmetic of the Q/Z tables
+# pin the arithmetic of the Q/Z tables and the bits of the sphere nodes
+# (its row is recorded from the Golub-Welsch nodes)
 _AUDIT_M6 = {
     "A1": (0.004646270608569246, 0.0006820432815879128,
            0.00010011228764636129, 1.4694538277384681e-05),
@@ -516,8 +553,8 @@ _AUDIT_M6 = {
            0.00013639929294717668, 2.0076863237291316e-05),
     "A5": (9.967090708883174e-06, 1.4635465124519243e-06,
            2.1483823050233087e-07, 3.1534554554392e-08),
-    "A6": (6.1433081621200045e-19, 9.017891071223794e-20,
-           1.3236690418674916e-20, 1.9428879294150135e-21),
+    "A6": (6.171589380696176e-19, 9.059405666373929e-20,
+           1.3297626599961234e-20, 1.951832172076917e-21),
     "total": (0.008041917728177861, 0.0011885761068894827,
               0.00017507924373436144, 2.5745181389727923e-05),
     "num": (129590.60567484115, 129590.60433862716,
@@ -532,6 +569,8 @@ def test_qnorms_match_recorded_audit_m6():
     for name, want in _AUDIT_M6.items():
         for g, w in zip(got[name], want):
             assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), name
+    # whatever the node bits, A6 stays rounding dust beside A5
+    assert np.all(np.asarray(got["A6"]) <= 1e-12 * np.asarray(got["A5"]))
 
 
 def test_qnorms_of_hand_built_fields(m5_inputs):

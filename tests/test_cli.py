@@ -391,8 +391,18 @@ def test_module_invocation_subprocess():
 ])
 def test_solve_runs_without_scipy(argv):
     # the solver path (fiber CG, Nehari bracket and Brent) is numpy only
+    _assert_runs_without_scipy(argv)
+
+
+@pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])
+def test_audits_run_without_scipy(audit):
+    # sphere nodes by Golub-Welsch, radial constants in closed form
+    _assert_runs_without_scipy(["audit", audit])
+
+
+def _assert_runs_without_scipy(argv):
     code = ("import sys; from spinlab.cli import run; rc = run(sys.argv[1:]); "
-            "print(rc, any(k.split('.')[0] == 'scipy' for k in sys.modules),"
+            "print(rc, any(k.startswith('scipy') for k in sys.modules),"
             " file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True)

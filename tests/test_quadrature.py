@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
-from spinlab.quadrature import panel_nodes, shell_edges, sphere_area, sphere_rule
+from spinlab.quadrature import (
+    _gauss_gegenbauer,
+    panel_nodes,
+    shell_edges,
+    sphere_area,
+    sphere_rule,
+)
 
 
 def monomial_integral(exponents):
@@ -61,6 +68,40 @@ def test_antipodal_closure():
 def test_rejects_low_dimension():
     with pytest.raises(ValueError):
         sphere_rule(1)
+
+
+@pytest.mark.parametrize("args", [
+    (2.5,), (True,),
+    (4, 0), (4, True), (4, 2.0),
+    (4, 3, 0), (4, 3, True), (4, 3, float("nan")), (4, 3, 6.0),
+])
+def test_rejects_bad_sizes(args):
+    with pytest.raises(ValueError, match="need an integer"):
+        sphere_rule(*args)
+
+
+# -- polar rule ----------------------------------------------------------------
+
+_RULES = [(n, 0.5 * k) for n in range(1, 9) for k in range(8)]
+
+
+def test_gegenbauer_rule_matches_scipy():
+    for n, alpha in _RULES:
+        t, w = _gauss_gegenbauer(n, alpha)
+        t_ref, w_ref = roots_jacobi(n, alpha, alpha)
+        assert np.abs(t - t_ref).max() <= 1e-15, (n, alpha)
+        assert np.abs(w / w_ref - 1.0).max() <= 1e-13, (n, alpha)
+
+
+def test_gegenbauer_rule_moments_and_symmetry():
+    for n, alpha in _RULES:
+        t, w = _gauss_gegenbauer(n, alpha)
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        for k in range(n):
+            # int t^{2k} (1 - t^2)^alpha dt = B(k + 1/2, alpha + 1), 2k <= 2n - 1
+            exact = math.gamma(k + 0.5) * math.gamma(alpha + 1.0) \
+                / math.gamma(k + alpha + 1.5)
+            assert w @ t ** (2 * k) == pytest.approx(exact, rel=1e-13), (n, alpha, k)
 
 
 # -- radial panels -----------------------------------------------------------
