@@ -92,7 +92,11 @@ def sphere_volume(k: int) -> float:
 
 
 def critical_energy(m: int) -> float:
-    """Compactness threshold (1/2m)(m/2)^m vol(S^m) of the critical term."""
+    """Compactness threshold (1/2m)(m/2)^m vol(S^m) of the critical term,
+    for 1 <= m <= 161 (from m = 162 on, (m/2)^m overflows a double)."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) \
+            or not 1 <= m <= 161:
+        raise ValueError(f"need an integer m with 1 <= m <= 161, got {m!r}")
     return (0.5 / m) * (0.5 * m) ** m * sphere_volume(m)
 
 
@@ -109,6 +113,8 @@ def _radial_moment(m: int, k: int, upper) -> float:
     if math.isinf(upper):
         if m <= k:
             raise ValueError(f"moment diverges at infinite radius for m <= {k}")
+        if m > 171:  # where math.gamma(m) overflows a double
+            raise ValueError(f"closed form at infinite radius needs m <= 171, got {m}")
         return 0.5 * math.gamma((m + k) / 2) * math.gamma((m - k) / 2) / math.gamma(m)
     cuts = upper / 2.0 ** np.arange(max(math.floor(math.log2(upper)), 0), -1, -1)
     theta, w = panel_nodes(np.arctan([0.0, cuts[0] / 2, cuts[0]]))
@@ -178,6 +184,10 @@ def moment_table(m: int, rho: float = math.inf, n_polar: int = 3) -> MomentTable
 # ---------------------------------------------------------------------------
 # slope fitting
 
+# how far a fitted residual order may miss its predicted exponent
+_ORDER_TOL = 0.15
+
+
 @dataclass(frozen=True)
 class OrderFit:
     """Log-log least-squares fit of samples over a decreasing grid."""
@@ -218,13 +228,18 @@ def _window(eps: np.ndarray, lower: bool) -> slice:
     return slice(eps.size - n, eps.size) if lower else slice(0, n)
 
 
-def _window_slope(eps, values, lower=True) -> float:
+def _slope(eps, values) -> float:
+    """Fitted order of ``values``; an identically zero term decays faster
+    than any power."""
     values = np.asarray(values, dtype=float)
     if np.abs(values).max() == 0.0:
-        # an identically zero term decays faster than any power
         return math.inf
+    return order_fit(eps, values).slope
+
+
+def _window_slope(eps, values, lower=True) -> float:
     w = _window(np.asarray(eps), lower)
-    return order_fit(np.asarray(eps)[w], values[w]).slope
+    return _slope(np.asarray(eps)[w], np.asarray(values, dtype=float)[w])
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +630,20 @@ class ResidualReport:
                 "slope_full_grid": self.slopes_full[name],
                 "expected": exp,
                 "within_tolerance": (None if exp is None or not math.isfinite(slope)
-                                     else bool(abs(slope - exp) <= 0.15)),
+                                     else bool(abs(slope - exp) <= _ORDER_TOL)),
             }
+        floor_ok = bool(self.slopes["total"] >= self.floor)
         return {
             "audit": "residual",
             "m": self.m,
             "eps": [float(e) for e in self.eps],
             "terms": terms,
             "total_floor": self.floor,
-            "total_floor_ok": bool(self.slopes["total"] >= self.floor),
+            "total_floor_ok": floor_ok,
             "log_factor_terms": [k for k, v in self.expected.items() if v is None],
+            # a term without a predicted order (None) passes
+            "ok": floor_ok and all(t["within_tolerance"] is not False
+                                   for t in terms.values()),
         }
 
 
@@ -679,6 +698,11 @@ class EnergyReport:
                    "predicted": self.j6_predicted,
                    "rel_err": self.j6_rel_err,
                    "negative": self.j6_negative},
+            "ok": bool(all(v <= 1e-12 for v in (self.j1_max, self.j5_max,
+                                                self.j7_max))
+                       and self.j2_rel_err <= 1e-6
+                       and abs(self.j6_slope - 4.0) <= 0.1
+                       and self.j6_rel_err <= 0.05 and self.j6_negative),
         }
 
 
@@ -702,6 +726,7 @@ class RayleighReport:
             yield "excess", float(e), float(x)
 
     def summary(self) -> dict:
+        above = bool(np.all(self.excess[-2:] > 0.0))
         return {
             "audit": "rayleigh",
             "m": self.m,
@@ -712,7 +737,9 @@ class RayleighReport:
             "den_rel_err": self.den_rel_err,
             "threshold": self.threshold,
             "excess": [float(x) for x in self.excess],
-            "excess_positive_smallest_two": bool(np.all(self.excess[-2:] > 0.0)),
+            "excess_positive_smallest_two": above,
+            "ok": bool(self.num_rel_err <= 0.01 and self.den_rel_err <= 0.01
+                       and above),
         }
 
 
@@ -769,10 +796,8 @@ def residual_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
         k: None for k in A_TERMS + ("total",)}
     slopes = {k: _window_slope(eps, vals[k], lower=True)
               for k in A_TERMS + ("total",)}
-    full = {k: math.inf if np.abs(np.asarray(vals[k])).max() == 0.0
-            else order_fit(eps, vals[k]).slope
-            for k in A_TERMS + ("total",)}
-    floor = min((m - 1) / 2.0, 3.0) - 0.15
+    full = {k: _slope(eps, vals[k]) for k in A_TERMS + ("total",)}
+    floor = min((m - 1) / 2.0, 3.0) - _ORDER_TOL
     return ResidualReport(m, eps, {k: vals[k] for k in A_TERMS + ("total",)},
                           slopes, full, expected, floor)
 

@@ -342,51 +342,22 @@ def _run_psi0(cfg):
                       rows)]
 
 
-def _audit_report(cfg, audit):
-    """Run one audit at the configured m, scales, seed and first scale."""
+def _run_audit(cfg):
+    """The audit the subcommand names, at the configured m, scales, seed
+    and first scale; its report states the verdict."""
     from . import asymptotics
 
+    audit = cfg.subcommand.split()[1]
     lo, hi = asymptotics.AUDIT_M_RANGE[audit]
     if not lo <= cfg["m"] <= hi:
         raise UsageError(f"{audit} audit needs {lo} <= m <= {hi}")
     fallback = (asymptotics.rayleigh_eps_grid if audit == "rayleigh"
                 else asymptotics.default_eps_grid)
-    return getattr(asymptotics, f"{audit}_audit")(
+    report = getattr(asymptotics, f"{audit}_audit")(
         cfg["m"], eps_grid=_eps_grid(cfg, fallback), seed=cfg["seed"],
         first_scale=cfg["first_scale"])
-
-
-def _audit_payload(cfg, report, ok):
-    payload = dict(report.summary(), ok=bool(ok), seed=cfg["seed"])
-    rows = [(name, e, v) for name, e, v in report.rows()]
-    name = payload["audit"]
-    return payload, [(f"{name}_terms.csv", ("term", "eps", "value"), rows)]
-
-
-def _run_audit_residual(cfg):
-    report = _audit_report(cfg, "residual")
-    summary = report.summary()
-    ok = (summary["total_floor_ok"]
-          and all(t["within_tolerance"] is not False
-                  for t in summary["terms"].values()))
-    return _audit_payload(cfg, report, ok)
-
-
-def _run_audit_energy(cfg):
-    report = _audit_report(cfg, "energy")
-    ok = (report.j1_max <= 1e-12 and report.j5_max <= 1e-12
-          and report.j7_max <= 1e-12 and report.j2_rel_err <= 1e-6
-          and abs(report.j6_slope - 4.0) <= 0.1
-          and report.j6_rel_err <= 0.05 and report.j6_negative)
-    return _audit_payload(cfg, report, ok)
-
-
-def _run_audit_rayleigh(cfg):
-    report = _audit_report(cfg, "rayleigh")
-    summary = report.summary()
-    ok = (summary["num_rel_err"] <= 0.01 and summary["den_rel_err"] <= 0.01
-          and summary["excess_positive_smallest_two"])
-    return _audit_payload(cfg, report, ok)
+    return dict(report.summary(), seed=cfg["seed"]), [
+        (f"{audit}_terms.csv", ("term", "eps", "value"), list(report.rows()))]
 
 
 def _nehari_payload(cfg, problem, extra):
@@ -454,9 +425,9 @@ class _Command(NamedTuple):
     options: dict  # key -> default; None when the option has no default
 
 
-def _audit(handler, blurb, first_scale):
-    """The three audits take one set of options."""
-    return _Command(handler, blurb, {
+def _audit(blurb, first_scale):
+    """The three audits share one handler and one set of options."""
+    return _Command(_run_audit, blurb, {
         "m": 6, "seed": 0, "first_scale": first_scale,
         "eps_lo": None, "eps_hi": None, "eps_count": None})
 
@@ -471,12 +442,9 @@ _COMMANDS = {
                                  "metric square-root jets",
                                  {"dims": (4, 5, 6), "tensors": 10,
                                   "tol": 1e-12, "seed": 0}),
-    "audit residual": _audit(_run_audit_residual,
-                             "equation residual decay orders", 100.0),
-    "audit energy": _audit(_run_audit_energy, "pairing decomposition terms",
-                           10.0),
-    "audit rayleigh": _audit(_run_audit_rayleigh,
-                             "quotient against the flat model", 100.0),
+    "audit residual": _audit("equation residual decay orders", 100.0),
+    "audit energy": _audit("pairing decomposition terms", 10.0),
+    "audit rayleigh": _audit("quotient against the flat model", 100.0),
     "psi0": _Command(_run_psi0, "algebraic kernel spinor search",
                      {"m": 5, "trials": 100, "tol": 1e-10, "seed": 0}),
     "solve toy": _Command(_run_solve_toy,

@@ -299,19 +299,21 @@ def _ricci_target_to_riemann(V_ab):
 
         T[i,a,b,j] = d_ib h_aj + d_aj h_ib - d_ij h_ab - d_ab h_ij
 
-    contracts to (m-2) h + tr(h) delta, which is solved for h.
+    contracts to (m-2) h + tr(h) delta, which is solved for h.  Trailing
+    axes of V_ab (shape (m, m, ...)) carry over to T as independent targets.
     """
     m = V_ab.shape[0]
     if m < 3:
         raise ValueError("ansatz needs m >= 3")
-    tr = np.trace(V_ab)
-    h = (V_ab - np.eye(m) * (tr / (2 * m - 2))) / (m - 2)
+    # the diagonal summed as its own contiguous row, as np.trace sums it
+    tr = np.ascontiguousarray(np.diagonal(V_ab, 0, 0, 1)).sum(-1)
     d = np.eye(m)
+    h = (V_ab - np.multiply.outer(d, tr / (2 * m - 2))) / (m - 2)
     T = (
-        np.einsum("ib,aj->iabj", d, h)
-        + np.einsum("aj,ib->iabj", d, h)
-        - np.einsum("ij,ab->iabj", d, h)
-        - np.einsum("ab,ij->iabj", d, h)
+        np.einsum("ib,aj...->iabj...", d, h)
+        + np.einsum("aj,ib...->iabj...", d, h)
+        - np.einsum("ij,ab...->iabj...", d, h)
+        - np.einsum("ab,ij...->iabj...", d, h)
     )
     return T
 
@@ -350,11 +352,7 @@ def make_cnc_jets(R: RiemannTensor, seed=None, first_scale: float = 0.0) -> Curv
         raise ValueError("conformal normal coordinates require a Ricci-flat tensor")
 
     rr = np.einsum("iabd,ikld->abkl", R.components, R.components)
-    V = -(22.0 / 9.0) * _sym4(rr)
-    second = np.zeros((m,) * 6)
-    for k in range(m):
-        for l in range(m):
-            second[:, :, :, :, k, l] = _ricci_target_to_riemann(V[:, :, k, l])
+    second = _ricci_target_to_riemann(-(22.0 / 9.0) * _sym4(rr))
 
     first = np.zeros((m,) * 5)
     if first_scale > 0.0:
@@ -362,10 +360,7 @@ def make_cnc_jets(R: RiemannTensor, seed=None, first_scale: float = 0.0) -> Curv
         raw = riemann_project(rng.standard_normal((m,) * 5))
         F = np.einsum("iaikb->akb", raw)          # Ricci derivative of the draw
         cyc = (F + F.transpose(1, 2, 0) + F.transpose(2, 0, 1)) / 3.0
-        corr = np.zeros((m,) * 5)
-        for k in range(m):
-            corr[:, :, :, :, k] = _ricci_target_to_riemann(cyc[:, :, k])
-        first = raw - corr
+        first = raw - _ricci_target_to_riemann(cyc)
         nrm = np.sqrt((first ** 2).sum())
         if nrm > 0:
             first *= first_scale / nrm

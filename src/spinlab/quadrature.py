@@ -64,7 +64,9 @@ def sphere_rule(m: int, n_polar: int = 5, n_circle: int = 10) -> SphereRule:
 
     ``n_circle`` is rounded up to an even count so the rule keeps its
     antipodal symmetry; it must also stay at least 2*n_polar so the final
-    angle never becomes the accuracy bottleneck.
+    angle never becomes the accuracy bottleneck.  The rule has
+    n_circle * n_polar^(m-2) nodes, at most 2^20 (100 MB of coordinates
+    at m = 12).
     """
     for name, value, low in (("m", m, 2), ("n_polar", n_polar, 1),
                              ("n_circle", n_circle, 1)):
@@ -72,6 +74,10 @@ def sphere_rule(m: int, n_polar: int = 5, n_circle: int = 10) -> SphereRule:
                 or value < low:
             raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
     n_circle = max(n_circle + n_circle % 2, 2 * n_polar)
+    # in Python integers, which cannot overflow
+    if int(n_circle) * int(n_polar) ** (int(m) - 2) > 1 << 20:
+        raise ValueError(f"need n_circle * n_polar^(m-2) <= 2^20 nodes, got "
+                         f"m = {m}, n_polar = {n_polar}, n_circle = {n_circle}")
 
     phi = 2.0 * math.pi * np.arange(n_circle) / n_circle
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)

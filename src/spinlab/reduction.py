@@ -277,20 +277,17 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
 # ---------------------------------------------------------------------------
 # linear and scalar solvers
 
-_EPS = float(np.finfo(float).eps)
-
-
-def cg(A, b, rtol=1e-5, atol=0.0, maxiter=None):
+def cg(A, b, rtol=1e-5, maxiter=None):
     """Solve A x = b by conjugate gradients from x = 0, A given by its action.
 
     A must be symmetric positive definite.  The loop stops once
-    |r| < max(atol, rtol |b|) and returns (x, 0), or after ``maxiter``
-    steps (default 10 n) and returns (x, maxiter); these are the steps of
-    ``scipy.sparse.linalg.cg`` without a preconditioner.
+    |r| < rtol |b| and returns (x, 0), or after ``maxiter`` steps (default
+    10 n) and returns (x, maxiter); these are the steps of
+    ``scipy.sparse.linalg.cg`` with ``atol=0`` and no preconditioner.
     """
     b = np.asarray(b, dtype=float)
     bnrm2 = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
+    atol = float(rtol) * float(bnrm2)
     if bnrm2 == 0:
         return b, 0
     if maxiter is None:
@@ -311,19 +308,23 @@ def cg(A, b, rtol=1e-5, atol=0.0, maxiter=None):
     return x, maxiter
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+# Brent's relative tolerance and step cap: scipy's brentq defaults
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol=2e-12):
     """Root of f in the sign-changing bracket [a, b] by Brent's method.
 
-    The port of scipy's C ``brentq``: inverse quadratic or secant steps
-    where they shrink the bracket fast enough, bisection otherwise, until
-    half the bracket is below (xtol + rtol |x|) / 2.  Bad tolerances, a NaN
-    value of f and a bracket without a sign change raise ValueError, and
-    no convergence in ``maxiter`` steps raises RuntimeError.
+    The port of scipy's C ``brentq`` at its default ``rtol`` and
+    ``maxiter``: inverse quadratic or secant steps where they shrink the
+    bracket fast enough, bisection otherwise, until half the bracket is
+    below (xtol + rtol |x|) / 2.  A bad xtol, a NaN value of f and a
+    bracket without a sign change raise ValueError, and no convergence in
+    100 steps raises RuntimeError.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < 4 * _EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
 
     def value(x):
         fx = float(f(x))
@@ -341,14 +342,14 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -373,7 +374,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +420,7 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
             break
         forcing = min(1e-2, math.sqrt(nrm))
         step, info = cg(_fiber_operator(problem, phi + w), -F,
-                        rtol=max(forcing, 1e-12), atol=0.0)
+                        rtol=max(forcing, 1e-12))
         if info != 0:
             raise RuntimeError(f"inner CG stalled (info={info}); "
                                f"residual history {history}")
@@ -488,7 +489,7 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
     g = problem.grad_psi(z)
     h_phi = problem.hess_psi(z, phi)
     dw, info = cg(_fiber_operator(problem, z), -problem.complement(h_phi),
-                  rtol=1e-6, atol=0.0)
+                  rtol=1e-6)
     if info != 0:
         raise RuntimeError(f"fiber derivative CG stalled (info={info})")
     slope = 2.0 * t * (phi @ phi) - g @ phi - t * (h_phi @ phi + dw @ h_phi)

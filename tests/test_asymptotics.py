@@ -7,6 +7,7 @@ the load-bearing test: every audited quantity is recomputed from
 pointwise spinor fields on the same quadrature nodes and compared.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from scipy import integrate
 
 import spinlab.asymptotics as asymptotics
+import spinlab.quadrature as quadrature
 from spinlab.asymptotics import (
     A_TERMS,
     J_TERMS,
@@ -96,6 +98,10 @@ def test_radial_I_finite_upper():
 def test_radial_I_validates():
     with pytest.raises(ValueError):
         radial_I(0)
+    # Gamma(m) overflows a double from m = 172 on
+    assert math.isfinite(radial_I(171))
+    with pytest.raises(ValueError, match="m <= 171"):
+        radial_I(172)
     for m in (2.5, True, 5.0):
         with pytest.raises(ValueError, match="integer m"):
             radial_I(m)
@@ -123,6 +129,14 @@ def test_radial_constants_match_adaptive_quadrature():
             _adaptive(m - 1, m, math.inf), rel=1e-13, abs=0.0)
         assert _radial_moment(m, 4, math.inf) == pytest.approx(
             _adaptive(m + 3, m, math.inf), rel=1e-13, abs=0.0)
+
+
+def test_critical_energy_validates():
+    # (m/2)^m overflows a double from m = 162 on
+    assert math.isfinite(critical_energy(161))
+    for m in (0, 162, 2.0, True):
+        with pytest.raises(ValueError, match="1 <= m <= 161"):
+            critical_energy(m)
 
 
 def test_volume_doubling_identity():
@@ -191,7 +205,7 @@ def test_moment_table_finite_radius_closed_form():
         assert tab.M4 == pytest.approx(radial * math.pi ** 2 / 4.0, rel=1e-10)
 
 
-def test_moment_table_validations():
+def test_moment_table_validations(monkeypatch):
     with pytest.raises(ValueError):
         moment_table(4)
     with pytest.raises(ValueError):
@@ -205,6 +219,14 @@ def test_moment_table_validations():
     for n_polar in (0, True, 3.0):
         with pytest.raises(ValueError, match="integer n_polar"):
             moment_table(5, n_polar=n_polar)
+    # past m = 12 the default rule has over 2^20 nodes, and from m = 172
+    # on the closed form overflows: both refused before the rule is built
+    monkeypatch.setattr(quadrature, "_gauss_gegenbauer", _unreachable)
+    for m in (13, 160):
+        with pytest.raises(ValueError, match=r"2\^20 nodes"):
+            moment_table(m)
+    with pytest.raises(ValueError, match="m <= 171"):
+        moment_table(172)
 
 
 def test_moment_tensor_entries():
@@ -759,6 +781,48 @@ def test_rayleigh_audit_limits(rayleigh_m5):
     assert len(rows) == 3 * report.eps.size
 
 
+# ---------------------------------------------------------------------------
+# each report's verdict: one field past its threshold flips ``ok``
+
+def test_light_audits_pass(residual_m5, energy_m5, rayleigh_m5):
+    for report in (residual_m5, energy_m5, rayleigh_m5):
+        assert report.summary()["ok"] is True
+
+
+ENERGY_FAILS = {"j1_max": 2e-12, "j5_max": 2e-12, "j7_max": 2e-12,
+                "j2_rel_err": 2e-6, "j6_slope": 4.2, "j6_rel_err": 0.06,
+                "j6_negative": False}
+
+
+@pytest.mark.parametrize("field", list(ENERGY_FAILS))
+def test_energy_verdict_rules(energy_m5, field):
+    bad = dataclasses.replace(energy_m5, **{field: ENERGY_FAILS[field]})
+    assert bad.summary()["ok"] is False
+
+
+@pytest.mark.parametrize("field", ["num_rel_err", "den_rel_err", "excess"])
+def test_rayleigh_verdict_rules(rayleigh_m5, field):
+    value = (np.append(rayleigh_m5.excess[:-1], -1e-3) if field == "excess"
+             else 0.02)
+    bad = dataclasses.replace(rayleigh_m5, **{field: value})
+    assert bad.summary()["ok"] is False
+
+
+def test_residual_verdict_rules(residual_m5):
+    report = residual_m5
+    below_floor = dataclasses.replace(report,
+                                      floor=report.slopes["total"] + 0.01)
+    assert below_floor.summary()["ok"] is False
+    off = dataclasses.replace(report, slopes=dict(report.slopes, A2=3.2))
+    assert off.summary()["terms"]["A2"]["within_tolerance"] is False
+    assert off.summary()["ok"] is False
+    # a term with a logarithm has no predicted order and cannot fail
+    unpredicted = dataclasses.replace(
+        report, slopes=dict(report.slopes, A4=9.0),
+        expected=dict(report.expected, A4=None))
+    assert unpredicted.summary()["ok"] is True
+
+
 def test_residual_and_rayleigh_audits_leave_scipy_integrate_unloaded():
     code = ("import sys\n"
             "import numpy as np\n"
@@ -779,12 +843,13 @@ class _WorkStarted(Exception):
     pass
 
 
-def _forbid_audit_work(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise _WorkStarted
+def _unreachable(*args, **kwargs):
+    raise _WorkStarted
 
-    monkeypatch.setattr(asymptotics, "audit_inputs", unreachable)
-    monkeypatch.setattr(asymptotics, "_AuditEngine", unreachable)
+
+def _forbid_audit_work(monkeypatch):
+    monkeypatch.setattr(asymptotics, "audit_inputs", _unreachable)
+    monkeypatch.setattr(asymptotics, "_AuditEngine", _unreachable)
 
 
 @pytest.mark.parametrize("audit", [residual_audit, energy_audit,

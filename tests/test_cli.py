@@ -8,10 +8,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+from spinlab import asymptotics
 from spinlab.asymptotics import AUDIT_M_RANGE
-from spinlab.cli import _COMMANDS, RunConfig, UsageError, run
+from spinlab.cli import _COMMANDS, RunConfig, UsageError, _strict, run
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli-output.md"
 
@@ -93,6 +95,21 @@ def test_audit_short_grid_passes(capsys, audit):
     assert payload["ok"] is True
     assert payload["eps"] == pytest.approx([10 ** (-2 - k / 3)
                                             for k in range(4)], rel=1e-12)
+
+
+@pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])
+def test_audit_payload_is_the_report_summary(capsys, monkeypatch, audit):
+    # the CLI adds only the seed to the library's summary, verdict included
+    monkeypatch.delenv("SPINLAB_OUT", raising=False)
+    rc, payload = run_json(capsys, ["audit", audit, "--m", "5", "--eps-lo",
+                                    "0.05", "--eps-hi", "0.1",
+                                    "--eps-count", "4"])
+    report = getattr(asymptotics, f"{audit}_audit")(
+        5, eps_grid=np.geomspace(0.1, 0.05, 4), seed=0,
+        first_scale=_COMMANDS[f"audit {audit}"].options["first_scale"])
+    want = json.loads(json.dumps(_strict(dict(report.summary(), seed=0))))
+    assert payload == want
+    assert rc == (0 if want["ok"] else 1)
 
 
 def test_audit_energy_stdout_is_strict_json(capsys):

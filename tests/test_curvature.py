@@ -7,6 +7,7 @@ from spinlab.asymptotics import MomentTable, moment_table
 from spinlab.curvature import (
     CurvatureJets,
     RiemannTensor,
+    _ricci_target_to_riemann,
     b_coefficient_tensors,
     b_jets,
     cnc_condition3_residual,
@@ -185,6 +186,23 @@ def test_cnc_second_condition_and_scale():
     assert np.abs(cyc).max() < 1e-12
     # the Ricci derivative itself stays generic
     assert np.abs(ric_d).max() > 1e-3
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_ricci_target_broadcasts_over_trailing_axes(m):
+    # make_cnc_jets solves all targets in one call: each trailing index
+    # must come out bitwise as if its target were solved alone
+    rng = np.random.default_rng(m)
+    V = rng.standard_normal((m,) * 4)
+    V = V + V.swapaxes(0, 1)
+    T = _ricci_target_to_riemann(V)
+    T3 = _ricci_target_to_riemann(V[..., 0])
+    for k in range(m):
+        assert np.array_equal(T3[..., k],
+                              _ricci_target_to_riemann(V[:, :, k, 0]))
+        for l in range(m):
+            assert np.array_equal(T[..., k, l],
+                                  _ricci_target_to_riemann(V[:, :, k, l]))
 
 
 def test_cubic_b_trace_vanishes_with_cnc_jets():

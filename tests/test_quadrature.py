@@ -80,6 +80,12 @@ def test_rejects_bad_sizes(args):
         sphere_rule(*args)
 
 
+def test_rejects_rules_over_the_node_budget():
+    # a rule has n_circle * n_polar^(m-2) nodes: 6 * 3^11 is over 2^20
+    with pytest.raises(ValueError, match=r"2\^20 nodes"):
+        sphere_rule(13, 3, 6)
+
+
 # -- polar rule ----------------------------------------------------------------
 
 _RULES = [(n, 0.5 * k) for n in range(1, 9) for k in range(8)]

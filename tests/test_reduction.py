@@ -859,7 +859,7 @@ def test_cg_matches_scipy_bitwise(rtol):
         A, b = spd_system(rng, n, rng.uniform(0.0, 4.0))
         for maxiter in (None, 3):
             want = scipy_cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter)
-            got = reduction.cg(lambda v: A @ v, b, rtol=rtol, atol=0.0,
+            got = reduction.cg(lambda v: A @ v, b, rtol=rtol,
                                maxiter=maxiter)
             assert got[1] == want[1]
             assert np.array_equal(got[0], want[0])
@@ -918,10 +918,12 @@ def test_brentq_zero_at_an_endpoint():
 
 BRENT_ERRORS = {
     "xtol": (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-    "rtol": (lambda x: x, -1.0, 1.0, {"rtol": float(np.finfo(float).eps)}),
     "nan": (lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, {}),
     "same sign": (lambda x: x * x + 1.0, -1.0, 1.0, {}),
-    "no convergence": (lambda x: x ** 3 - 2.0, 0.0, 5.0, {"maxiter": 2}),
+    # a jump at 0 takes bisection steps, and the bracket around 0 only
+    # reaches the absolute tolerance after about 1000 of them, not 100
+    "no convergence": (lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 2.0,
+                       {"xtol": 1e-300}),
 }
 
 
