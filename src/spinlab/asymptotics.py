@@ -10,7 +10,7 @@ and pins the slope and coefficient of the quartic term.  The Rayleigh
 audit assembles the full quotient from the same quadratures.
 
 All integrals run over the ball |x| <= 2 delta with the volume element
-modelled as (1 + vol_coeff |x|^vol_degree) dx, a stand-in for the
+modelled as (1 + 0.1 |x|^vol_degree) dx, a stand-in for the
 determinant normalisation the coordinates are constructed to satisfy.
 The quadrature is the product of one shared angular rule (see
 ``quadrature``) and per-epsilon radial panels.
@@ -40,7 +40,6 @@ from .curvature import (
     random_riemann,
     theta_lambda,
 )
-from .jets import jets_to_tensor
 from .quadrature import panel_nodes, shell_edges, sphere_area, sphere_rule
 from .spinor_fields import (
     TestSpinorParams,
@@ -314,6 +313,9 @@ def _generic_spinor(rep, coeff, seed: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the shell engine
 
+# the volume element's perturbation is _VOL_COEFF |x|^vol_degree
+_VOL_COEFF = 0.1
+
 _POLAR = {7: 4, 8: 3, 9: 3}
 _CIRCLE = {7: 8, 8: 6, 9: 6}
 
@@ -408,8 +410,7 @@ class _AuditEngine:
     """
 
     def __init__(self, inputs: AuditInputs, rule=None, n_leg: int = 16,
-                 vol_coeff: float = 0.1, vol_degree: int = 5,
-                 generic_psi0=None):
+                 vol_degree: int = 5, generic_psi0=None):
         m, params = inputs.m, inputs.params
         rep = params.rep
         self.m = m
@@ -419,7 +420,6 @@ class _AuditEngine:
         self.cm = float(m) ** ((m - 1) / 2.0)
         self.delta = params.delta
         self.n_leg = n_leg
-        self.vol_coeff = vol_coeff
         self.vol_degree = vol_degree
         self.rule = rule if rule is not None else _default_rule(m)
         self.generic = generic_psi0 is not None
@@ -437,13 +437,11 @@ class _AuditEngine:
         GS1 = np.einsum("pa,ian->pin", U, GG)
         tables = [np.broadcast_to(psi0, (P, self.N)), U @ GPsi]
 
-        theta, lam = theta_lambda(inputs.riemann, inputs.jets)
+        theta, (lin, quad) = theta_lambda(inputs.riemann, inputs.jets)
         C = (UU[:, :, None] * U[:, None, :]).reshape(P, m ** 3) \
             @ theta.reshape(m ** 3, m ** 3).T
         tables += _theta_tables(C, G, U, psi0)
 
-        coeffs = np.stack([jet.coeffs for jet in lam])
-        lin, quad = (jets_to_tensor(lam[0].space, coeffs, d) for d in (1, 2))
         for L in (U @ lin.T, UU @ quad.reshape(m, m * m).T):
             tables += [L @ GPsi, np.einsum("pk,pkn->pn", L, GS1)]
 
@@ -572,7 +570,7 @@ class _AuditEngine:
         """
         keys = _KEYS if keys is None else tuple(keys)
         r, w = panel_nodes(shell_edges(eps, self.delta), self.n_leg)
-        vol = 1.0 + self.vol_coeff * r ** self.vol_degree
+        vol = 1.0 + _VOL_COEFF * r ** self.vol_degree
         meas = w * r ** (self.m - 1) * vol
         c = self._coefficients(eps, r)
         out = {}
@@ -781,16 +779,15 @@ def _sweep(engine, eps, keys):
 
 
 def residual_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
-                   rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
-                   vol_degree: int = 5, seed: int = 0,
-                   first_scale: float = 100.0) -> ResidualReport:
+                   rule=None, n_leg: int = 16, vol_degree: int = 5,
+                   seed: int = 0, first_scale: float = 100.0) -> ResidualReport:
     """Fit the decay orders of the six residual norms and their sum, on
     the ``AuditInputs`` bundle ``inputs``."""
     _check_m("residual", m)
     eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
     inputs = _inputs_for(m, inputs, seed, first_scale)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
-                          vol_coeff=vol_coeff, vol_degree=vol_degree)
+                          vol_degree=vol_degree)
     vals = _sweep(engine, eps, A_TERMS + ("total",))
     expected = residual_exponents(m) if 4 <= m <= 8 else {
         k: None for k in A_TERMS + ("total",)}
@@ -803,9 +800,8 @@ def residual_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
 
 
 def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
-                 rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
-                 vol_degree: int = 5, seed: int = 0,
-                 first_scale: float = 10.0) -> EnergyReport:
+                 rule=None, n_leg: int = 16, vol_degree: int = 5,
+                 seed: int = 0, first_scale: float = 10.0) -> EnergyReport:
     """Decompose the curved pairing of ``inputs`` (an ``AuditInputs``
     bundle with nonzero curvature) and audit each term's behaviour.
 
@@ -821,15 +817,14 @@ def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
     coeff = theta_pairing_coefficients(theta)
     generic = _generic_spinor(rep, coeff, seed=seed)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
-                          vol_coeff=vol_coeff, vol_degree=vol_degree,
-                          generic_psi0=generic)
+                          vol_degree=vol_degree, generic_psi0=generic)
     vals = _sweep(engine, eps, J_TERMS + ("J4_abs", "J4_pre"))
 
     j2_limit = m ** m * sphere_area(m) * radial_I(m)
     j2_rel = float(abs(vals["J2"][-1] - j2_limit) / j2_limit)
     j2_err = np.abs(vals["J2"] - j2_limit)
     j2_slope = _window_slope(eps, j2_err, lower=False)
-    j2_order = float(min(m, vol_degree)) if vol_coeff != 0.0 else float(m)
+    j2_order = float(min(m, vol_degree))
     j3_slope = _window_slope(eps, vals["J3"], lower=True)
 
     floor = 1e-12 * float(vals["J4_abs"].max())
@@ -866,9 +861,8 @@ def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
 
 
 def rayleigh_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
-                   rule=None, n_leg: int = 16, vol_coeff: float = 0.1,
-                   vol_degree: int = 5, seed: int = 0,
-                   first_scale: float = 100.0) -> RayleighReport:
+                   rule=None, n_leg: int = 16, vol_degree: int = 5,
+                   seed: int = 0, first_scale: float = 100.0) -> RayleighReport:
     """Assemble the quotient and compare it against its flat-model limit.
 
     The numerator is the L^{2m/(m+1)} integral of the curved image raised
@@ -881,7 +875,7 @@ def rayleigh_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
     eps = _eps_grid(eps_grid, rayleigh_eps_grid)
     inputs = _inputs_for(m, inputs, seed, first_scale)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
-                          vol_coeff=vol_coeff, vol_degree=vol_degree)
+                          vol_degree=vol_degree)
     vals = _sweep(engine, eps, ("num", "den"))
     num, den = vals["num"], vals["den"]
     om = sphere_volume(m)

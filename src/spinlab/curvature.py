@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import distinct_mask
-from .jets import Jet, jet_space, jmat_det, jmat_identity, tensor_to_jets
+from .jets import jet_space, jmat_det, jmat_identity, tensor_to_jets
 
 __all__ = [
     "RiemannTensor",
     "CurvatureJets",
-    "Jet",
     "random_riemann",
     "ricci",
     "scalar",
@@ -224,13 +223,13 @@ def b_jets(R: RiemannTensor, jets: CurvatureJets):
 def theta_lambda(R: RiemannTensor, jets: CurvatureJets):
     """Cubic Clifford correction and vector correction of the Dirac operator.
 
-    Returns ``(theta, lam)``:
+    Returns ``(theta, (lin, quad))``:
 
     * ``theta[i,j,k,a,b,g]`` multiplies x^a x^b x^g gamma_i gamma_j gamma_k
       and is nonzero only for pairwise distinct i, j, k,
-    * ``lam`` is a list of m degree-2 jets, the components of the vector
-      field (the degree-1 part carries the Ricci tensor, the degree-2 part
-      its first derivatives).
+    * the vector field's component k is  lin[k,a] x^a + quad[k,a,b] x^a x^b:
+      ``lin`` carries the Ricci tensor, ``quad`` (symmetric in a, b) its
+      first derivatives.
     """
     m = R.m
     c = R.components
@@ -239,11 +238,8 @@ def theta_lambda(R: RiemannTensor, jets: CurvatureJets):
     theta = -(t1 + t2) / 144.0 * distinct_mask(m)[:, :, :, None, None, None]
 
     ric = ricci(R)
-    ric_d = np.einsum("iaikb->kab", jets.first)
-    space = jet_space(m, 2)
-    lam = (tensor_to_jets(space, -0.25 * ric.T, 1)
-           + tensor_to_jets(space, -ric_d / 6.0, 2))
-    return theta, [Jet(space, row) for row in lam]
+    q = -np.einsum("iaikb->kab", jets.first) / 6.0
+    return theta, (-0.25 * ric.T, 0.5 * (q + q.swapaxes(1, 2)))
 
 
 def det_expansion_check(R: RiemannTensor, jets: CurvatureJets) -> float:
@@ -278,7 +274,7 @@ def det_expansion_check(R: RiemannTensor, jets: CurvatureJets) -> float:
               + tensor_to_jets(space, -(ric_d2 / 20.0 + rr / 90.0
                                         - ricric / 18.0), 4))
     closed[0] = 1.0
-    return float(np.abs(det.coeffs - closed).max())
+    return float(np.abs(det - closed).max())
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,9 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor,
     for _ in range(50):
         if gn <= tol:
             break
+        # gn > tol >= 0 makes g = -w P dens nonzero, so dens is not identically
+        # zero and H has condition number at most 3 (``_kernel_gram``)
         H = w * _kernel_gram(P, dens)
-        if np.linalg.cond(H) > 1e12:
-            raise RuntimeError("kernel Hessian degenerate: the spinor "
-                               "vanishes on too much of the grid")
         step = np.linalg.solve(H, -g)
         lam_step = 1.0
         while lam_step > 2.0 ** -30:

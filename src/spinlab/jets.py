@@ -3,8 +3,9 @@
 A jet is a polynomial in x_0 .. x_{m-1} kept only up to a fixed total
 degree.  Products silently drop every coefficient whose total degree
 exceeds the truncation order, which is exactly the O(r^{N+1}) arithmetic
-the local curvature expansions need.  Coefficients live in a flat numpy
-vector indexed by a canonical monomial list.
+the local curvature expansions need.  In code a jet is its coefficient
+vector, a flat numpy array over the canonical monomial list
+``jet_space(m, degree).monomials``.
 
 A product forms only the coefficient pairs whose degrees fit under the
 cap (the space's product table) and scatters them onto their monomials,
@@ -26,11 +27,9 @@ import numpy as np
 
 __all__ = [
     "JetSpace",
-    "Jet",
     "jet_space",
     "jmat_mul",
     "jmat_det",
-    "jmat_inverse",
     "tensor_to_jets",
     "jets_to_tensor",
 ]
@@ -49,7 +48,6 @@ class JetSpace:
     m: int
     degree: int
     monomials: tuple
-    index: dict
     exponents: np.ndarray          # (n_monomials, m) integer exponent rows
     product_table: tuple           # (ii, jj, kk) index arrays
 
@@ -81,104 +79,7 @@ def jet_space(m: int, degree: int) -> JetSpace:
                 jj.append(j)
                 kk.append(index[tuple(sorted(a + b))])
     table = (np.asarray(ii), np.asarray(jj), np.asarray(kk))
-    return JetSpace(m, degree, monos, index, expo, table)
-
-
-class Jet:
-    """One truncated polynomial over a shared JetSpace."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: JetSpace, coeffs=None):
-        self.space = space
-        if coeffs is None:
-            self.coeffs = np.zeros(space.n)
-        else:
-            self.coeffs = np.asarray(coeffs, dtype=float).copy()
-            if self.coeffs.shape != (space.n,):
-                raise ValueError("coefficient vector has wrong length")
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls, space):
-        return cls(space)
-
-    @classmethod
-    def constant(cls, space, value):
-        j = cls(space)
-        j.coeffs[0] = value
-        return j
-
-    @classmethod
-    def variable(cls, space, i):
-        if not 0 <= i < space.m:
-            raise ValueError("variable index out of range")
-        j = cls(space)
-        j.coeffs[space.index[(i,)]] = 1.0
-        return j
-
-    # -- ring operations ----------------------------------------------
-    def _like(self, coeffs):
-        out = Jet.__new__(Jet)
-        out.space = self.space
-        out.coeffs = coeffs
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return self._like(self.coeffs + other.coeffs)
-        c = self.coeffs.copy()
-        c[0] += other
-        return self._like(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like(-self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return self._like(self.coeffs - other.coeffs)
-        c = self.coeffs.copy()
-        c[0] -= other
-        return self._like(c)
-
-    def __rsub__(self, other):
-        c = -self.coeffs
-        c[0] += other
-        return self._like(c)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return self._like(_coeffs_mul(self.space, self.coeffs, other.coeffs))
-        return self._like(self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    # -- queries --------------------------------------------------------
-    def coefficient(self, mono) -> float:
-        """Coefficient of the monomial given as a tuple of variable indices."""
-        return float(self.coeffs[self.space.index[tuple(sorted(mono))]])
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    def homogeneous_part(self, d):
-        """New jet keeping only the total-degree-d coefficients."""
-        out = np.zeros(self.space.n)
-        sel = self.space.degree_slice(d)
-        out[sel] = self.coeffs[sel]
-        return self._like(out)
-
-    def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mono_vals = np.prod(x[:, None, :] ** self.space.exponents[None, :, :], axis=2)
-        vals = mono_vals @ self.coeffs
-        return vals if vals.size > 1 else float(vals[0])
-
-    def __repr__(self):
-        nz = int(np.count_nonzero(self.coeffs))
-        return f"Jet(m={self.space.m}, degree={self.space.degree}, nonzero={nz})"
+    return JetSpace(m, degree, monos, expo, table)
 
 
 # -- matrices of jets ----------------------------------------------------
@@ -186,6 +87,7 @@ class Jet:
 # coefficient vector of one jet.
 
 def _coeffs_mul(space, a, b):
+    """Truncated product of two jets."""
     ii, jj, kk = space.product_table
     out = np.zeros(space.n)
     np.add.at(out, kk, a[ii] * b[jj])
@@ -212,8 +114,9 @@ def jmat_mul(space, A, B):
 def jmat_det(space, A):
     """Determinant of a jet matrix by Laplace expansion with memoised minors.
 
-    Exact under truncation and independent of any closed-form expansion,
-    so it can serve as an oracle against displayed determinant formulas.
+    Returns the determinant's coefficient vector.  Exact under truncation
+    and independent of any closed-form expansion, so it can serve as an
+    oracle against displayed determinant formulas.
     """
     n = A.shape[0]
     full = (1 << n) - 1
@@ -239,23 +142,7 @@ def jmat_det(space, A):
         memo[key] = acc
         return acc
 
-    return Jet(space, minor(full, 0))
-
-
-def jmat_inverse(space, A):
-    """Inverse of I + E with E of vanishing constant term, by Neumann series."""
-    n = A.shape[0]
-    I = jmat_identity(space, n)
-    E = A - I
-    if np.abs(E[:, :, 0]).max() > 1e-13:
-        raise ValueError("jet matrix must be a unipotent perturbation of the identity")
-    out = I.copy()
-    term = I.copy()
-    # E has no constant term, so the series truncates after `degree` steps
-    for _ in range(space.degree):
-        term = -jmat_mul(space, term, E)
-        out = out + term
-    return out
+    return minor(full, 0)
 
 
 # -- index tensors ---------------------------------------------------------

@@ -692,7 +692,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             t, w = _nehari_root(problem, u,
                                 tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t)
 
-        history.append((value, gn))
+        history.append((float(value), gn))
         if gn <= tol:
             found.append((value, t * u, gn, t))
 

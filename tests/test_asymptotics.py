@@ -22,6 +22,7 @@ from spinlab.asymptotics import (
     A_TERMS,
     J_TERMS,
     _ROW,
+    _VOL_COEFF,
     AuditInputs,
     MomentTable,
     _angular_slots,
@@ -376,14 +377,14 @@ def test_engine_matches_direct_field_evaluation(m5_inputs):
     A1 = ep[:, None] * np.einsum("pi,irs,ps->pr", uhat, G, psib)
     A2 = ((ev - ev ** (two_star - 1.0)) * nrm ** (two_star - 2.0))[:, None] * psib
 
-    theta, lam = theta_lambda(R, jets)
+    theta, (lin, quad) = theta_lambda(R, jets)
     C3 = np.einsum("ijkabc,pa,pb,pc->pijk", theta, X, X, X, optimize=True)
     Y1 = np.einsum("krs,ps->pkr", G, psib)
     Y2 = np.einsum("jrs,pks->pjkr", G, Y1)
     Y3 = np.einsum("irs,pjks->pijkr", G, Y2)
     A3 = ev[:, None] * np.einsum("pijk,pijkr->pr", C3, Y3, optimize=True)
 
-    lamv = np.stack([jet(X) for jet in lam], axis=1)
+    lamv = X @ lin.T + np.einsum("kab,pa,pb->pk", quad, X, X)
     A4 = ev[:, None] * np.einsum("pk,krs,ps->pr", lamv, G, psib)
 
     Bt, _ = b_coefficient_tensors(R, jets)
@@ -515,7 +516,7 @@ def _pointwise_terms(engine, eps):
     """
     m, q, WA = engine.m, engine.q, engine.WA
     r, w = panel_nodes(shell_edges(eps, engine.delta), engine.n_leg)
-    meas = w * r ** (m - 1) * (1.0 + engine.vol_coeff * r ** engine.vol_degree)
+    meas = w * r ** (m - 1) * (1.0 + _VOL_COEFF * r ** engine.vol_degree)
     fields = {k: np.einsum("tk,kpn->tpn", c, engine.tables)
               for k, c in engine._coefficients(eps, r).items()}
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinlab.asymptotics import MomentTable, moment_table
+from spinlab.asymptotics import MomentTable, audit_inputs, moment_table
 from spinlab.curvature import (
     CurvatureJets,
     RiemannTensor,
@@ -22,7 +22,13 @@ from spinlab.curvature import (
     theta_lambda,
     weyl,
 )
-from spinlab.jets import jet_space, jmat_identity, jmat_mul
+from spinlab.jets import (
+    jet_space,
+    jets_to_tensor,
+    jmat_identity,
+    jmat_mul,
+    tensor_to_jets,
+)
 
 
 def random_jets(m, seed):
@@ -146,18 +152,31 @@ def test_lambda_zero_for_flat_data():
     m = 4
     R = random_riemann(m, seed=1, weyl_only=True)
     _, lam = theta_lambda(R, CurvatureJets(m))
-    assert max(j.max_abs() for j in lam) < 1e-13
+    assert max(np.abs(t).max() for t in lam) < 1e-13
 
 
 def test_lambda_linear_part_carries_ricci():
     m = 4
     R = random_riemann(m, seed=5)
     ric = ricci(R)
-    _, lam = theta_lambda(R, CurvatureJets(m))
+    _, (lin, _) = theta_lambda(R, CurvatureJets(m))
     for k in range(m):
         for a in range(m):
-            got = lam[k].coefficient((a,))
+            got = lin[k, a]
             assert got == pytest.approx(-0.25 * ric[a, k], abs=1e-13)
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_lambda_quadratic_part_is_the_symmetrized_derivative(m):
+    # quad is bitwise the symmetric tensor that the jet round trip of
+    # -Ric_ka,b / 6 gives
+    inputs = audit_inputs(m)
+    _, (_, quad) = theta_lambda(inputs.riemann, inputs.jets)
+    q = -np.einsum("iaikb->kab", inputs.jets.first) / 6.0
+    space = jet_space(m, 2)
+    assert np.array_equal(quad, quad.swapaxes(1, 2))
+    assert np.array_equal(
+        quad, jets_to_tensor(space, tensor_to_jets(space, q, 2), 2))
 
 
 # -- flatness-condition jets ---------------------------------------------------

@@ -789,6 +789,19 @@ def test_minimize_nehari_rejects_no_iterations(max_iter):
         minimize_nehari(toy_problem(), max_iter=max_iter)
 
 
+def test_minimize_nehari_history_holds_plain_floats():
+    # the failure message reaches stderr, where np.float64(...) reprs
+    # depended on the numpy version
+    prob = diagonal_quartic_problem([1.0, 0.7, -0.4])
+    with pytest.raises(RuntimeError, match="no start converged") as err:
+        minimize_nehari(prob, starts=2, max_iter=1)
+    assert "np.float64" not in str(err.value)
+    result = minimize_nehari(prob, starts=2)
+    assert result.history
+    for entry in result.history:
+        assert all(type(x) is float for x in entry)
+
+
 # ---------------------------------------------------------------------------
 # energy envelope
 
