@@ -25,6 +25,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 import numbers
 
@@ -265,6 +266,11 @@ class AuditInputs:
     def m(self) -> int:
         return self.riemann.m
 
+    @functools.cached_property
+    def theta_lambda(self):
+        """``theta_lambda`` of the bundle's curvature, computed once."""
+        return theta_lambda(self.riemann, self.jets)
+
 
 def theta_pairing_coefficients(theta: np.ndarray) -> np.ndarray:
     """Quartic pairing coefficients induced by the cubic Clifford term.
@@ -291,10 +297,13 @@ def audit_inputs(m: int, seed: int = 0, first_scale: float = 10.0,
     R = random_riemann(m, seed, weyl_only=True)
     jets = make_cnc_jets(R, seed=seed, first_scale=first_scale)
     rep = build_rep(m)
-    theta, _ = theta_lambda(R, jets)
-    psi0 = find_psi0(rep, theta_pairing_coefficients(theta))
-    params = make_params(m, 1.0, delta, psi0)
-    return AuditInputs(R, jets, params)
+    corrections = theta_lambda(R, jets)
+    psi0 = find_psi0(rep, theta_pairing_coefficients(corrections[0]))
+    inputs = AuditInputs(R, jets, make_params(m, 1.0, delta, psi0))
+    # cached_property keeps its value in the instance dict: the audits
+    # read the tensors the spinor search used instead of recomputing them
+    vars(inputs)["theta_lambda"] = corrections
+    return inputs
 
 
 def _generic_spinor(rep, coeff, seed: int = 0) -> np.ndarray:
@@ -437,7 +446,7 @@ class _AuditEngine:
         GS1 = np.einsum("pa,ian->pin", U, GG)
         tables = [np.broadcast_to(psi0, (P, self.N)), U @ GPsi]
 
-        theta, (lin, quad) = theta_lambda(inputs.riemann, inputs.jets)
+        theta, (lin, quad) = inputs.theta_lambda
         C = (UU[:, :, None] * U[:, None, :]).reshape(P, m ** 3) \
             @ theta.reshape(m ** 3, m ** 3).T
         tables += _theta_tables(C, G, U, psi0)
@@ -813,8 +822,7 @@ def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
     if inputs.riemann.frobenius() == 0.0:
         raise ValueError("energy audit needs a nonzero curvature tensor")
     rep = inputs.params.rep
-    theta, _ = theta_lambda(inputs.riemann, inputs.jets)
-    coeff = theta_pairing_coefficients(theta)
+    coeff = theta_pairing_coefficients(inputs.theta_lambda[0])
     generic = _generic_spinor(rep, coeff, seed=seed)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_degree=vol_degree, generic_psi0=generic)

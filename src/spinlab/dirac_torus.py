@@ -20,8 +20,10 @@ critical points map back to those of Phi via psi -> psi - T(psi).
 Fields are evaluated on a uniform n_g x n_g grid by a separable partial
 DFT over the square box of integer mode labels: two small matrices per
 basis, exp(i (k + delta_j) x) for the labels k of the box and the grid
-points x, carry the spin-structure phase, so a transform is one pair of
-matrix products on the (2, box, box) coefficient array.
+points x, carry the spin-structure phase.  A transform takes the
+stacked (plus, minus) coefficient rows, of shape (2, n_modes), and the
+kernel block beside them; it is one GEMM over both spinor components
+along one axis and one batched product along the other.
 
 The grid is exact at n_g >= 2 nk - 1, where nk = modes.max() -
 modes.min() + 1 is the width of the box, and that threshold is the
@@ -132,12 +134,16 @@ class SpectralBasis:
     modes.max() on both axes, which holds every mode and the kernel mode
     (0, 0).  ``__post_init__`` builds E1[x, k] = exp(i (k + delta_1) x)
     and E2t[k, x] = exp(i (k + delta_2) x) over the grid points
-    x = 2 pi j / n_g, their conjugate transposes, the conjugate symbol
-    eigenvectors stacked as (plus/minus, mode, component), and the flat
-    box index of every mode and of the kernel mode.  ``to_grid`` is then
-    E1 @ box @ E2t / (2 pi) and ``from_grid`` E1^H @ grid @ E2t^H
-    times 2 pi / n_g^2: every mode gets the discrete Fourier coefficient
-    an FFT of the grid with the spin phase removed would give it.
+    x = 2 pi j / n_g and their conjugate transposes, the symbol
+    eigenvector components of both blocks as one (block, component,
+    mode) array with 1/(2 pi) folded in, their conjugates with
+    2 pi / n_g^2 folded in, and the flat box index of every mode and of
+    the kernel mode.  ``to_grid`` fills the (component, box) array from
+    the stacked (plus, minus) rows and the kernel block, then runs one
+    GEMM (2 nk, nk) @ E2t over both components and one batched product
+    with E1; ``from_grid`` runs the same products backwards with
+    E2t^H and E1^H.  Every mode gets the discrete Fourier coefficient an
+    FFT of the grid with the spin phase removed would give it.
     """
 
     lam_max: float
@@ -152,9 +158,10 @@ class SpectralBasis:
     _e2t: np.ndarray = field(init=False, repr=False, compare=False)
     _e1h: np.ndarray = field(init=False, repr=False, compare=False)
     _e2c: np.ndarray = field(init=False, repr=False, compare=False)
-    _ec: np.ndarray = field(init=False, repr=False, compare=False)
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _wc: np.ndarray = field(init=False, repr=False, compare=False)
     _flat: np.ndarray = field(init=False, repr=False, compare=False)
-    _flat0: int = field(init=False, repr=False, compare=False)
+    _flat0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = int(self.modes.min())
@@ -170,15 +177,21 @@ class SpectralBasis:
         e1 = dft(self.delta.delta1)
         e2t = np.ascontiguousarray(dft(self.delta.delta2).T)
         nk = kk.size
+        # (block, component, mode)
+        weights = np.stack((self.e_plus.T, self.e_minus.T))
         put = object.__setattr__
         put(self, "_e1", e1)
         put(self, "_e2t", e2t)
         put(self, "_e1h", np.ascontiguousarray(e1.conj().T))
         put(self, "_e2c", np.ascontiguousarray(e2t.conj().T))
-        put(self, "_ec", np.conj(np.stack((self.e_plus, self.e_minus))))
-        put(self, "_flat",
-            (self.modes[:, 0] - lo) * nk + (self.modes[:, 1] - lo))
-        put(self, "_flat0", -lo * nk - lo)
+        put(self, "_w", weights / TWO_PI)
+        put(self, "_wc", np.conj(weights) * (TWO_PI / self.n_g ** 2))
+        # indices into the raveled (component, box) array
+        flat = (self.modes[:, 0] - lo) * nk + (self.modes[:, 1] - lo)
+        put(self, "_flat", np.concatenate((flat, flat + nk * nk)))
+        # the kernel mode (0, 0) of both components, if there is a kernel
+        put(self, "_flat0", (np.array([0, nk * nk]) - lo * nk - lo)
+            if self.delta.has_kernel else np.zeros(0, dtype=int))
 
     @property
     def n_modes(self) -> int:
@@ -214,28 +227,30 @@ class SpectralBasis:
         return TorusSpinor(draw(self.n_modes), draw(self.kernel_dim),
                            draw(self.n_modes))
 
-    def to_grid(self, sp: TorusSpinor) -> np.ndarray:
-        """Evaluate on the uniform grid; shape (2, n_g, n_g) complex."""
-        nk = self._e2t.shape[0]
-        box = np.zeros((2, nk * nk), dtype=complex)
-        w = (sp.plus[:, None] * self.e_plus
-             + sp.minus[:, None] * self.e_minus)
-        box[:, self._flat] = w.T
-        if self.kernel_dim:
-            box[:, self._flat0] += sp.kernel
-        return self._e1 @ (box.reshape(2, nk, nk) / TWO_PI) @ self._e2t
+    def to_grid(self, pm: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        """Evaluate the field with stacked (plus, minus) coefficient rows
+        ``pm``, shape (2, n_modes), and kernel block ``kernel`` on the
+        uniform grid; shape (2, n_g, n_g) complex."""
+        nk, n_g = self._e2t.shape
+        box = np.zeros(2 * nk * nk, dtype=complex)
+        terms = self._w * pm[:, None, :]
+        box[self._flat] = (terms[0] + terms[1]).ravel()
+        if kernel.size:
+            box[self._flat0] = kernel / TWO_PI
+        half = (box.reshape(2 * nk, nk) @ self._e2t).reshape(2, nk, n_g)
+        return self._e1 @ half
 
-    def from_grid(self, grid: np.ndarray) -> TorusSpinor:
-        """Project a grid field onto the basis (its box Fourier modes)."""
-        box = (self._e1h @ grid @ self._e2c).reshape(2, -1)
-        box *= TWO_PI / self.n_g ** 2
-        w = box[:, self._flat].T
-        plus, minus = (self._ec * w).sum(axis=2)
-        if self.kernel_dim:
-            kernel = box[:, self._flat0].copy()
-        else:
-            kernel = np.zeros(0, dtype=complex)
-        return TorusSpinor(plus, kernel, minus)
+    def from_grid(self, grid: np.ndarray):
+        """Project a grid field onto the basis (its box Fourier modes):
+        the stacked (plus, minus) rows and the kernel block."""
+        nk, n_g = self._e2t.shape
+        half = (grid.reshape(2 * n_g, n_g) @ self._e2c).reshape(2, n_g, nk)
+        box = (self._e1h @ half).reshape(2 * nk * nk)
+        terms = self._wc * box[self._flat].reshape(2, -1)
+        pm = terms[:, 0] + terms[:, 1]
+        if self._flat0.size:
+            return pm, box[self._flat0] * (TWO_PI / n_g ** 2)
+        return pm, np.zeros(0, dtype=complex)
 
     def h_inner(self, a: TorusSpinor, b: TorusSpinor) -> float:
         out = float(np.sum(self.lam * np.real(np.conj(a.plus) * b.plus)))
@@ -305,24 +320,35 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
 # ---------------------------------------------------------------------------
 # the functional
 
-def _quartic_part(basis: SpectralBasis, sp: TorusSpinor):
-    """Grid field z, density |z|^2, int |psi|^4 and the coefficients of
-    |psi|^2 psi at a spinor, all exact on the exact grid."""
-    z = basis.to_grid(sp)
-    dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
+def _pairing(z: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Pointwise Re<z, chi> = sum of Re z Re chi + Im z Im chi over both
+    components of two C-contiguous grid fields, from their real views;
+    the density |z|^2 is Re<z, z>, with no square root taken."""
+    prod = z.view(float) * chi.view(float)
+    parts = prod[..., 0::2] + prod[..., 1::2]
+    return parts[0] + parts[1]
+
+
+def _quartic_part(basis: SpectralBasis, pm: np.ndarray, kernel: np.ndarray):
+    """Grid field z, density |z|^2, int |psi|^4 and the (rows, kernel)
+    coefficients of |psi|^2 psi at the spinor with stacked rows ``pm``
+    and kernel block ``kernel``, all exact on the exact grid."""
+    z = basis.to_grid(pm, kernel)
+    dens = _pairing(z, z)
     quartic = basis.quad_weight * float(np.sum(dens * dens))
-    return z, dens, quartic, basis.from_grid(dens[None, :, :] * z)
+    return z, dens, quartic, basis.from_grid(dens * z)
 
 
 def _phi_parts(basis: SpectralBasis, sp: TorusSpinor):
     """Phi, its H^(1/2) gradient and int |psi|^4 from one quartic pass."""
-    _, _, quartic, cubic = _quartic_part(basis, sp)
+    _, _, quartic, (cubic, cubic_kernel) = _quartic_part(
+        basis, np.stack((sp.plus, sp.minus)), sp.kernel)
     qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
     qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
     value = 0.5 * (qplus - qminus) - 0.25 * quartic
-    grad = TorusSpinor(sp.plus - cubic.plus / basis.lam,
-                       -cubic.kernel,
-                       -sp.minus - cubic.minus / basis.lam)
+    grad = TorusSpinor(sp.plus - cubic[0] / basis.lam,
+                       -cubic_kernel,
+                       -sp.minus - cubic[1] / basis.lam)
     return value, grad, quartic
 
 
@@ -338,8 +364,9 @@ def _kernel_pairings(z: np.ndarray) -> np.ndarray:
     """Real pairings Re<z, d_j> with the L2-normalized constant spinors
     d = (1, 0), (i, 0), (0, 1), (0, i) over 2 pi, pointwise on the grid;
     shape (4, n_g^2)."""
-    return np.stack([z[0].real, z[0].imag, z[1].real,
-                     z[1].imag]).reshape(4, -1) / TWO_PI
+    # (component, point, part) read as (component, part, point)
+    parts = z.view(float).reshape(2, -1, 2).transpose(0, 2, 1)
+    return np.divide(parts, TWO_PI, order="C").reshape(4, -1)
 
 
 def _kernel_gram(P: np.ndarray, dens: np.ndarray) -> np.ndarray:
@@ -371,12 +398,12 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor,
     """
     if basis.kernel_dim == 0:
         return np.zeros(0, dtype=complex)
-    grid = basis.to_grid(sp)
+    grid = basis.to_grid(np.stack((sp.plus, sp.minus)), sp.kernel)
     w = basis.quad_weight
 
     def grad_at(r):
         z = grid - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
-        dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
+        dens = _pairing(z, z)
         P = _kernel_pairings(z)
         return -w * (P @ dens.ravel()), P, dens
 
@@ -469,35 +496,53 @@ def ground_state_problem(basis: SpectralBasis):
     M = basis.n_modes
     n = 4 * M
     sq = np.sqrt(basis.lam)
+    inv_sq = 1.0 / sq
+    no_kernel = np.zeros(basis.kernel_dim, dtype=complex)
 
-    # Coordinates are [Re plus, Im plus, Re minus, Im minus] (M each):
-    # read as (block, part, mode), they are the transposed real view of
-    # the stacked (block, mode) complex coefficients.
-    def real_view(plus, minus):
-        c = np.concatenate((plus, minus)).view(float)
-        return c.reshape(2, M, 2).transpose(0, 2, 1)
+    # Coordinates are [Re plus, Im plus, Re minus, Im minus] (M each),
+    # read as (block, part, mode) against the stacked (block, mode)
+    # complex coefficient rows.
+    def rows(u):
+        """The stacked rows (u_re + i u_im) / sqrt(lambda).  numpy divides
+        by a real-valued complex as x * (1 / sqrt(lambda)), so the two
+        products give the same nonzero values."""
+        parts = u.reshape(2, 2, M)
+        c = np.empty((2, M), dtype=complex)
+        np.multiply(parts[:, 0], inv_sq, out=c.real)
+        np.multiply(parts[:, 1], inv_sq, out=c.imag)
+        return c
+
+    def unscaled_coords(c):
+        out = np.empty((2, 2, M))
+        out[:, 0] = c.real
+        out[:, 1] = c.imag
+        return out
 
     def from_coords(u):
-        parts = u.reshape(4, M)
-        # a complex division: scaling the real view by 1/sq rounds alike
-        # but signs zeros otherwise, and ``resolve`` keys on the bytes
-        c = (parts[0::2] + 1j * parts[1::2]) / sq
-        return TorusSpinor(c[0], np.zeros(basis.kernel_dim, dtype=complex),
-                           c[1])
+        c = rows(u)
+        return TorusSpinor(c[0], no_kernel.copy(), c[1])
 
     def to_coords(sp):
-        return np.multiply(real_view(sp.plus, sp.minus), sq,
-                           order="C").reshape(n)
+        out = unscaled_coords(np.stack((sp.plus, sp.minus)))
+        out *= sq
+        return out.reshape(n)
+
+    def coeffs_to_grad(c):
+        out = unscaled_coords(c)
+        out /= sq
+        return out.reshape(n)
 
     cache = {}
 
     def resolve(u):
-        """The cache entry at u: (z, dens, quartic, cubic, gram)."""
+        """The cache entry at u: (z, dens, quartic, cubic rows, gram)."""
         key = u.tobytes()
         hit = cache.get(key)
         if hit is None:
-            z, dens, quartic, cubic = _quartic_part(
-                basis, _kernel_reduced(basis, from_coords(u)))
+            c = rows(u)
+            kernel = _kernel_reduced(
+                basis, TorusSpinor(c[0], no_kernel, c[1])).kernel
+            z, dens, quartic, (cubic, _) = _quartic_part(basis, c, kernel)
             gram = None
             if basis.kernel_dim and np.any(dens != 0.0):
                 P = _kernel_pairings(z)
@@ -510,10 +555,6 @@ def ground_state_problem(basis: SpectralBasis):
             cache[key] = hit
         return hit
 
-    def coeffs_to_grad(cubic):
-        return np.divide(real_view(cubic.plus, cubic.minus), sq,
-                         order="C").reshape(n)
-
     def psi(u):
         return 0.25 * resolve(u)[2]
 
@@ -522,8 +563,8 @@ def ground_state_problem(basis: SpectralBasis):
 
     def hess_psi(u, v):
         z, dens, _, _, gram = resolve(u)
-        chi = basis.to_grid(from_coords(v))
-        chi_pair = np.real(z[0] * np.conj(chi[0]) + z[1] * np.conj(chi[1]))
+        chi = basis.to_grid(rows(v), no_kernel)
+        chi_pair = _pairing(z, chi)
         if gram is not None:
             # subtract the kernel-tangent motion of the best
             # approximation: r solves the Gram system of the quartic
@@ -534,8 +575,8 @@ def ground_state_problem(basis: SpectralBasis):
             r = H_inv @ rhs
             chi = chi - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
             chi_pair = chi_pair - (r @ P).reshape(chi_pair.shape)
-        G = 2.0 * chi_pair[None, :, :] * z + dens[None, :, :] * chi
-        return coeffs_to_grad(basis.from_grid(G))
+        G = 2.0 * chi_pair * z + dens * chi
+        return coeffs_to_grad(basis.from_grid(G)[0])
 
     n_freq = M + (1 if basis.kernel_dim else 0)
     problem = IndefiniteProblem(

@@ -296,9 +296,10 @@ def cg(A, b, rtol=1e-5, maxiter=None):
     r = b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
+        # numpy's norm of a 1-d array is sqrt(r . r): the same float
         rho = np.dot(r, r)
+        if math.sqrt(rho) < atol:
+            return x, 0
         p = r.copy() if p is None else p * (rho / rho_prev) + r
         q = A(p)
         alpha = rho / np.dot(p, q)

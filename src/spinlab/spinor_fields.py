@@ -81,10 +81,12 @@ class TestSpinorParams:
 
 def make_params(m: int, eps: float = 1.0, delta: float = 1.0,
                 psi0: np.ndarray = None) -> TestSpinorParams:
-    """Build params, defaulting psi0 to the canonical balanced spinor."""
+    """Build params, defaulting psi0 to the canonical balanced spinor
+    (the first basis spinor for m < 4): what ``find_psi0`` returns for
+    the zero form, without the search."""
     if psi0 is None:
         rep = build_rep(m)
-        psi0 = find_psi0(rep, np.zeros((m,) * 4)) if m >= 3 else _basis_spinor(rep)
+        psi0 = _balanced_spinor(rep) if m >= 4 else _basis_spinor(rep)
     return TestSpinorParams(m, psi0, eps, delta)
 
 

@@ -345,7 +345,7 @@ def test_11_energy_envelope_bound():
 
 def kernel_oracle(basis, sp):
     """Best constant section by pure grid search, no gradients involved."""
-    grid = basis.to_grid(sp)
+    grid = basis.to_grid(np.stack((sp.plus, sp.minus)), sp.kernel)
     dens = (np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2).ravel()
     re0, im0 = grid[0].real.ravel(), grid[0].imag.ravel()
     re1, im1 = grid[1].real.ravel(), grid[1].imag.ravel()

@@ -702,6 +702,24 @@ def rayleigh_m5(m5_inputs, m5_rule):
     return rayleigh_audit(5, inputs=m5_inputs, rule=m5_rule, n_leg=12)
 
 
+def test_energy_audit_computes_theta_lambda_once(m5_rule, monkeypatch):
+    # audit_inputs needs the cubic term for the spinor search; the bundle
+    # keeps it, and the energy audit and its engine read it from there
+    calls = []
+    original = asymptotics.theta_lambda
+
+    def counted(R, jets):
+        calls.append(1)
+        return original(R, jets)
+
+    monkeypatch.setattr(asymptotics, "theta_lambda", counted)
+    inputs = asymptotics.audit_inputs(5, seed=2, first_scale=10.0)
+    energy_audit(5, eps_grid=[0.08, 0.06, 0.04, 0.02], inputs=inputs,
+                 rule=m5_rule, n_leg=12, vol_degree=4)
+    assert len(calls) == 1
+    assert inputs.theta_lambda is inputs.theta_lambda
+
+
 def test_residual_audit_recovers_exponents(residual_m5):
     report = residual_m5
     expected = residual_exponents(5)

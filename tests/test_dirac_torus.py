@@ -45,6 +45,20 @@ def axpy(sp, d, h):
                        sp.minus + h * d.minus)
 
 
+def rows(sp):
+    """Stacked (plus, minus) coefficient rows of a spinor."""
+    return np.stack((sp.plus, sp.minus))
+
+
+def to_grid(basis, sp):
+    return basis.to_grid(rows(sp), sp.kernel)
+
+
+def quartic(basis, sp):
+    """int |psi|^4 from the solver's quartic pass."""
+    return _quartic_part(basis, rows(sp), sp.kernel)[2]
+
+
 # ---------------------------------------------------------------------------
 # spin structures and spectral data
 
@@ -140,12 +154,12 @@ def test_grid_roundtrip_and_parseval():
         basis = build_dirac(2.0, delta)
         rng = np.random.default_rng(7)
         sp = basis.random_spinor(rng)
-        grid = basis.to_grid(sp)
-        back = basis.from_grid(grid)
-        assert np.abs(back.plus - sp.plus).max() <= 1e-12
-        assert np.abs(back.minus - sp.minus).max() <= 1e-12
+        grid = to_grid(basis, sp)
+        back, back_kernel = basis.from_grid(grid)
+        assert np.abs(back[0] - sp.plus).max() <= 1e-12
+        assert np.abs(back[1] - sp.minus).max() <= 1e-12
         if basis.kernel_dim:
-            assert np.abs(back.kernel - sp.kernel).max() <= 1e-12
+            assert np.abs(back_kernel - sp.kernel).max() <= 1e-12
         # Parseval: coefficient L2 mass equals the grid integral
         l2_coeff = (np.sum(np.abs(sp.plus) ** 2)
                     + np.sum(np.abs(sp.kernel) ** 2)
@@ -159,28 +173,39 @@ def test_grid_roundtrip_and_parseval():
         assert math.isclose(basis.h_norm_sq(sp), manual, rel_tol=1e-13)
 
 
+SPIN_STRUCTURES = [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]
+
+
 def test_to_grid_matches_mode_sum():
     # psi(x) = sum_k w_k exp(i (k + delta) . x) / (2 pi), kernel included,
-    # at scattered grid points; one odd, non-default grid size
-    for delta, n_g in (((0.5, 0.5), None), ((0.0, 0.0), 23),
-                       ((0.5, 0.0), 21), ((0.0, 0.5), None)):
-        basis = build_dirac(2.0, delta, n_g)
-        rng = np.random.default_rng(53)
-        sp = basis.random_spinor(rng)
-        grid = basis.to_grid(sp)
-        assert grid.shape == (2, basis.n_g, basis.n_g)
-        w = (sp.plus[:, None] * basis.e_plus
-             + sp.minus[:, None] * basis.e_minus)
-        for j1, j2 in ((0, 0), (1, 5), (basis.n_g - 1, 3),
-                       (7, basis.n_g - 2)):
-            # the default grid at this cutoff has only 7 points
-            j1, j2 = j1 % basis.n_g, j2 % basis.n_g
-            x = TWO_PI * np.array([j1, j2]) / basis.n_g
-            waves = np.exp(1j * (basis.theta @ x)) / TWO_PI
-            expected = waves @ w
+    # at every grid point, on all four spin structures; also two odd,
+    # non-default grid sizes
+    cases = [(lam_max, None) for lam_max in (1.5, 3.0, 6.0)]
+    cases += [(2.0, 23), (2.0, 21)]
+    for delta in SPIN_STRUCTURES:
+        for lam_max, n_g in cases:
+            basis = build_dirac(lam_max, delta, n_g)
+            rng = np.random.default_rng(53)
+            sp = basis.random_spinor(rng)
+            grid = to_grid(basis, sp)
+            assert grid.shape == (2, basis.n_g, basis.n_g)
+            w = (sp.plus[:, None] * basis.e_plus
+                 + sp.minus[:, None] * basis.e_minus)
+            x = TWO_PI * np.arange(basis.n_g) / basis.n_g
+            points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+            waves = np.exp(1j * (points @ basis.theta.T)) / TWO_PI
+            expected = np.moveaxis(waves @ w, -1, 0)
             if basis.kernel_dim:
-                expected = expected + sp.kernel / TWO_PI
-            assert np.abs(grid[:, j1, j2] - expected).max() <= 1e-12
+                expected = expected + (sp.kernel / TWO_PI)[:, None, None]
+            assert np.abs(grid - expected).max() <= 1e-12
+            if n_g is not None:
+                continue
+            # the exact grid loses nothing on the way back
+            back, back_kernel = basis.from_grid(grid)
+            assert np.abs(back - rows(sp)).max() <= 1e-13
+            assert back_kernel.shape == sp.kernel.shape
+            if basis.kernel_dim:
+                assert np.abs(back_kernel - sp.kernel).max() <= 1e-13
 
 
 def test_from_grid_matches_fft_projection():
@@ -200,15 +225,15 @@ def test_from_grid_matches_fft_projection():
                             axes=(1, 2)) * (TWO_PI / n ** 2)
         i1, i2 = basis.modes[:, 0] % n, basis.modes[:, 1] % n
         w = np.stack([w_all[0, i1, i2], w_all[1, i1, i2]], axis=1)
-        got = basis.from_grid(grid)
+        got, got_kernel = basis.from_grid(grid)
         plus = np.sum(np.conj(basis.e_plus) * w, axis=1)
         minus = np.sum(np.conj(basis.e_minus) * w, axis=1)
-        assert np.abs(got.plus - plus).max() <= 1e-12
-        assert np.abs(got.minus - minus).max() <= 1e-12
+        assert np.abs(got[0] - plus).max() <= 1e-12
+        assert np.abs(got[1] - minus).max() <= 1e-12
         if basis.kernel_dim:
-            assert np.abs(got.kernel - w_all[:, 0, 0]).max() <= 1e-12
+            assert np.abs(got_kernel - w_all[:, 0, 0]).max() <= 1e-12
         else:
-            assert got.kernel.shape == (0,)
+            assert got_kernel.shape == (0,)
 
 
 def rel_diff(a, b):
@@ -234,8 +259,7 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
     rng = np.random.default_rng(67)
     sp = basis.random_spinor(rng)
 
-    assert rel_diff(_quartic_part(basis, sp)[2],
-                    _quartic_part(fine, sp)[2]) <= 1e-13
+    assert rel_diff(quartic(basis, sp), quartic(fine, sp)) <= 1e-13
     value, grad = phi_functional(basis, sp)
     value_f, grad_f = phi_functional(fine, sp)
     assert rel_diff(value, value_f) <= 1e-13
@@ -253,8 +277,7 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
 
     # build_dirac refuses the aliasing grid, so shrink the basis directly
     coarse = dataclasses.replace(basis, n_g=basis.n_g - 1)
-    assert rel_diff(_quartic_part(coarse, sp)[2],
-                    _quartic_part(fine, sp)[2]) > 1e-8
+    assert rel_diff(quartic(coarse, sp), quartic(fine, sp)) > 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +344,11 @@ def test_phi_gradient_pairing_identity():
     pairing = basis.h_inner(grad, sp)
     qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
     qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
-    expected = qplus - qminus - _quartic_part(basis, sp)[2]
+    expected = qplus - qminus - quartic(basis, sp)
     assert math.isclose(pairing, expected, rel_tol=1e-10)
     # and the value assembles from the same pieces
     assert math.isclose(value, 0.5 * (qplus - qminus)
-                        - 0.25 * _quartic_part(basis, sp)[2], rel_tol=1e-12)
+                        - 0.25 * quartic(basis, sp), rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +376,7 @@ def test_kernel_gram_condition_bound():
     rng = np.random.default_rng(31)
     worst = 0.0
     for k in range(200):
-        z = basis.to_grid(basis.random_spinor(rng)) \
+        z = to_grid(basis, basis.random_spinor(rng)) \
             * 10.0 ** rng.uniform(-100.0, 100.0)
         dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
         if k % 2:
@@ -369,7 +392,7 @@ def test_T_optimality_residual():
     rng = np.random.default_rng(19)
     sp = basis.random_spinor(rng, scale=0.9)
     tc = T_project(basis, sp, tol=1e-12)
-    z = basis.to_grid(sp) - (tc / TWO_PI)[:, None, None]
+    z = to_grid(basis, sp) - (tc / TWO_PI)[:, None, None]
     dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
     for d in np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
                       dtype=complex) / TWO_PI:
@@ -409,7 +432,7 @@ def test_T_grid_search_oracle():
     sp = basis.random_spinor(rng, scale=0.7)
     tc = T_project(basis, sp, tol=1e-13)
 
-    grid = basis.to_grid(sp)
+    grid = to_grid(basis, sp)
     dens = (np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2).ravel()
     re0, im0 = grid[0].real.ravel(), grid[0].imag.ravel()
     re1, im1 = grid[1].real.ravel(), grid[1].imag.ravel()
@@ -559,6 +582,60 @@ def test_grad_psi_reuses_the_cached_cubic(lam_max, delta, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("lam_max", [1.5, 3.0])
+@pytest.mark.parametrize("delta", SPIN_STRUCTURES)
+def test_hess_psi_matches_central_differences(delta, lam_max):
+    basis = build_dirac(lam_max, delta)
+    problem, _, _ = ground_state_problem(basis)
+    rng = np.random.default_rng(73)
+    u = rng.standard_normal(problem.n) * 0.6
+    v = rng.standard_normal(problem.n)
+    exact = problem.hess_psi(u, v)
+    scale = np.abs(exact).max()
+
+    def central(h):
+        return (problem.grad_psi(u + h * v)
+                - problem.grad_psi(u - h * v)) / (2.0 * h)
+
+    if basis.kernel_dim:
+        # T makes grad Psi smooth but not polynomial: the difference
+        # converges to the product at second order
+        errs = [np.abs(central(h) - exact).max() / scale
+                for h in (1e-3, 1e-4)]
+        assert abs(math.log10(errs[0] / errs[1]) - 2.0) <= 0.05
+        assert errs[1] <= 1e-7
+    else:
+        # grad Psi is a cubic form G, so the central difference is
+        # exactly DG(u) v + h^2 G(v)
+        h = 1e-2
+        fd = central(h) - h * h * problem.grad_psi(v)
+        assert np.abs(fd - exact).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_hess_psi_runs_one_transform_pair(delta, monkeypatch):
+    # at a resolved point a Hessian product transforms its direction to
+    # the grid and the product back, once each; the gradient there runs
+    # no transform at all
+    problem, _, _ = ground_state_problem(build_dirac(3.0, delta))
+    rng = np.random.default_rng(79)
+    u, v = rng.standard_normal((2, problem.n))
+    problem.psi(u)
+    calls = []
+    for name in ("to_grid", "from_grid"):
+        method = getattr(dirac_torus.SpectralBasis, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(dirac_torus.SpectralBasis, name, counted)
+    problem.grad_psi(u)
+    assert calls == []
+    problem.hess_psi(u, v)
+    assert calls == ["to_grid", "from_grid"]
+
+
 def test_hess_psi_kernel_gram_matches_loop_solve():
     # the cached Gram step against a solve that assembles the 4x4
     # system entry by entry from grid sums
@@ -569,10 +646,9 @@ def test_hess_psi_kernel_gram_matches_loop_solve():
     v = rng.standard_normal(problem.n)
 
     sp = from_coords(u)
-    z = basis.to_grid(TorusSpinor(sp.plus, -T_project(basis, sp),
-                                  sp.minus))
+    z = basis.to_grid(rows(sp), -T_project(basis, sp))
     dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
-    chi = basis.to_grid(from_coords(v))
+    chi = to_grid(basis, from_coords(v))
     dirs = np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
                     dtype=complex) / TWO_PI
     proj = np.array([np.real(z[0] * np.conj(d[0]) + z[1] * np.conj(d[1]))
@@ -591,11 +667,11 @@ def test_hess_psi_kernel_gram_matches_loop_solve():
     r = np.linalg.solve(H, rhs)
     chi = chi - (r @ dirs)[:, None, None]
     chi_pair = chi_pair - np.tensordot(r, proj, axes=1)
-    cubic = basis.from_grid(2.0 * chi_pair[None, :, :] * z
-                            + dens[None, :, :] * chi)
+    cubic, _ = basis.from_grid(2.0 * chi_pair[None, :, :] * z
+                               + dens[None, :, :] * chi)
     sq = np.sqrt(basis.lam)
-    expected = np.concatenate([cubic.plus.real / sq, cubic.plus.imag / sq,
-                               cubic.minus.real / sq, cubic.minus.imag / sq])
+    expected = np.concatenate([cubic[0].real / sq, cubic[0].imag / sq,
+                               cubic[1].real / sq, cubic[1].imag / sq])
     got = problem.hess_psi(u, v)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -652,7 +728,7 @@ def test_growth_constant_sup_step_is_sharp(lam_max, delta):
     ones = np.ones(basis.n_modes)
     sp = basis.spinor(plus=ones, minus=ones,
                       kernel=[math.sqrt(2.0), 0.0][:basis.kernel_dim])
-    grid = basis.to_grid(sp)
+    grid = to_grid(basis, sp)
     dens = np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2
     l2_sq = sum(float(np.sum(np.abs(b) ** 2))
                 for b in (sp.plus, sp.kernel, sp.minus))

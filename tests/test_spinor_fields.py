@@ -289,6 +289,19 @@ def test_find_psi0_closed_form_zero(m):
         assert abs(psi0_functional(rep, A, out)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_make_params_default_is_the_zero_form_search(m):
+    # the default psi0 is what the search returns for the zero form,
+    # bit for bit; below m = 3 the search is undefined and the default
+    # is the first basis spinor
+    rep = build_rep(m)
+    if m >= 3:
+        expected = find_psi0(rep, np.zeros((m,) * 4))
+    else:
+        expected = np.eye(rep.N, dtype=complex)[0]
+    assert np.array_equal(make_params(m).psi0, expected)
+
+
 def test_find_psi0_same_sign_endpoints_raise(monkeypatch):
     # a definite form has no zero on any great circle
     monkeypatch.setattr(spinor_fields, "_form_matrix",
