@@ -653,7 +653,8 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     # the Nehari minimizer lives in the positive block; the critical
     # point of the full functional adds the fiber maximizer over the
     # negative block
-    fiber = beta(problem, result.minimizer, tol=min(tol * 1e-2, 1e-12))
+    fiber = beta(problem, result.minimizer, tol=min(tol * 1e-2, 1e-12),
+                 w0=result.fiber)
     sp = _kernel_reduced(basis, from_coords(result.minimizer + fiber))
     energy, grad, quartic = _phi_parts(basis, sp)
     grad_norm = math.sqrt(basis.h_norm_sq(grad))

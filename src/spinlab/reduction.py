@@ -31,7 +31,7 @@ The module runs on numpy alone.  Its two numerical kernels are written
 out here and take exactly the steps of the scipy routines they replace,
 so results are bit-identical to a solver built on scipy: ``cg`` is the
 unpreconditioned conjugate gradient method (Hestenes and Stiefel, J. Res.
-NBS 49, 1952) as ``scipy.sparse.linalg.cg`` runs it from x0 = 0, and
+NBS 49, 1952) as ``scipy.sparse.linalg.cg`` runs it from a given x0, and
 ``brentq`` is Brent's root finder (Brent, "Algorithms for Minimization
 without Derivatives", 1973, ch. 4) as ``scipy.optimize.brentq`` runs it,
 with scipy's tolerance checks and the same errors.
@@ -277,13 +277,15 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
 # ---------------------------------------------------------------------------
 # linear and scalar solvers
 
-def cg(A, b, rtol=1e-5, maxiter=None):
-    """Solve A x = b by conjugate gradients from x = 0, A given by its action.
+def cg(A, b, rtol=1e-5, maxiter=None, x0=None):
+    """Solve A x = b by conjugate gradients from ``x0``, A given by its action.
 
-    A must be symmetric positive definite.  The loop stops once
-    |r| < rtol |b| and returns (x, 0), or after ``maxiter`` steps (default
-    10 n) and returns (x, maxiter); these are the steps of
-    ``scipy.sparse.linalg.cg`` with ``atol=0`` and no preconditioner.
+    A must be symmetric positive definite.  The start ``x0`` defaults to
+    zero, and an all-zero start takes no product for its residual.  The
+    loop stops once |r| < rtol |b| and returns (x, 0), or after
+    ``maxiter`` steps (default 10 n) and returns (x, maxiter); these are
+    the steps of ``scipy.sparse.linalg.cg`` with ``atol=0`` and no
+    preconditioner.
     """
     b = np.asarray(b, dtype=float)
     bnrm2 = np.linalg.norm(b)
@@ -292,8 +294,8 @@ def cg(A, b, rtol=1e-5, maxiter=None):
         return b, 0
     if maxiter is None:
         maxiter = 10 * len(b)
-    x = np.zeros_like(b)
-    r = b.copy()
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - A(x) if x.any() else b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
         # numpy's norm of a 1-d array is sqrt(r . r): the same float
@@ -398,9 +400,11 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
          max_iter: int = 50, w0: np.ndarray = None) -> np.ndarray:
     """Unique fiber maximizer: solve w + (I - P) grad Psi(phi + w) = 0.
 
-    Damped Newton with Armijo backtracking on the residual norm.  The
-    Newton operator v -> v + (I - P) hess Psi (I - P) v dominates the
-    identity, so each step is a well-conditioned CG solve.
+    Damped Newton with Armijo backtracking on the residual norm, from the
+    warm start ``w0`` (zero by default; finite and of shape (n,), checked
+    before any solve).  The Newton operator v -> v + (I - P) hess Psi
+    (I - P) v dominates the identity, so each step is a well-conditioned
+    CG solve.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -408,6 +412,9 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     if not np.isfinite(phi).all():
         raise ValueError("fiber direction phi must be finite")
     w = np.zeros(problem.n) if w0 is None else np.array(w0, dtype=float)
+    if w.shape != (problem.n,) or not np.isfinite(w).all():
+        raise ValueError(f"warm start w0 must be finite, of shape "
+                         f"({problem.n},)")
     history = []
 
     def residual(wv):
@@ -474,13 +481,14 @@ _MAX_DOUBLINGS = 40
 
 
 def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
-                  w: np.ndarray):
+                  w: np.ndarray, dw0: np.ndarray = None):
     """Exact dK/dt along the ray t phi of X, and the fiber's velocity.
 
     With w = beta(t phi), z = t phi + w, g = grad Psi(z) and H =
     hess Psi(z), K(t) = t^2 |phi|^2 - t <g, phi>.  Differentiating the
     fiber equation w + Q g = 0 gives (I + Q H Q) w' = -Q H phi, one CG
-    solve with the operator ``beta`` steps with, and then
+    solve with the operator ``beta`` steps with, started from ``dw0``
+    (zero by default), and then
 
         dK/dt = 2 t |phi|^2 - <g, phi> - t (<H phi, phi> + <w', H phi>).
 
@@ -490,7 +498,7 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
     g = problem.grad_psi(z)
     h_phi = problem.hess_psi(z, phi)
     dw, info = cg(_fiber_operator(problem, z), -problem.complement(h_phi),
-                  rtol=1e-6)
+                  rtol=1e-6, x0=dw0)
     if info != 0:
         raise RuntimeError(f"fiber derivative CG stalled (info={info})")
     slope = 2.0 * t * (phi @ phi) - g @ phi - t * (h_phi @ phi + dw @ h_phi)
@@ -520,8 +528,13 @@ def _bracket_root(k_of, t, k, tol):
 
 
 def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
-                 tol: float = 1e-12, t0: float = 1.0):
-    """``nehari_project``'s scale t and the fiber beta(t phi) solved there."""
+                 tol: float = 1e-12, t0: float = 1.0, w0: np.ndarray = None,
+                 dw0: np.ndarray = None):
+    """``nehari_project``'s scale t, the fiber beta(t phi) solved there and
+    the last fiber velocity: (t, w, w').  The first fiber starts from
+    ``w0`` and the first velocity solve from ``dw0`` (zero by default)."""
+    if not (math.isfinite(t0) and t0 > 0.0):
+        raise ValueError("initial scale t0 must be finite and positive")
     phi = np.asarray(phi, dtype=float)
     if float(phi @ phi) == 0.0:
         raise ValueError("cannot project the zero direction")
@@ -532,26 +545,27 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
         raise ValueError("direction must lie in X: its Y part is nonzero")
     fiber_tol = max(min(tol, 1e-12), tol * 1e-3)
     fibers = {}
-    last = {"w": None}
+    last = {"w": w0}
 
-    def k_of(t, w0=None):
+    def k_of(t, start=None):
         _, _, k, w = reduced(problem, t * phi, tol=fiber_tol,
-                             w0=last["w"] if w0 is None else w0)
+                             w0=last["w"] if start is None else start)
         last["w"] = fibers[t] = w
         return k
 
     t = float(t0)
     k = k_of(t)
+    dw = dw0
     for _ in range(_NEWTON_STEPS):
         if k == 0.0:
             break
-        dk, dw = _nehari_slope(problem, phi, t, fibers[t])
+        dk, dw = _nehari_slope(problem, phi, t, fibers[t], dw)
         if not dk < 0.0:
             break
         t_new = t - k / dk
         if abs(t_new - t) <= tol:
             # the slope at this root is dk < 0
-            return t, fibers[t]
+            return t, fibers[t], dw
         if not t_new > 0.0:
             break
         # the fiber's tangent predicts the next fiber
@@ -561,11 +575,13 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
         t, k = t_new, k_new
 
     root = float(_bracket_root(k_of, t, k, tol))
-    slope, _ = _nehari_slope(problem, phi, root, fibers[root])
+    # a bracketed root lies away from the last velocity's scale, so
+    # this velocity solve starts from zero
+    slope, dw = _nehari_slope(problem, phi, root, fibers[root])
     if not slope < 0.0:
         raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
                            "expected negative")
-    return root, fibers[root]
+    return root, fibers[root], dw
 
 
 def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
@@ -573,10 +589,13 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
 
     Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so
-    the root is found by Newton's method in t from ``t0``, with the
-    exact slope of ``_nehari_slope``.  Each fiber beta(t phi) is warm
-    started from the previous one moved along its tangent.  The iteration
-    stops at the current t once the Newton correction is within ``tol``.
+    the root is found by Newton's method in t from ``t0`` (finite and
+    positive, ValueError otherwise, before any solve), with the exact
+    slope of ``_nehari_slope``.  The first fiber beta(t0 phi) starts from
+    zero; each later one starts from the previous fiber moved along its
+    tangent, and each tangent's CG solve from the previous tangent.  The
+    iteration stops at the current t once the Newton correction is within
+    ``tol``.
     A step is taken only if the slope is negative, the new t is positive
     and |K| decreases there.  When a step is refused, or after
     ``_NEWTON_STEPS`` steps, the root is instead bracketed by geometric
@@ -592,10 +611,16 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
 
 @dataclass(frozen=True)
 class NehariResult:
-    """Ground-state search outcome; iterates as (gamma, minimizer)."""
+    """Ground-state search outcome; iterates as (gamma, minimizer).
+
+    ``fiber`` is beta(minimizer) as the winning start's last descent step
+    solved it, to that step's inner tolerance: the warm start for a
+    tighter fiber solve at the minimizer.
+    """
 
     gamma: float
     minimizer: np.ndarray
+    fiber: np.ndarray = field(repr=False)
     grad_norm: float
     nehari_scale: float
     iterations: int
@@ -631,10 +656,18 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     trade places on the last bit.  ``initial`` replaces the first
     random direction, which lets a coarse solution warm start a finer
     one.  The inner tolerances follow the current gradient norm down, so
-    early iterates are cheap and converged ones are exact.  The
-    projection hands over the fiber it solved at the root, more tightly
-    than the descent asks, so the descent's own fiber solve there only
-    confirms it.
+    early iterates are cheap and converged ones are exact.  The fiber
+    solves are warm started from the solutions already in hand:
+
+    - the projection's first fiber, at the previous scale on the new
+      direction, starts from the descent's fiber at the previous point;
+    - its fiber velocity solves start from the last velocity, carried
+      from one projection to the next within a start;
+    - the projection hands over the fiber it solved at the root, more
+      tightly than the descent asks, so the descent's own fiber solve
+      there only confirms it.
+
+    The result carries the winning start's last fiber as ``fiber``.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -662,7 +695,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             nu = np.linalg.norm(u)
         u = u / nu
         try:
-            t, w = _nehari_root(problem, u, tol=1e-6)
+            t, w, dw = _nehari_root(problem, u, tol=1e-6)
         except DegenerateRay:
             degenerate += 1
             continue
@@ -690,12 +723,13 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             prev_u, prev_g = u, g
             u = u - alpha * g
             u = u / np.linalg.norm(u)
-            t, w = _nehari_root(problem, u,
-                                tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t)
+            t, w, dw = _nehari_root(
+                problem, u, tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t,
+                w0=w, dw0=dw)
 
         history.append((float(value), gn))
         if gn <= tol:
-            found.append((value, t * u, gn, t))
+            found.append((value, t * u, w, gn, t))
 
     if degenerate == starts:
         raise RuntimeError("all starts hit degenerate rays")
@@ -703,13 +737,13 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         raise RuntimeError(f"no start converged to tolerance {tol}; "
                            f"history {history}")
     lowest = min(level for level, *_ in found)
-    gamma, phi_star, gn, t = next(
+    gamma, phi_star, fiber, gn, t = next(
         f for f in found if f[0] - lowest <= 1e-12 * abs(lowest))
     if not gamma > 0.0:
         raise RuntimeError(f"ground level {gamma} is not positive")
     if not problem.psi(phi_star) > 0.0:
         raise RuntimeError("nonlinearity vanishes at the reported minimizer")
-    return NehariResult(float(gamma), phi_star, gn, float(t), total,
+    return NehariResult(float(gamma), phi_star, fiber, gn, float(t), total,
                         len(found), degenerate, tuple(history))
 
 

@@ -777,9 +777,12 @@ def test_solve_ground_state_with_kernel():
 def test_fiber_solves_per_descent_step(monkeypatch):
     # the Nehari projection solves few fibers per descent step and hands
     # the root's fiber to the descent, whose own fiber solve then finds
-    # it converged and runs no CG; counted on the solve at cutoff 3
-    # refined to 6 (without the hand-over: 12.9 CG solves per step)
-    calls = {"beta": 0, "cg": 0}
+    # it converged and runs no CG; the projection's first fiber starts
+    # from the descent's fiber and each fiber velocity solve from the
+    # last velocity; counted on the solve at cutoff 3 refined to 6
+    # (without the hand-over: 12.9 CG solves per step; with cold first
+    # fibers and velocities: 10.8 CG solves and 57.3 Hessian products)
+    calls = {"beta": 0, "cg": 0, "hess_psi": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -787,13 +790,44 @@ def test_fiber_solves_per_descent_step(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_problem(basis):
+        problem, to_coords, from_coords = ground_state_problem(basis)
+        hess = counted("hess_psi", problem.hess_psi)
+        return (dataclasses.replace(problem, hess_psi=hess), to_coords,
+                from_coords)
+
     fiber = counted("beta", reduction.beta)
     monkeypatch.setattr(reduction, "beta", fiber)
     monkeypatch.setattr(dirac_torus, "beta", fiber)
     monkeypatch.setattr(reduction, "cg", counted("cg", reduction.cg))
+    monkeypatch.setattr(dirac_torus, "ground_state_problem", counted_problem)
     coarse = solve_ground_state(3.0, (0.5, 0.5), tol=1e-8, seed=0, starts=2)
     fine = refine_ground_state(coarse, 6.0, tol=1e-8)
     assert (coarse.iterations, fine.iterations) == (45, 24)
     steps = coarse.iterations + fine.iterations
     assert calls["beta"] <= 5 * steps
-    assert calls["cg"] <= 12 * steps
+    assert calls["cg"] <= 9 * steps
+    assert calls["hess_psi"] <= 48 * steps
+
+
+def test_nehari_result_fiber_solves_the_fiber_equation(monkeypatch):
+    # the result's fiber is beta(minimizer) to the last descent step's
+    # inner tolerance, so the final tighter solve from it takes at most
+    # one Newton step (one CG solve); from zero it takes five
+    problem, _, _ = ground_state_problem(build_dirac(3.0, (0.5, 0.5)))
+    result = reduction.minimize_nehari(problem, starts=2, tol=1e-8, seed=0,
+                                       max_iter=400)
+    cold = reduction.beta(problem, result.minimizer, tol=1e-12)
+    solves = []
+    cg = reduction.cg
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "cg", counted)
+    warm = reduction.beta(problem, result.minimizer, tol=1e-12,
+                          w0=result.fiber)
+    assert len(solves) <= 1
+    assert np.linalg.norm(warm - cold) <= 1e-11 * np.linalg.norm(cold)
+    assert np.linalg.norm(result.fiber - cold) <= 1e-11 * np.linalg.norm(cold)

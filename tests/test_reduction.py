@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
-from scipy.sparse.linalg import cg as scipy_cg
+from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 
 from spinlab import reduction
 from spinlab.dirac_torus import (
@@ -338,6 +338,19 @@ def test_beta_rejects_nonfinite_direction(bad):
         beta(toy_problem(), np.array([bad, 0.0]))
 
 
+@pytest.mark.parametrize("w0", [[math.nan, 0.0], [0.0, math.inf],
+                                np.zeros(3), np.zeros((2, 1))])
+def test_beta_rejects_bad_warm_start(monkeypatch, w0):
+    # before the check a NaN start ran a full CG and raised "inner CG
+    # stalled", and a start of the wrong size failed inside numpy
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a fiber solve ran")
+
+    monkeypatch.setattr(reduction, "cg", no_solve)
+    with pytest.raises(ValueError, match="w0 must be finite, of shape"):
+        beta(toy_problem(), np.array([1.0, 0.0]), w0=np.array(w0))
+
+
 # ---------------------------------------------------------------------------
 # the reduced functional
 
@@ -506,6 +519,18 @@ def test_nehari_y_ray_is_degenerate():
     for t0 in (1e-3, 1.0, 1e3):
         with pytest.raises(ValueError, match="ray degenerate"):
             nehari_project(toy_problem(), np.array([0.0, 1.0]), t0=t0)
+
+
+@pytest.mark.parametrize("t0", [-1.0, 0.0, math.nan, math.inf])
+def test_nehari_rejects_bad_initial_scale(monkeypatch, t0):
+    # before the check t0 = -1 solved and then failed the slope check,
+    # and t0 = nan was reported as a non-finite fiber direction
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a fiber solve ran")
+
+    monkeypatch.setattr(reduction, "beta", no_solve)
+    with pytest.raises(ValueError, match="t0 must be finite and positive"):
+        nehari_project(toy_problem(), np.array([1.0, 0.0]), t0=t0)
 
 
 def test_nehari_rejects_direction_with_y_part():
@@ -897,6 +922,39 @@ def test_cg_edge_cases_match_scipy():
         assert info == want[1] == 0
         assert np.array_equal(x, want[0])
     assert x[0] == 1.0
+
+
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-12])
+def test_cg_warm_start_matches_scipy_bitwise(rtol):
+    # from a zero, a random and the exact start, with scipy's count of
+    # products: an all-zero start takes none for its first residual; the
+    # start itself is never updated in place
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        A, b = spd_system(rng, n, rng.uniform(0.0, 4.0))
+        for x0 in (np.zeros(n), rng.standard_normal(n),
+                   np.linalg.solve(A, b)):
+            kept = x0.copy()
+            for maxiter in (None, 3):
+                products = {"scipy": 0, "port": 0}
+
+                def counted(key):
+                    def apply(v):
+                        products[key] += 1
+                        return A @ v
+                    return apply
+
+                op = LinearOperator(A.shape, matvec=counted("scipy"),
+                                    dtype=float)
+                want = scipy_cg(op, b, x0=x0, rtol=rtol, atol=0.0,
+                                maxiter=maxiter)
+                got = reduction.cg(counted("port"), b, rtol=rtol,
+                                   maxiter=maxiter, x0=x0)
+                assert got[1] == want[1]
+                assert np.array_equal(got[0], want[0])
+                assert products["port"] == products["scipy"]
+            assert np.array_equal(x0, kept)
 
 
 def bracket_function(c):
