@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "CliffordRep",
     "build_rep",
-    "vec_mul",
     "gamma_word",
     "distinct_mask",
     "volume_projectors",
@@ -79,18 +78,6 @@ def build_rep(m: int) -> CliffordRep:
 def inner(a, b):
     """Hermitian inner product, conjugate linear in the first slot."""
     return complex(np.vdot(a, b))
-
-
-def vec_mul(rep: CliffordRep, v, s):
-    """Clifford action of the real vector v on the spinor s: (sum v_i gamma_i) s."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (rep.m,):
-        raise ValueError("vector has wrong dimension")
-    out = np.zeros(rep.N, dtype=complex)
-    for i in range(rep.m):
-        if v[i] != 0.0:
-            out += v[i] * (rep.gammas[i] @ s)
-    return out
 
 
 def gamma_word(rep: CliffordRep, indices):

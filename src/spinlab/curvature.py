@@ -64,17 +64,6 @@ class RiemannTensor:
             raise ValueError("component array has wrong shape")
         object.__setattr__(self, "components", c)
 
-    def symmetry_residual(self) -> float:
-        """Max violation of the two antisymmetries, pair symmetry and Bianchi."""
-        c = self.components
-        r = max(
-            np.abs(c + c.transpose(1, 0, 2, 3)).max(),
-            np.abs(c + c.transpose(0, 1, 3, 2)).max(),
-            np.abs(c - c.transpose(2, 3, 0, 1)).max(),
-            np.abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max(),
-        )
-        return float(r)
-
     def frobenius(self) -> float:
         return float(np.sqrt((self.components ** 2).sum()))
 

@@ -20,10 +20,10 @@ critical points map back to those of Phi via psi -> psi - T(psi).
 Fields are evaluated on a uniform n_g x n_g grid by a separable partial
 DFT over the square box of integer mode labels: two small matrices per
 basis, exp(i (k + delta_j) x) for the labels k of the box and the grid
-points x, carry the spin-structure phase.  A transform takes the
-stacked (plus, minus) coefficient rows, of shape (2, n_modes), and the
-kernel block beside them; it is one GEMM over both spinor components
-along one axis and one batched product along the other.
+points x, carry the spin-structure phase.  A spinor is its coefficient
+vector, laid out as [plus, minus, kernel] (``SpectralBasis``), and a
+transform is one GEMM over both spinor components along one axis and
+one batched product along the other.
 
 The grid is exact at n_g >= 2 nk - 1, where nk = modes.max() -
 modes.min() + 1 is the width of the box, and that threshold is the
@@ -59,7 +59,6 @@ from .reduction import IndefiniteProblem, beta, minimize_nehari
 __all__ = [
     "SpinStructure",
     "SpectralBasis",
-    "TorusSpinor",
     "GroundState",
     "build_dirac",
     "phi_functional",
@@ -86,13 +85,6 @@ class SpinStructure:
                 raise ValueError("spin offsets must be 0 or 1/2")
 
     @classmethod
-    def coerce(cls, value) -> "SpinStructure":
-        if isinstance(value, cls):
-            return value
-        d1, d2 = value
-        return cls(float(d1), float(d2))
-
-    @classmethod
     def from_text(cls, text: str) -> "SpinStructure":
         names = {"0": 0.0, "0.0": 0.0, "0.5": 0.5, "1/2": 0.5}
         parts = [p.strip() for p in text.split(",")]
@@ -108,27 +100,17 @@ class SpinStructure:
         return (self.delta1, self.delta2)
 
 
-@dataclass
-class TorusSpinor:
-    """Eigenbasis coefficients split by spectral block.
-
-    ``plus`` and ``minus`` hold one complex coefficient per nonzero
-    mode; ``kernel`` holds the two constant-spinor coefficients when
-    the spin structure is trivial, else it is empty.
-    """
-
-    plus: np.ndarray
-    kernel: np.ndarray
-    minus: np.ndarray
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """All mode data for one cutoff and spin structure.
 
-    Kernel basis vectors are the constant spinors e_1/(2 pi), e_2/(2 pi);
-    every nonzero mode carries an orthonormal pair of symbol
-    eigenvectors for the eigenvalues +-|theta|.
+    A spinor is its complex coefficient vector c of length ``size`` =
+    2 n_modes + kernel_dim, laid out as [plus, minus, kernel]: one
+    coefficient per nonzero mode in the plus block and one in the minus
+    block, then the coefficients of the constant spinors e_1/(2 pi),
+    e_2/(2 pi) when the spin structure is trivial.  Every nonzero mode
+    carries an orthonormal pair of symbol eigenvectors for the
+    eigenvalues +-|theta|.
 
     Grid transforms run over the box of labels kk = modes.min() ..
     modes.max() on both axes, which holds every mode and the kernel mode
@@ -139,11 +121,12 @@ class SpectralBasis:
     mode) array with 1/(2 pi) folded in, their conjugates with
     2 pi / n_g^2 folded in, and the flat box index of every mode and of
     the kernel mode.  ``to_grid`` fills the (component, box) array from
-    the stacked (plus, minus) rows and the kernel block, then runs one
-    GEMM (2 nk, nk) @ E2t over both components and one batched product
-    with E1; ``from_grid`` runs the same products backwards with
-    E2t^H and E1^H.  Every mode gets the discrete Fourier coefficient an
-    FFT of the grid with the spin phase removed would give it.
+    the rows c[:2 n_modes].reshape(2, n_modes), a view, and the kernel
+    block, then runs one GEMM (2 nk, nk) @ E2t over both components and
+    one batched product with E1; ``from_grid`` runs the same products
+    backwards with E2t^H and E1^H.  Every mode gets the discrete Fourier
+    coefficient an FFT of the grid with the spin phase removed would
+    give it.
     """
 
     lam_max: float
@@ -206,60 +189,43 @@ class SpectralBasis:
     def quad_weight(self) -> float:
         return (TWO_PI / self.n_g) ** 2
 
-    def spinor(self, plus=None, kernel=None, minus=None) -> TorusSpinor:
-        def block(data, size):
-            if data is None:
-                return np.zeros(size, dtype=complex)
-            out = np.asarray(data, dtype=complex)
-            if out.shape != (size,):
-                raise ValueError("coefficient block has the wrong size")
-            return out.copy()
+    @property
+    def size(self) -> int:
+        """Length of a coefficient vector: 2 n_modes + kernel_dim."""
+        return 2 * self.n_modes + self.kernel_dim
 
-        return TorusSpinor(block(plus, self.n_modes),
-                           block(kernel, self.kernel_dim),
-                           block(minus, self.n_modes))
-
-    def random_spinor(self, rng, scale: float = 1.0) -> TorusSpinor:
-        def draw(size):
-            return scale * (rng.standard_normal(size)
-                            + 1j * rng.standard_normal(size))
-
-        return TorusSpinor(draw(self.n_modes), draw(self.kernel_dim),
-                           draw(self.n_modes))
-
-    def to_grid(self, pm: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        """Evaluate the field with stacked (plus, minus) coefficient rows
-        ``pm``, shape (2, n_modes), and kernel block ``kernel`` on the
-        uniform grid; shape (2, n_g, n_g) complex."""
+    def to_grid(self, c: np.ndarray) -> np.ndarray:
+        """Evaluate the field with coefficient vector ``c`` on the uniform
+        grid; shape (2, n_g, n_g) complex."""
         nk, n_g = self._e2t.shape
+        M = self.n_modes
         box = np.zeros(2 * nk * nk, dtype=complex)
-        terms = self._w * pm[:, None, :]
+        terms = self._w * c[:2 * M].reshape(2, 1, M)
         box[self._flat] = (terms[0] + terms[1]).ravel()
-        if kernel.size:
-            box[self._flat0] = kernel / TWO_PI
+        if self._flat0.size:
+            box[self._flat0] = c[2 * M:] / TWO_PI
         half = (box.reshape(2 * nk, nk) @ self._e2t).reshape(2, nk, n_g)
         return self._e1 @ half
 
-    def from_grid(self, grid: np.ndarray):
+    def from_grid(self, grid: np.ndarray) -> np.ndarray:
         """Project a grid field onto the basis (its box Fourier modes):
-        the stacked (plus, minus) rows and the kernel block."""
+        the coefficient vector."""
         nk, n_g = self._e2t.shape
         half = (grid.reshape(2 * n_g, n_g) @ self._e2c).reshape(2, n_g, nk)
         box = (self._e1h @ half).reshape(2 * nk * nk)
         terms = self._wc * box[self._flat].reshape(2, -1)
-        pm = terms[:, 0] + terms[:, 1]
+        c = (terms[:, 0] + terms[:, 1]).ravel()
         if self._flat0.size:
-            return pm, box[self._flat0] * (TWO_PI / n_g ** 2)
-        return pm, np.zeros(0, dtype=complex)
+            c = np.concatenate((c, box[self._flat0] * (TWO_PI / n_g ** 2)))
+        return c
 
-    def h_inner(self, a: TorusSpinor, b: TorusSpinor) -> float:
-        out = float(np.sum(self.lam * np.real(np.conj(a.plus) * b.plus)))
-        out += float(np.sum(self.lam * np.real(np.conj(a.minus) * b.minus)))
-        out += float(np.sum(np.real(np.conj(a.kernel) * b.kernel)))
-        return out
-
-    def h_norm_sq(self, sp: TorusSpinor) -> float:
-        return self.h_inner(sp, sp)
+    def h_norm_sq(self, c: np.ndarray) -> float:
+        """H^(1/2) norm squared: the plus and minus blocks weighted by
+        |lambda|, the kernel block in L2."""
+        M = self.n_modes
+        return sum(float(np.sum(w * np.real(np.conj(b) * b))) for w, b in
+                   ((self.lam, c[:M]), (self.lam, c[M:2 * M]),
+                    (1.0, c[2 * M:])))
 
 
 def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBasis:
@@ -268,14 +234,8 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
     The grid resolution ``n_g`` defaults to the exact threshold
     2 nk - 1, with nk = modes.max() - modes.min() + 1 the width of the
     transform box; a smaller grid, or one that is not an integer, is
-    rejected.  Proof of exactness: products conj(psi) psi' of box fields
-    have integer frequencies of modulus <= nk - 1 per axis, so the
-    quartic integral, the box coefficients of |psi|^2 psi and the
-    Hessian products integrate trigonometric polynomials of degree
-    <= 2 (nk - 1).  The n-point trapezoidal rule is exact for
-    exp(i m x) unless m is a nonzero multiple of n, so it is exact from
-    n = 2 nk - 1 on; at 2 nk - 2 the top frequency aliases onto the
-    mean (module docstring).
+    rejected.  The module docstring proves the threshold exact and
+    sharp.
     """
     if not lam_max >= 1.0:
         raise ValueError("mode cutoff must be at least 1")
@@ -284,7 +244,9 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
     if n_g is not None and (isinstance(n_g, bool)
                             or not isinstance(n_g, numbers.Integral)):
         raise ValueError(f"grid size must be an integer, got {n_g!r}")
-    delta = SpinStructure.coerce(delta)
+    if not isinstance(delta, SpinStructure):
+        d1, d2 = delta
+        delta = SpinStructure(float(d1), float(d2))
 
     span = int(math.ceil(lam_max)) + 1
     ks = np.arange(-span, span + 1)
@@ -329,32 +291,41 @@ def _pairing(z: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return parts[0] + parts[1]
 
 
-def _quartic_part(basis: SpectralBasis, pm: np.ndarray, kernel: np.ndarray):
-    """Grid field z, density |z|^2, int |psi|^4 and the (rows, kernel)
-    coefficients of |psi|^2 psi at the spinor with stacked rows ``pm``
-    and kernel block ``kernel``, all exact on the exact grid."""
-    z = basis.to_grid(pm, kernel)
+def _quartic_part(basis: SpectralBasis, c: np.ndarray):
+    """Grid field z, density |z|^2, int |psi|^4 and the coefficient vector
+    of |psi|^2 psi at the spinor ``c``, all exact on the exact grid."""
+    z = basis.to_grid(c)
     dens = _pairing(z, z)
     quartic = basis.quad_weight * float(np.sum(dens * dens))
     return z, dens, quartic, basis.from_grid(dens * z)
 
 
-def _phi_parts(basis: SpectralBasis, sp: TorusSpinor):
-    """Phi, its H^(1/2) gradient and int |psi|^4 from one quartic pass."""
-    _, _, quartic, (cubic, cubic_kernel) = _quartic_part(
-        basis, np.stack((sp.plus, sp.minus)), sp.kernel)
-    qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
-    qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
+def _checked(basis: SpectralBasis, c) -> np.ndarray:
+    """``c`` as a contiguous complex array, refused unless it is a finite
+    vector of shape (basis.size,)."""
+    c = np.ascontiguousarray(c, dtype=complex)
+    if c.shape != (basis.size,):
+        raise ValueError(f"spinor coefficients c must have shape "
+                         f"({basis.size},), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("spinor coefficients c must be finite")
+    return c
+
+
+def phi_functional(basis: SpectralBasis, c: np.ndarray):
+    """Phi, its H^(1/2) gradient and int |psi|^4 at the coefficient
+    vector ``c``, from one quartic pass."""
+    c = _checked(basis, c)
+    _, _, quartic, cubic = _quartic_part(basis, c)
+    M = basis.n_modes
+    plus, minus = c[:M], c[M:2 * M]
+    qplus = float(np.sum(basis.lam * np.abs(plus) ** 2))
+    qminus = float(np.sum(basis.lam * np.abs(minus) ** 2))
     value = 0.5 * (qplus - qminus) - 0.25 * quartic
-    grad = TorusSpinor(sp.plus - cubic[0] / basis.lam,
-                       -cubic_kernel,
-                       -sp.minus - cubic[1] / basis.lam)
+    grad = -cubic
+    grad[:M] = plus - cubic[:M] / basis.lam
+    grad[M:2 * M] = -minus - cubic[M:2 * M] / basis.lam
     return value, grad, quartic
-
-
-def phi_functional(basis: SpectralBasis, sp: TorusSpinor):
-    """Value and H^(1/2) gradient of Phi at a truncated spinor."""
-    return _phi_parts(basis, sp)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +357,7 @@ def _kernel_coeffs(r: np.ndarray) -> np.ndarray:
     return np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])
 
 
-def T_project(basis: SpectralBasis, sp: TorusSpinor,
+def T_project(basis: SpectralBasis, c: np.ndarray,
               tol: float = 1e-12) -> np.ndarray:
     """Best approximation of the spinor in the Dirac kernel.
 
@@ -396,9 +367,10 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor,
     line search stalls, at its rounding floor 4 eps w sum |z|^3 / (2 pi).
     Returns the kernel coefficients; empty when the kernel is trivial.
     """
+    c = _checked(basis, c)
     if basis.kernel_dim == 0:
         return np.zeros(0, dtype=complex)
-    grid = basis.to_grid(np.stack((sp.plus, sp.minus)), sp.kernel)
+    grid = basis.to_grid(c)
     w = basis.quad_weight
 
     def grad_at(r):
@@ -407,8 +379,7 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor,
         P = _kernel_pairings(z)
         return -w * (P @ dens.ravel()), P, dens
 
-    r = np.array([sp.kernel[0].real, sp.kernel[0].imag,
-                  sp.kernel[1].real, sp.kernel[1].imag])
+    r = c[2 * basis.n_modes:].view(float)   # the real kernel coordinates
     g, P, dens = grad_at(r)
     gn = float(np.linalg.norm(g))
     for _ in range(50):
@@ -439,24 +410,25 @@ def T_project(basis: SpectralBasis, sp: TorusSpinor,
     return _kernel_coeffs(r)
 
 
-def _kernel_reduced(basis: SpectralBasis, sp: TorusSpinor) -> TorusSpinor:
+def _kernel_reduced(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
     """psi - T(psi) for psi with a zero kernel block; psi if no kernel."""
     if basis.kernel_dim == 0:
-        return sp
-    return TorusSpinor(sp.plus, -T_project(basis, sp), sp.minus)
+        return c
+    return np.concatenate((c[:2 * basis.n_modes], -T_project(basis, c)))
 
 
-def tilde_phi(basis: SpectralBasis, sp: TorusSpinor):
+def tilde_phi(basis: SpectralBasis, c: np.ndarray):
     """Kernel-reduced functional and gradient on the plus/minus blocks.
 
     The quartic term is evaluated at psi - T(psi); by stationarity of
     the inner minimum the gradient takes the same form as for Phi with
-    the shifted argument, and its kernel component vanishes.  Without a
-    kernel this is Phi itself.
+    the shifted argument, and its kernel component vanishes.  Returns
+    ``phi_functional`` at psi - T(psi), which is psi without a kernel.
     """
-    if basis.kernel_dim and np.any(sp.kernel != 0.0):
+    c = _checked(basis, c)
+    if np.any(c[2 * basis.n_modes:] != 0.0):
         raise ValueError("kernel block must be zero here")
-    return phi_functional(basis, _kernel_reduced(basis, sp))
+    return phi_functional(basis, _kernel_reduced(basis, c))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +440,8 @@ def ground_state_problem(basis: SpectralBasis):
     Real coordinates are sqrt(lambda)-scaled coefficient parts, so the
     H^(1/2) norm is Euclidean and the quadratic part of the energy is
     exactly (|u+|^2 - |u-|^2)/2.  X is the plus block, the first 2M
-    coordinates.  Returns (problem, to_coords, from_coords).  The
+    coordinates.  Returns (problem, to_coords, from_coords); from_coords
+    gives the coefficient vector with a zero kernel block.  The
     curvature constant 5/3 and the superquadraticity exponent 4 are
     exact for the quartic (kernel-reduced or not).
 
@@ -493,56 +466,47 @@ def ground_state_problem(basis: SpectralBasis):
     - <grad Psi(u), u> = int |psi|^4 by 4-homogeneity, with a kernel
       too, since T(s psi) = s T(psi) and T is stationary.
     """
-    M = basis.n_modes
+    M, size = basis.n_modes, basis.size
     n = 4 * M
     sq = np.sqrt(basis.lam)
     inv_sq = 1.0 / sq
-    no_kernel = np.zeros(basis.kernel_dim, dtype=complex)
 
     # Coordinates are [Re plus, Im plus, Re minus, Im minus] (M each),
-    # read as (block, part, mode) against the stacked (block, mode)
-    # complex coefficient rows.
-    def rows(u):
-        """The stacked rows (u_re + i u_im) / sqrt(lambda).  numpy divides
-        by a real-valued complex as x * (1 / sqrt(lambda)), so the two
-        products give the same nonzero values."""
+    # read as (block, part, mode) against the (plus, minus) rows
+    # c[:2M].reshape(2, M) of a coefficient vector.
+    def from_coords(u):
+        """The coefficient vector with rows (u_re + i u_im) / sqrt(lambda)
+        and a zero kernel block; numpy divides by a real-valued complex as
+        x * (1 / sqrt(lambda)), so two products give the same values."""
         parts = u.reshape(2, 2, M)
-        c = np.empty((2, M), dtype=complex)
-        np.multiply(parts[:, 0], inv_sq, out=c.real)
-        np.multiply(parts[:, 1], inv_sq, out=c.imag)
+        c = np.zeros(size, dtype=complex)
+        rows = c[:2 * M].reshape(2, M)
+        np.multiply(parts[:, 0], inv_sq, out=rows.real)
+        np.multiply(parts[:, 1], inv_sq, out=rows.imag)
         return c
 
-    def unscaled_coords(c):
+    def coords(c, scale):
+        """The real and imaginary parts of the rows of ``c``, each mode
+        scaled by sqrt(lambda) through ``scale``: np.multiply gives a
+        spinor's coordinates, np.divide a gradient's."""
+        rows = c[:2 * M].reshape(2, M)
         out = np.empty((2, 2, M))
-        out[:, 0] = c.real
-        out[:, 1] = c.imag
-        return out
+        out[:, 0] = rows.real
+        out[:, 1] = rows.imag
+        return scale(out, sq, out=out).reshape(n)
 
-    def from_coords(u):
-        c = rows(u)
-        return TorusSpinor(c[0], no_kernel.copy(), c[1])
-
-    def to_coords(sp):
-        out = unscaled_coords(np.stack((sp.plus, sp.minus)))
-        out *= sq
-        return out.reshape(n)
-
-    def coeffs_to_grad(c):
-        out = unscaled_coords(c)
-        out /= sq
-        return out.reshape(n)
+    def to_coords(c):
+        return coords(c, np.multiply)
 
     cache = {}
 
     def resolve(u):
-        """The cache entry at u: (z, dens, quartic, cubic rows, gram)."""
+        """The cache entry at u: (z, dens, quartic, cubic, gram)."""
         key = u.tobytes()
         hit = cache.get(key)
         if hit is None:
-            c = rows(u)
-            kernel = _kernel_reduced(
-                basis, TorusSpinor(c[0], no_kernel, c[1])).kernel
-            z, dens, quartic, (cubic, _) = _quartic_part(basis, c, kernel)
+            z, dens, quartic, cubic = _quartic_part(
+                basis, _kernel_reduced(basis, from_coords(u)))
             gram = None
             if basis.kernel_dim and np.any(dens != 0.0):
                 P = _kernel_pairings(z)
@@ -559,11 +523,11 @@ def ground_state_problem(basis: SpectralBasis):
         return 0.25 * resolve(u)[2]
 
     def grad_psi(u):
-        return coeffs_to_grad(resolve(u)[3])
+        return coords(resolve(u)[3], np.divide)
 
     def hess_psi(u, v):
         z, dens, _, _, gram = resolve(u)
-        chi = basis.to_grid(rows(v), no_kernel)
+        chi = basis.to_grid(from_coords(v))
         chi_pair = _pairing(z, chi)
         if gram is not None:
             # subtract the kernel-tangent motion of the best
@@ -576,7 +540,7 @@ def ground_state_problem(basis: SpectralBasis):
             chi = chi - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
             chi_pair = chi_pair - (r @ P).reshape(chi_pair.shape)
         G = 2.0 * chi_pair * z + dens * chi
-        return coeffs_to_grad(basis.from_grid(G)[0])
+        return coords(basis.from_grid(G), np.divide)
 
     n_freq = M + (1 if basis.kernel_dim else 0)
     problem = IndefiniteProblem(
@@ -588,14 +552,18 @@ def ground_state_problem(basis: SpectralBasis):
 
 @dataclass(frozen=True)
 class GroundState:
-    """Solver output: the critical spinor and its audit quantities."""
+    """Solver output: the critical spinor's coefficient vector ``psi``
+    and its audit quantities."""
+
+    # the sphere threshold critical_energy(2) = vol(S^2) / 4 of
+    # ``asymptotics``, bitwise equal to pi
+    gamma_crit = math.pi
 
     basis: SpectralBasis
-    psi: TorusSpinor
+    psi: np.ndarray
     energy: float
     quartic_mass: float
     grad_norm: float
-    gamma_crit: float
     nehari_scale: float
     iterations: int
     seed: int
@@ -611,19 +579,17 @@ class GroundState:
         }
 
     def rows(self):
-        """CSV rows (mode, block, re, im) across all blocks."""
-        out = []
-        for j in range(self.basis.n_modes):
-            k1, k2 = (int(v) for v in self.basis.modes[j])
-            out.append((f"{k1} {k2}", "plus", float(self.psi.plus[j].real),
-                        float(self.psi.plus[j].imag)))
-        for a in self.psi.kernel:
-            out.append(("0 0", "kernel", float(a.real), float(a.imag)))
-        for j in range(self.basis.n_modes):
-            k1, k2 = (int(v) for v in self.basis.modes[j])
-            out.append((f"{k1} {k2}", "minus", float(self.psi.minus[j].real),
-                        float(self.psi.minus[j].imag)))
-        return out
+        """CSV rows (mode, block, re, im): the plus block, the kernel
+        block, then the minus block, modes in basis order."""
+        M = self.basis.n_modes
+        labels = [f"{k1} {k2}" for k1, k2 in self.basis.modes.tolist()]
+        blocks = (("plus", labels, self.psi[:M]),
+                  ("kernel", ["0 0"] * self.basis.kernel_dim,
+                   self.psi[2 * M:]),
+                  ("minus", labels, self.psi[M:2 * M]))
+        return [(label, name, float(a.real), float(a.imag))
+                for name, names, values in blocks
+                for label, a in zip(names, values)]
 
 
 def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
@@ -642,7 +608,7 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
 
 
 def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
-                    initial: TorusSpinor = None) -> GroundState:
+                    initial: np.ndarray = None) -> GroundState:
     """Nehari minimizer on ``basis`` (warm started from ``initial``),
     mapped to psi + beta - T and checked as ``solve_ground_state`` says."""
     problem, to_coords, from_coords = ground_state_problem(basis)
@@ -655,8 +621,8 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     # negative block
     fiber = beta(problem, result.minimizer, tol=min(tol * 1e-2, 1e-12),
                  w0=result.fiber)
-    sp = _kernel_reduced(basis, from_coords(result.minimizer + fiber))
-    energy, grad, quartic = _phi_parts(basis, sp)
+    psi = _kernel_reduced(basis, from_coords(result.minimizer + fiber))
+    energy, grad, quartic = phi_functional(basis, psi)
     grad_norm = math.sqrt(basis.h_norm_sq(grad))
 
     if grad_norm > 10.0 * tol:
@@ -667,30 +633,25 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     if abs(energy - 0.25 * quartic) > 1e-4 * max(1.0, abs(energy)):
         raise RuntimeError("critical-value identity failed: "
                            f"{energy} vs {0.25 * quartic}")
-    # the sphere threshold critical_energy(2) = vol(S^2) / 4 of
-    # ``asymptotics``, bitwise equal to pi
-    return GroundState(basis, sp, float(energy), float(quartic),
-                       float(grad_norm), math.pi,
-                       float(result.nehari_scale), int(result.iterations),
-                       int(seed))
+    return GroundState(basis, psi, float(energy), float(quartic),
+                       float(grad_norm), float(result.nehari_scale),
+                       int(result.iterations), int(seed))
 
 
 def refine_ground_state(state: GroundState, lam_max: float,
                         tol: float = 1e-8, n_g: int = None) -> GroundState:
     """Re-solve on a finer mode cutoff, warm started from a coarse state.
 
-    The coarse positive-block coefficients are embedded into the finer
-    basis (modes are matched by their integer labels) and seed the first
-    descent direction; the solve then runs to the same convergence and
-    consistency checks as a cold start.
+    The coarse positive-block coefficients seed the first descent
+    direction in the finer basis, whose first modes are the coarse ones
+    in the same order (both sort by (lambda, k1, k2)); the solve then
+    runs to the same convergence and consistency checks as a cold start.
     """
     coarse = state.basis
     if lam_max <= coarse.lam_max:
         raise ValueError("refinement needs a strictly larger mode cutoff")
-    basis = build_dirac(lam_max, coarse.delta.astuple(), n_g)
-    lookup = {(int(k1), int(k2)): i for i, (k1, k2) in enumerate(basis.modes)}
-    plus = np.zeros(basis.n_modes, dtype=complex)
-    for i, (k1, k2) in enumerate(coarse.modes):
-        plus[lookup[(int(k1), int(k2))]] = state.psi.plus[i]
+    basis = build_dirac(lam_max, coarse.delta, n_g)
+    initial = np.zeros(basis.size, dtype=complex)
+    initial[:coarse.n_modes] = state.psi[:coarse.n_modes]
     return _solve_on_basis(basis, tol=tol, seed=state.seed, starts=1,
-                           initial=basis.spinor(plus=plus))
+                           initial=initial)

@@ -12,9 +12,7 @@ cap (the space's product table) and scatters them onto their monomials,
 for single jets and for matrices of jets alike.  Index tensors and jets
 meet through one cached 0/1 symmetrizer per (m, degree, d): row
 (a_1, .., a_d) marks the monomial x^a_1 .. x^a_d, so ``tensor_to_jets``
-is one GEMM against it and ``jets_to_tensor``, its transpose scaled by
-the number of index tuples of each monomial, gives back the symmetric
-tensor.
+is one GEMM against it.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "jmat_mul",
     "jmat_det",
     "tensor_to_jets",
-    "jets_to_tensor",
 ]
 
 
@@ -179,18 +176,3 @@ def tensor_to_jets(space, T, d):
     out = np.zeros(lead + (space.n,))
     out[..., sel] = T.reshape(lead + (m ** d,)) @ S
     return out
-
-
-def jets_to_tensor(space, coeffs, d):
-    """Symmetric index tensor of the degree-d part of jet coefficients.
-
-    The transpose of ``tensor_to_jets``, each monomial's coefficient split
-    evenly over its index tuples, so ``jets_to_tensor(tensor_to_jets(T))``
-    is the symmetrization of T over its trailing d axes.
-    """
-    m = space.m
-    S, sel = _symmetrizer(m, space.degree, d)
-    coeffs = np.asarray(coeffs, dtype=float)
-    lead = coeffs.shape[:-1]
-    flat = coeffs[..., sel] @ (S / S.sum(axis=0)).T
-    return flat.reshape(lead + (m,) * d)

@@ -611,7 +611,7 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
 
 @dataclass(frozen=True)
 class NehariResult:
-    """Ground-state search outcome; iterates as (gamma, minimizer).
+    """Ground-state search outcome.
 
     ``fiber`` is beta(minimizer) as the winning start's last descent step
     solved it, to that step's inner tolerance: the warm start for a
@@ -627,10 +627,6 @@ class NehariResult:
     converged_starts: int
     degenerate_starts: int
     history: tuple = field(repr=False, default=())
-
-    def __iter__(self):
-        yield self.gamma
-        yield self.minimizer
 
     def summary(self) -> dict:
         return {
@@ -762,10 +758,6 @@ class EnvelopeAudit:
     grad_sq: np.ndarray
     energy_at_z: float
     grad_norm_at_z: float
-
-    def __iter__(self):
-        yield self.gamma
-        yield self.bound_ok
 
     def summary(self) -> dict:
         return {

@@ -41,7 +41,6 @@ __all__ = [
     "psi_eps",
     "eta",
     "eta_d1",
-    "eta_d2",
     "phi_eps",
     "psi0_functional",
     "find_psi0",
@@ -190,14 +189,6 @@ def eta_d1(r, delta: float):
     inside = (s > 0.0) & (s < 1.0)
     s = np.where(inside, s, 0.0)
     return np.where(inside, -30.0 * s ** 2 * (1.0 - s) ** 2 / delta, 0.0)
-
-
-def eta_d2(r, delta: float):
-    r = np.asarray(r, dtype=float)
-    s = (r - delta) / delta
-    inside = (s > 0.0) & (s < 1.0)
-    s = np.where(inside, s, 0.0)
-    return np.where(inside, -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / delta ** 2, 0.0)
 
 
 def phi_eps(params: TestSpinorParams, x) -> np.ndarray:

@@ -393,6 +393,26 @@ def test_env_var_sets_out_dir(capsys, tmp_path, monkeypatch):
     assert len(lines) == 1 + 2 * payload["modes"]
 
 
+def test_torus_csv_row_order(capsys, tmp_path):
+    # plus rows in basis order, the two kernel rows, then the minus rows
+    # with the same labels in the same order
+    from spinlab.dirac_torus import build_dirac
+
+    rc, payload = run_json(capsys, ["solve", "torus", "--spin", "0,0",
+                                    "--modes", "1", "--out-dir",
+                                    str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "torus_state.csv").read_text().splitlines()
+    assert lines[0] == "mode,block,re,im"
+    rows = [line.split(",")[:2] for line in lines[1:]]
+    labels = [f"{k1} {k2}" for k1, k2 in build_dirac(1.0, (0, 0)).modes]
+    M = len(labels)
+    assert payload["modes"] == M and payload["kernel_dim"] == 2
+    assert rows == ([[k, "plus"] for k in labels]
+                    + [["0 0", "kernel"]] * 2
+                    + [[k, "minus"] for k in labels])
+
+
 def test_module_invocation_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "spinlab.cli", "verify", "clifford",

@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 
-from spinlab.clifford import build_rep, gamma_word, inner, vec_mul, volume_projectors
+from spinlab.clifford import build_rep, gamma_word, inner, volume_projectors
 
 DIMS = range(2, 10)
+
+
+def vec_mul(rep, v, s):
+    """Clifford action of the real vector v on the spinor s: (sum v_i gamma_i) s."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (rep.m,):
+        raise ValueError("vector has wrong dimension")
+    out = np.zeros(rep.N, dtype=complex)
+    for i in range(rep.m):
+        if v[i] != 0.0:
+            out += v[i] * (rep.gammas[i] @ s)
+    return out
 
 
 @pytest.mark.parametrize("m", DIMS)

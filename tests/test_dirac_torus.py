@@ -18,7 +18,6 @@ import pytest
 from spinlab.asymptotics import critical_energy
 from spinlab.dirac_torus import (
     SpinStructure,
-    TorusSpinor,
     T_project,
     _kernel_gram,
     _kernel_pairings,
@@ -39,24 +38,34 @@ PAULI_2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 TWO_PI = 2.0 * math.pi
 
 
-def axpy(sp, d, h):
-    """Spinor combination sp + h * d."""
-    return TorusSpinor(sp.plus + h * d.plus, sp.kernel + h * d.kernel,
-                       sp.minus + h * d.minus)
+def random_spinor(basis, rng, scale=1.0):
+    """Coefficient vector [plus, minus, kernel] of complex Gaussians, drawn
+    in the order plus, kernel, minus."""
+    def draw(size):
+        return scale * (rng.standard_normal(size)
+                        + 1j * rng.standard_normal(size))
+
+    plus, kernel, minus = (draw(basis.n_modes), draw(basis.kernel_dim),
+                           draw(basis.n_modes))
+    return np.concatenate((plus, minus, kernel))
 
 
-def rows(sp):
-    """Stacked (plus, minus) coefficient rows of a spinor."""
-    return np.stack((sp.plus, sp.minus))
+def blocks(basis, c):
+    """The plus, minus and kernel blocks of a coefficient vector."""
+    M = basis.n_modes
+    return c[:M], c[M:2 * M], c[2 * M:]
 
 
-def to_grid(basis, sp):
-    return basis.to_grid(rows(sp), sp.kernel)
+def h_inner(basis, a, b):
+    """H^(1/2) pairing: |lambda|-weighted on the plus and minus blocks,
+    L2 on the kernel block."""
+    w = np.concatenate((basis.lam, basis.lam, np.ones(basis.kernel_dim)))
+    return float(np.sum(w * np.real(np.conj(a) * b)))
 
 
-def quartic(basis, sp):
+def quartic(basis, c):
     """int |psi|^4 from the solver's quartic pass."""
-    return _quartic_part(basis, rows(sp), sp.kernel)[2]
+    return _quartic_part(basis, c)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +162,18 @@ def test_grid_roundtrip_and_parseval():
     for delta in ((0.5, 0.5), (0.0, 0.0), (0.0, 0.5)):
         basis = build_dirac(2.0, delta)
         rng = np.random.default_rng(7)
-        sp = basis.random_spinor(rng)
-        grid = to_grid(basis, sp)
-        back, back_kernel = basis.from_grid(grid)
-        assert np.abs(back[0] - sp.plus).max() <= 1e-12
-        assert np.abs(back[1] - sp.minus).max() <= 1e-12
-        if basis.kernel_dim:
-            assert np.abs(back_kernel - sp.kernel).max() <= 1e-12
+        sp = random_spinor(basis, rng)
+        grid = basis.to_grid(sp)
+        assert np.abs(basis.from_grid(grid) - sp).max() <= 1e-12
         # Parseval: coefficient L2 mass equals the grid integral
-        l2_coeff = (np.sum(np.abs(sp.plus) ** 2)
-                    + np.sum(np.abs(sp.kernel) ** 2)
-                    + np.sum(np.abs(sp.minus) ** 2))
+        l2_coeff = np.sum(np.abs(sp) ** 2)
         l2_grid = basis.quad_weight * np.sum(np.abs(grid) ** 2)
         assert math.isclose(l2_coeff, l2_grid, rel_tol=1e-12)
         # H^(1/2) norm weights the nonkernel blocks by |lambda|
-        manual = (np.sum(basis.lam * np.abs(sp.plus) ** 2)
-                  + np.sum(np.abs(sp.kernel) ** 2)
-                  + np.sum(basis.lam * np.abs(sp.minus) ** 2))
+        plus, minus, kernel = blocks(basis, sp)
+        manual = (np.sum(basis.lam * np.abs(plus) ** 2)
+                  + np.sum(np.abs(kernel) ** 2)
+                  + np.sum(basis.lam * np.abs(minus) ** 2))
         assert math.isclose(basis.h_norm_sq(sp), manual, rel_tol=1e-13)
 
 
@@ -186,26 +190,25 @@ def test_to_grid_matches_mode_sum():
         for lam_max, n_g in cases:
             basis = build_dirac(lam_max, delta, n_g)
             rng = np.random.default_rng(53)
-            sp = basis.random_spinor(rng)
-            grid = to_grid(basis, sp)
+            sp = random_spinor(basis, rng)
+            grid = basis.to_grid(sp)
             assert grid.shape == (2, basis.n_g, basis.n_g)
-            w = (sp.plus[:, None] * basis.e_plus
-                 + sp.minus[:, None] * basis.e_minus)
+            plus, minus, kernel = blocks(basis, sp)
+            w = (plus[:, None] * basis.e_plus
+                 + minus[:, None] * basis.e_minus)
             x = TWO_PI * np.arange(basis.n_g) / basis.n_g
             points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
             waves = np.exp(1j * (points @ basis.theta.T)) / TWO_PI
             expected = np.moveaxis(waves @ w, -1, 0)
             if basis.kernel_dim:
-                expected = expected + (sp.kernel / TWO_PI)[:, None, None]
+                expected = expected + (kernel / TWO_PI)[:, None, None]
             assert np.abs(grid - expected).max() <= 1e-12
             if n_g is not None:
                 continue
             # the exact grid loses nothing on the way back
-            back, back_kernel = basis.from_grid(grid)
-            assert np.abs(back - rows(sp)).max() <= 1e-13
-            assert back_kernel.shape == sp.kernel.shape
-            if basis.kernel_dim:
-                assert np.abs(back_kernel - sp.kernel).max() <= 1e-13
+            back = basis.from_grid(grid)
+            assert back.shape == (basis.size,)
+            assert np.abs(back - sp).max() <= 1e-13
 
 
 def test_from_grid_matches_fft_projection():
@@ -225,11 +228,12 @@ def test_from_grid_matches_fft_projection():
                             axes=(1, 2)) * (TWO_PI / n ** 2)
         i1, i2 = basis.modes[:, 0] % n, basis.modes[:, 1] % n
         w = np.stack([w_all[0, i1, i2], w_all[1, i1, i2]], axis=1)
-        got, got_kernel = basis.from_grid(grid)
+        got_plus, got_minus, got_kernel = blocks(basis,
+                                                 basis.from_grid(grid))
         plus = np.sum(np.conj(basis.e_plus) * w, axis=1)
         minus = np.sum(np.conj(basis.e_minus) * w, axis=1)
-        assert np.abs(got[0] - plus).max() <= 1e-12
-        assert np.abs(got[1] - minus).max() <= 1e-12
+        assert np.abs(got_plus - plus).max() <= 1e-12
+        assert np.abs(got_minus - minus).max() <= 1e-12
         if basis.kernel_dim:
             assert np.abs(got_kernel - w_all[:, 0, 0]).max() <= 1e-12
         else:
@@ -240,10 +244,6 @@ def rel_diff(a, b):
     """Largest entry difference relative to the largest entry of b."""
     a, b = np.asarray(a), np.asarray(b)
     return float(np.abs(a - b).max() / np.abs(b).max())
-
-
-def blocks(sp):
-    return np.concatenate((sp.plus, sp.kernel, sp.minus))
 
 
 @pytest.mark.parametrize("lam_max", [2.0, 3.5])
@@ -257,13 +257,13 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
     assert basis.n_g == 2 * nk - 1
     fine = build_dirac(lam_max, delta, 4 * basis.n_g)
     rng = np.random.default_rng(67)
-    sp = basis.random_spinor(rng)
+    sp = random_spinor(basis, rng)
 
     assert rel_diff(quartic(basis, sp), quartic(fine, sp)) <= 1e-13
-    value, grad = phi_functional(basis, sp)
-    value_f, grad_f = phi_functional(fine, sp)
+    value, grad, _ = phi_functional(basis, sp)
+    value_f, grad_f, _ = phi_functional(fine, sp)
     assert rel_diff(value, value_f) <= 1e-13
-    assert rel_diff(blocks(grad), blocks(grad_f)) <= 1e-13
+    assert rel_diff(grad, grad_f) <= 1e-13
     if basis.kernel_dim:
         assert rel_diff(T_project(basis, sp), T_project(fine, sp)) <= 1e-13
 
@@ -285,10 +285,10 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
 
 def test_phi_zero():
     basis = build_dirac(2.0, (0.5, 0.5))
-    value, grad = phi_functional(basis, basis.spinor())
+    value, grad, quartic_mass = phi_functional(basis, np.zeros(basis.size))
     assert value == 0.0
-    assert np.abs(grad.plus).max() == 0.0
-    assert np.abs(grad.minus).max() == 0.0
+    assert quartic_mass == 0.0
+    assert np.abs(grad).max() == 0.0
 
 
 def test_phi_single_mode_closed_form():
@@ -296,41 +296,42 @@ def test_phi_single_mode_closed_form():
     # a^2/(4 pi^2), so the quartic integral is a^4/(4 pi^2)
     basis = build_dirac(2.0, (0.5, 0.5))
     j, a = 0, 1.3
+    M = basis.n_modes
     lam = basis.lam[j]
-    plus = np.zeros(basis.n_modes, dtype=complex)
-    plus[j] = a
-    value, grad = phi_functional(basis, basis.spinor(plus=plus))
+    c = np.zeros(basis.size, dtype=complex)
+    c[j] = a
+    value, grad, _ = phi_functional(basis, c)
     expected = 0.5 * lam * a * a - a ** 4 / (16.0 * math.pi ** 2)
     assert math.isclose(value, expected, rel_tol=1e-12)
     gj = a - a ** 3 / (4.0 * math.pi ** 2 * lam)
-    assert math.isclose(grad.plus[j].real, gj, rel_tol=1e-12)
-    assert abs(grad.plus[j].imag) <= 1e-13
-    mask = np.ones(basis.n_modes, dtype=bool)
+    assert math.isclose(grad[j].real, gj, rel_tol=1e-12)
+    assert abs(grad[j].imag) <= 1e-13
+    mask = np.ones(M, dtype=bool)
     mask[j] = False
-    assert np.abs(grad.plus[mask]).max() <= 1e-13
-    assert np.abs(grad.minus).max() <= 1e-13
+    assert np.abs(grad[:M][mask]).max() <= 1e-13
+    assert np.abs(grad[M:]).max() <= 1e-13
 
-    minus = np.zeros(basis.n_modes, dtype=complex)
-    minus[j] = a
-    value_m, grad_m = phi_functional(basis, basis.spinor(minus=minus))
+    c = np.zeros(basis.size, dtype=complex)
+    c[M + j] = a
+    value_m, grad_m, _ = phi_functional(basis, c)
     expected_m = -0.5 * lam * a * a - a ** 4 / (16.0 * math.pi ** 2)
     assert math.isclose(value_m, expected_m, rel_tol=1e-12)
     gm = -a - a ** 3 / (4.0 * math.pi ** 2 * lam)
-    assert math.isclose(grad_m.minus[j].real, gm, rel_tol=1e-12)
+    assert math.isclose(grad_m[M + j].real, gm, rel_tol=1e-12)
 
 
 def test_phi_gradient_fd():
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(11)
-    sp = basis.random_spinor(rng, scale=0.6)
-    d = basis.random_spinor(rng, scale=1.0)
-    _, grad = phi_functional(basis, sp)
-    exact = basis.h_inner(grad, d)
+    sp = random_spinor(basis, rng, scale=0.6)
+    d = random_spinor(basis, rng, scale=1.0)
+    _, grad, _ = phi_functional(basis, sp)
+    exact = h_inner(basis, grad, d)
     errs = []
     hs = (1e-2, 1e-3)
     for h in hs:
-        vp, _ = phi_functional(basis, axpy(sp, d, h))
-        vm, _ = phi_functional(basis, axpy(sp, d, -h))
+        vp = phi_functional(basis, sp + h * d)[0]
+        vm = phi_functional(basis, sp - h * d)[0]
         errs.append(abs((vp - vm) / (2.0 * h) - exact))
     slope = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
     assert abs(slope - 2.0) <= 0.3
@@ -339,11 +340,13 @@ def test_phi_gradient_fd():
 def test_phi_gradient_pairing_identity():
     basis = build_dirac(2.0, (0.5, 0.5))
     rng = np.random.default_rng(13)
-    sp = basis.random_spinor(rng, scale=0.8)
-    value, grad = phi_functional(basis, sp)
-    pairing = basis.h_inner(grad, sp)
-    qplus = float(np.sum(basis.lam * np.abs(sp.plus) ** 2))
-    qminus = float(np.sum(basis.lam * np.abs(sp.minus) ** 2))
+    sp = random_spinor(basis, rng, scale=0.8)
+    value, grad, quartic_mass = phi_functional(basis, sp)
+    assert quartic_mass == quartic(basis, sp)
+    pairing = h_inner(basis, grad, sp)
+    plus, minus, _ = blocks(basis, sp)
+    qplus = float(np.sum(basis.lam * np.abs(plus) ** 2))
+    qminus = float(np.sum(basis.lam * np.abs(minus) ** 2))
     expected = qplus - qminus - quartic(basis, sp)
     assert math.isclose(pairing, expected, rel_tol=1e-10)
     # and the value assembles from the same pieces
@@ -351,20 +354,49 @@ def test_phi_gradient_pairing_identity():
                         - 0.25 * quartic(basis, sp), rel_tol=1e-12)
 
 
+def bad_coefficients(basis, case):
+    c = random_spinor(basis, np.random.default_rng(83))
+    c[2 * basis.n_modes:] = 0.0
+    if case == "nan":
+        c[0] = np.nan
+    elif case == "inf":
+        c[-1] = np.inf
+    return {"short": c[:-1], "column": c[:, None]}.get(case, c)
+
+
+@pytest.mark.parametrize("case", ["short", "column", "nan", "inf"])
+@pytest.mark.parametrize("entry", [phi_functional, tilde_phi, T_project])
+def test_entry_points_refuse_bad_coefficients(entry, case, monkeypatch):
+    # refused before any transform; a NaN used to stall T_project's line
+    # search and make phi_functional return nan
+    basis = build_dirac(1.5, (0.0, 0.0))
+    bad = bad_coefficients(basis, case)
+
+    def refuse(*args):
+        raise AssertionError("to_grid ran on a refused vector")
+
+    monkeypatch.setattr(dirac_torus.SpectralBasis, "to_grid", refuse)
+    message = ("must be finite" if case in ("nan", "inf")
+               else rf"must have shape \({basis.size},\)")
+    with pytest.raises(ValueError, match=f"spinor coefficients c {message}"):
+        entry(basis, bad)
+
+
 # ---------------------------------------------------------------------------
 # kernel best approximation
 
 def test_T_kernel_identity():
     basis = build_dirac(2.0, (0.0, 0.0))
-    sp = basis.spinor(kernel=np.array([0.7 - 0.2j, 1.1 + 0.4j]))
+    kernel = np.array([0.7 - 0.2j, 1.1 + 0.4j])
+    sp = np.concatenate((np.zeros(2 * basis.n_modes), kernel))
     tc = T_project(basis, sp)
-    assert np.abs(tc - sp.kernel).max() <= 1e-12
+    assert np.abs(tc - kernel).max() <= 1e-12
 
 
 def test_T_no_kernel():
     basis = build_dirac(2.0, (0.5, 0.0))
     rng = np.random.default_rng(17)
-    tc = T_project(basis, basis.random_spinor(rng))
+    tc = T_project(basis, random_spinor(basis, rng))
     assert tc.shape == (0,)
 
 
@@ -376,7 +408,7 @@ def test_kernel_gram_condition_bound():
     rng = np.random.default_rng(31)
     worst = 0.0
     for k in range(200):
-        z = to_grid(basis, basis.random_spinor(rng)) \
+        z = basis.to_grid(random_spinor(basis, rng)) \
             * 10.0 ** rng.uniform(-100.0, 100.0)
         dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
         if k % 2:
@@ -390,9 +422,9 @@ def test_kernel_gram_condition_bound():
 def test_T_optimality_residual():
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(19)
-    sp = basis.random_spinor(rng, scale=0.9)
+    sp = random_spinor(basis, rng, scale=0.9)
     tc = T_project(basis, sp, tol=1e-12)
-    z = to_grid(basis, sp) - (tc / TWO_PI)[:, None, None]
+    z = basis.to_grid(sp) - (tc / TWO_PI)[:, None, None]
     dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
     for d in np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
                       dtype=complex) / TWO_PI:
@@ -404,13 +436,13 @@ def test_T_optimality_residual():
 def test_T_homogeneity_and_translation():
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(23)
-    sp = basis.random_spinor(rng, scale=0.8)
+    sp = random_spinor(basis, rng, scale=0.8)
     tc = T_project(basis, sp)
     for t in (2.3, -1.7):
-        scaled = axpy(basis.spinor(), sp, t)
-        assert np.abs(T_project(basis, scaled) - t * tc).max() <= 1e-10
+        assert np.abs(T_project(basis, t * sp) - t * tc).max() <= 1e-10
     shift = np.array([0.4 + 0.9j, -0.3 + 0.2j])
-    shifted = TorusSpinor(sp.plus, sp.kernel + shift, sp.minus)
+    shifted = sp.copy()
+    shifted[2 * basis.n_modes:] += shift
     assert np.abs(T_project(basis, shifted) - (tc + shift)).max() <= 1e-10
 
 
@@ -419,20 +451,19 @@ def test_T_homogeneity_at_large_amplitude(lam_max):
     # the gradient's rounding floor grows as s^3 and passes the absolute
     # tolerance 1e-12 here; the line search used to stall at s = 100
     basis = build_dirac(lam_max, (0.0, 0.0))
-    sp = basis.random_spinor(np.random.default_rng(29))
+    sp = random_spinor(basis, np.random.default_rng(29))
     tc = T_project(basis, sp)
     for s in (100.0, 1000.0):
-        scaled = axpy(basis.spinor(), sp, s)
-        assert rel_diff(T_project(basis, scaled), s * tc) <= 1e-12
+        assert rel_diff(T_project(basis, s * sp), s * tc) <= 1e-12
 
 
 def test_T_grid_search_oracle():
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(29)
-    sp = basis.random_spinor(rng, scale=0.7)
+    sp = random_spinor(basis, rng, scale=0.7)
     tc = T_project(basis, sp, tol=1e-13)
 
-    grid = to_grid(basis, sp)
+    grid = basis.to_grid(sp)
     dens = (np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2).ravel()
     re0, im0 = grid[0].real.ravel(), grid[0].imag.ravel()
     re1, im1 = grid[1].real.ravel(), grid[1].imag.ravel()
@@ -466,7 +497,7 @@ def test_T_grid_search_oracle():
 def test_T_degenerate_at_zero():
     # the zero spinor is fixed immediately and needs no Hessian solve
     basis = build_dirac(2.0, (0.0, 0.0))
-    tc = T_project(basis, basis.spinor())
+    tc = T_project(basis, np.zeros(basis.size))
     assert np.abs(tc).max() == 0.0
 
 
@@ -476,26 +507,26 @@ def test_T_degenerate_at_zero():
 def test_tilde_phi_inequality_and_kernel_gradient():
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(31)
+    M = basis.n_modes
     for _ in range(5):
-        sp = basis.random_spinor(rng, scale=0.8)
-        sp.kernel[:] = 0.0
-        phi_val, _ = phi_functional(basis, sp)
-        tilde_val, tilde_grad = tilde_phi(basis, sp)
+        sp = random_spinor(basis, rng, scale=0.8)
+        sp[2 * M:] = 0.0
+        phi_val = phi_functional(basis, sp)[0]
+        tilde_val, tilde_grad, _ = tilde_phi(basis, sp)
         assert phi_val <= tilde_val + 1e-12
-        assert np.abs(tilde_grad.kernel).max() <= 1e-10
+        assert np.abs(tilde_grad[2 * M:]).max() <= 1e-10
     with pytest.raises(ValueError, match="kernel block"):
-        tilde_phi(basis, basis.random_spinor(rng))
+        tilde_phi(basis, random_spinor(basis, rng))
 
 
 def test_tilde_phi_without_kernel_is_phi():
     basis = build_dirac(2.0, (0.5, 0.5))
     rng = np.random.default_rng(37)
-    sp = basis.random_spinor(rng)
-    v1, g1 = phi_functional(basis, sp)
-    v2, g2 = tilde_phi(basis, sp)
-    assert v1 == v2
-    assert np.array_equal(g1.plus, g2.plus)
-    assert np.array_equal(g1.minus, g2.minus)
+    sp = random_spinor(basis, rng)
+    v1, g1, q1 = phi_functional(basis, sp)
+    v2, g2, q2 = tilde_phi(basis, sp)
+    assert (v1, q1) == (v2, q2)
+    assert np.array_equal(g1, g2)
 
 
 def test_tilde_phi_gradient_fd():
@@ -503,17 +534,18 @@ def test_tilde_phi_gradient_fd():
     # each evaluation yet the gradient treats it as frozen
     basis = build_dirac(2.0, (0.0, 0.0))
     rng = np.random.default_rng(41)
-    sp = basis.random_spinor(rng, scale=0.7)
-    sp.kernel[:] = 0.0
-    d = basis.random_spinor(rng)
-    d.kernel[:] = 0.0
-    _, grad = tilde_phi(basis, sp)
-    exact = basis.h_inner(grad, d)
+    M = basis.n_modes
+    sp = random_spinor(basis, rng, scale=0.7)
+    sp[2 * M:] = 0.0
+    d = random_spinor(basis, rng)
+    d[2 * M:] = 0.0
+    _, grad, _ = tilde_phi(basis, sp)
+    exact = h_inner(basis, grad, d)
     errs = []
     hs = (1e-2, 1e-3)
     for h in hs:
-        vp, _ = tilde_phi(basis, axpy(sp, d, h))
-        vm, _ = tilde_phi(basis, axpy(sp, d, -h))
+        vp = tilde_phi(basis, sp + h * d)[0]
+        vm = tilde_phi(basis, sp - h * d)[0]
         errs.append(abs((vp - vm) / (2.0 * h) - exact))
     slope = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
     assert abs(slope - 2.0) <= 0.3
@@ -530,18 +562,16 @@ def test_problem_coordinates_and_energy():
         rng = np.random.default_rng(43)
         u = rng.standard_normal(problem.n) * 0.5
         sp = from_coords(u)
+        assert sp.shape == (basis.size,)
+        assert np.all(sp[2 * basis.n_modes:] == 0.0)
         assert np.abs(to_coords(sp) - u).max() <= 1e-12
         if basis.kernel_dim:
-            expected, egrad = tilde_phi(basis, sp)
+            expected, egrad, _ = tilde_phi(basis, sp)
         else:
-            expected, egrad = phi_functional(basis, sp)
+            expected, egrad, _ = phi_functional(basis, sp)
         assert math.isclose(problem.energy(u), expected, rel_tol=1e-10)
         grad_coords = problem.energy_gradient(u)
-        mapped = to_coords(TorusSpinor(egrad.plus,
-                                       np.zeros(basis.kernel_dim,
-                                                dtype=complex),
-                                       egrad.minus))
-        assert np.abs(grad_coords - mapped).max() <= 1e-10
+        assert np.abs(grad_coords - to_coords(egrad)).max() <= 1e-10
 
 
 def test_problem_hessian_fd():
@@ -645,10 +675,12 @@ def test_hess_psi_kernel_gram_matches_loop_solve():
     u = rng.standard_normal(problem.n) * 0.6
     v = rng.standard_normal(problem.n)
 
+    M = basis.n_modes
     sp = from_coords(u)
-    z = basis.to_grid(rows(sp), -T_project(basis, sp))
+    sp[2 * M:] = -T_project(basis, sp)
+    z = basis.to_grid(sp)
     dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
-    chi = to_grid(basis, from_coords(v))
+    chi = basis.to_grid(from_coords(v))
     dirs = np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
                     dtype=complex) / TWO_PI
     proj = np.array([np.real(z[0] * np.conj(d[0]) + z[1] * np.conj(d[1]))
@@ -667,11 +699,12 @@ def test_hess_psi_kernel_gram_matches_loop_solve():
     r = np.linalg.solve(H, rhs)
     chi = chi - (r @ dirs)[:, None, None]
     chi_pair = chi_pair - np.tensordot(r, proj, axes=1)
-    cubic, _ = basis.from_grid(2.0 * chi_pair[None, :, :] * z
-                               + dens[None, :, :] * chi)
+    cubic = basis.from_grid(2.0 * chi_pair[None, :, :] * z
+                            + dens[None, :, :] * chi)
+    plus, minus = cubic[:M], cubic[M:2 * M]
     sq = np.sqrt(basis.lam)
-    expected = np.concatenate([cubic[0].real / sq, cubic[0].imag / sq,
-                               cubic[1].real / sq, cubic[1].imag / sq])
+    expected = np.concatenate([plus.real / sq, plus.imag / sq,
+                               minus.real / sq, minus.imag / sq])
     got = problem.hess_psi(u, v)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -725,13 +758,11 @@ def test_growth_constant_sup_step_is_sharp(lam_max, delta):
     # lambda_min must give back exactly that count.
     basis = build_dirac(lam_max, delta)
     problem, _, _ = ground_state_problem(basis)
-    ones = np.ones(basis.n_modes)
-    sp = basis.spinor(plus=ones, minus=ones,
-                      kernel=[math.sqrt(2.0), 0.0][:basis.kernel_dim])
-    grid = to_grid(basis, sp)
+    sp = np.ones(basis.size, dtype=complex)
+    sp[2 * basis.n_modes:] = [math.sqrt(2.0), 0.0][:basis.kernel_dim]
+    grid = basis.to_grid(sp)
     dens = np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2
-    l2_sq = sum(float(np.sum(np.abs(b) ** 2))
-                for b in (sp.plus, sp.kernel, sp.minus))
+    l2_sq = float(np.sum(np.abs(sp) ** 2))
     sharp = float(dens.max()) * TWO_PI ** 2 / l2_sq
     assert math.isclose(sharp, basis.n_modes + basis.kernel_dim // 2,
                         rel_tol=1e-12)
@@ -757,6 +788,7 @@ def test_solve_ground_state_antiperiodic():
     rows = state.rows()
     assert len(rows) == 2 * state.basis.n_modes
     assert all(len(r) == 4 for r in rows)
+    assert state.psi.shape == (state.basis.size,)
 
     again = solve_ground_state(2.0, (0.5, 0.5), tol=1e-8, seed=0, starts=2)
     assert again.energy == state.energy
@@ -771,7 +803,21 @@ def test_solve_ground_state_with_kernel():
     assert abs(state.energy - 0.25 * state.quartic_mass) \
         <= 1e-6 * state.energy
     assert state.summary()["kernel_dim"] == 2
-    assert len(state.rows()) == 2 * state.basis.n_modes + 2
+    # rows run plus, kernel, minus; the vector holds plus, minus, kernel
+    M = state.basis.n_modes
+    values = [complex(re, im) for _, _, re, im in state.rows()]
+    assert len(values) == 2 * M + 2
+    assert np.array_equal(values, np.concatenate(
+        (state.psi[:M], state.psi[2 * M:], state.psi[M:2 * M])))
+
+
+@pytest.mark.parametrize("delta", SPIN_STRUCTURES)
+def test_finer_basis_starts_with_the_coarse_modes(delta):
+    # refine_ground_state embeds the coarse plus block by position: the
+    # modes of a coarser cutoff are the first ones of a finer basis
+    for coarse, fine in ((1.0, 1.5), (2.0, 3.5), (3.0, 6.0), (8.0, 16.0)):
+        small, large = build_dirac(coarse, delta), build_dirac(fine, delta)
+        assert np.array_equal(large.modes[:small.n_modes], small.modes)
 
 
 def test_fiber_solves_per_descent_step(monkeypatch):

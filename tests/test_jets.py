@@ -9,13 +9,28 @@ from hypothesis import strategies as st
 
 from spinlab.jets import (
     _coeffs_mul,
+    _symmetrizer,
     jet_space,
     jmat_det,
     jmat_identity,
     jmat_mul,
-    jets_to_tensor,
     tensor_to_jets,
 )
+
+
+def jets_to_tensor(space, coeffs, d):
+    """Symmetric index tensor of the degree-d part of jet coefficients.
+
+    The transpose of ``tensor_to_jets``, each monomial's coefficient split
+    evenly over its index tuples, so ``jets_to_tensor(tensor_to_jets(T))``
+    is the symmetrization of T over its trailing d axes.
+    """
+    m = space.m
+    S, sel = _symmetrizer(m, space.degree, d)
+    coeffs = np.asarray(coeffs, dtype=float)
+    lead = coeffs.shape[:-1]
+    flat = coeffs[..., sel] @ (S / S.sum(axis=0)).T
+    return flat.reshape(lead + (m,) * d)
 
 
 def evaluate(space, c, x):

@@ -11,7 +11,6 @@ from spinlab.clifford import (
     build_rep,
     gamma_word,
     inner,
-    vec_mul,
     volume_projectors,
 )
 from spinlab.curvature import RiemannTensor, random_riemann
@@ -19,7 +18,6 @@ from spinlab.spinor_fields import (
     dirac_residual,
     eta,
     eta_d1,
-    eta_d2,
     find_psi0,
     grad_psi,
     grad_psi_all,
@@ -31,6 +29,15 @@ from spinlab.spinor_fields import (
     psi_eps,
     psi_norm,
 )
+
+
+def eta_d2(r, delta: float):
+    """Second derivative of the cutoff ``eta`` in r."""
+    r = np.asarray(r, dtype=float)
+    s = (r - delta) / delta
+    inside = (s > 0.0) & (s < 1.0)
+    s = np.where(inside, s, 0.0)
+    return np.where(inside, -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / delta ** 2, 0.0)
 
 
 def params_for(m, **kw):
