@@ -7,7 +7,9 @@ image, and fits their decay orders in the concentration scale.  The
 energy audit decomposes the pairing of that curved image against the
 spinor itself into seven terms, checks the ones that vanish pointwise,
 and pins the slope and coefficient of the quartic term.  The Rayleigh
-audit assembles the full quotient from the same quadratures.
+audit assembles the full quotient from the same quadratures.  Each
+audit returns one ``AuditReport``: its JSON payload, its CSV table, and
+a verdict rule that is one function per audit.
 
 All integrals run over the ball |x| <= 2 delta with the volume element
 modelled as (1 + 0.1 |x|^vol_degree) dx, a stand-in for the
@@ -24,6 +26,7 @@ reads.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 import functools
 import math
@@ -56,9 +59,7 @@ __all__ = [
     "MomentTable",
     "OrderFit",
     "AuditInputs",
-    "ResidualReport",
-    "EnergyReport",
-    "RayleighReport",
+    "AuditReport",
     "sphere_volume",
     "critical_energy",
     "radial_I",
@@ -228,18 +229,17 @@ def _window(eps: np.ndarray, lower: bool) -> slice:
     return slice(eps.size - n, eps.size) if lower else slice(0, n)
 
 
-def _slope(eps, values) -> float:
+def _slope(eps: np.ndarray, values: np.ndarray) -> float:
     """Fitted order of ``values``; an identically zero term decays faster
     than any power."""
-    values = np.asarray(values, dtype=float)
     if np.abs(values).max() == 0.0:
         return math.inf
     return order_fit(eps, values).slope
 
 
-def _window_slope(eps, values, lower=True) -> float:
-    w = _window(np.asarray(eps), lower)
-    return _slope(np.asarray(eps)[w], np.asarray(values, dtype=float)[w])
+def _window_slope(eps: np.ndarray, values: np.ndarray, lower=True) -> float:
+    w = _window(eps, lower)
+    return _slope(eps[w], values[w])
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,7 @@ class _AuditEngine:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# reports and their verdicts
 
 def residual_exponents(m: int) -> dict:
     """Decay exponents of the six residual norms for 4 <= m <= 8.
@@ -613,164 +613,71 @@ def residual_exponents(m: int) -> dict:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    m: int
-    eps: np.ndarray
-    norms: dict
-    slopes: dict
-    slopes_full: dict
-    expected: dict
-    floor: float
+class AuditReport:
+    """One audit's evidence: its JSON payload and its CSV table.
+
+    ``payload`` is the audit's document without its verdict, ``table``
+    its (term, eps, value) rows.  ``summary`` applies the audit's pass
+    rules, ``_VERDICTS[payload["audit"]]``, to a deep copy of the payload.
+    """
+
+    payload: dict
+    table: tuple
 
     def rows(self):
-        for name in A_TERMS + ("total",):
-            for e, v in zip(self.eps, self.norms[name]):
-                yield name, float(e), float(v)
+        return list(self.table)
 
     def summary(self) -> dict:
-        terms = {}
-        for name in A_TERMS + ("total",):
-            exp = self.expected[name]
-            slope = self.slopes[name]
-            terms[name] = {
-                "slope": slope,
-                "slope_full_grid": self.slopes_full[name],
-                "expected": exp,
-                "within_tolerance": (None if exp is None or not math.isfinite(slope)
-                                     else bool(abs(slope - exp) <= _ORDER_TOL)),
-            }
-        floor_ok = bool(self.slopes["total"] >= self.floor)
-        return {
-            "audit": "residual",
-            "m": self.m,
-            "eps": [float(e) for e in self.eps],
-            "terms": terms,
-            "total_floor": self.floor,
-            "total_floor_ok": floor_ok,
-            "log_factor_terms": [k for k, v in self.expected.items() if v is None],
-            # a term without a predicted order (None) passes
-            "ok": floor_ok and all(t["within_tolerance"] is not False
-                                   for t in terms.values()),
-        }
+        doc = copy.deepcopy(self.payload)
+        _VERDICTS[doc["audit"]](doc)
+        return doc
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    m: int
-    eps: np.ndarray
-    values: dict
-    j1_max: float
-    j5_max: float
-    j7_max: float
-    j2_limit: float
-    j2_rel_err: float
-    j2_error_slope: float
-    j2_expected_order: float
-    j3_slope: float
-    j4_floor: float
-    j4_cancelled: bool
-    j4_post_slope: float
-    j4_pre_slope: float
-    j4_pre_coeff: float
-    j4_pre_predicted: float
-    j6_slope: float
-    j6_coeff: float
-    j6_predicted: float
-    j6_rel_err: float
-    j6_negative: bool
-
-    def rows(self):
-        for name in J_TERMS + ("J4_abs", "J4_pre"):
-            for e, v in zip(self.eps, self.values[name]):
-                yield name, float(e), float(v)
-
-    def summary(self) -> dict:
-        return {
-            "audit": "energy",
-            "m": self.m,
-            "eps": [float(e) for e in self.eps],
-            "pointwise_zero_max": {"J1": self.j1_max, "J5": self.j5_max,
-                                   "J7": self.j7_max},
-            "J2": {"limit": self.j2_limit, "rel_err": self.j2_rel_err,
-                   "error_slope": self.j2_error_slope,
-                   "expected_order": self.j2_expected_order},
-            "J3": {"slope": self.j3_slope},
-            "J4": {"cancelled": self.j4_cancelled,
-                   "noise_floor": self.j4_floor,
-                   "post_slope": self.j4_post_slope,
-                   "pre_slope": self.j4_pre_slope,
-                   "pre_coeff": self.j4_pre_coeff,
-                   "pre_predicted": self.j4_pre_predicted},
-            "J6": {"slope": self.j6_slope, "coeff": self.j6_coeff,
-                   "predicted": self.j6_predicted,
-                   "rel_err": self.j6_rel_err,
-                   "negative": self.j6_negative},
-            "ok": bool(all(v <= 1e-12 for v in (self.j1_max, self.j5_max,
-                                                self.j7_max))
-                       and self.j2_rel_err <= 1e-6
-                       and abs(self.j6_slope - 4.0) <= 0.1
-                       and self.j6_rel_err <= 0.05 and self.j6_negative),
-        }
+def _residual_verdict(doc):
+    terms = doc["terms"]
+    for term in terms.values():
+        exp, slope = term["expected"], term["slope"]
+        term["within_tolerance"] = (None if exp is None or not math.isfinite(slope)
+                                    else bool(abs(slope - exp) <= _ORDER_TOL))
+    doc["total_floor_ok"] = bool(terms["total"]["slope"] >= doc["total_floor"])
+    # a term without a predicted order (None) passes
+    doc["ok"] = doc["total_floor_ok"] and all(
+        t["within_tolerance"] is not False for t in terms.values())
 
 
-@dataclass(frozen=True)
-class RayleighReport:
-    m: int
-    eps: np.ndarray
-    num: np.ndarray
-    den: np.ndarray
-    num_limit: float
-    den_limit: float
-    num_rel_err: float
-    den_rel_err: float
-    threshold: float
-    excess: np.ndarray
+def _energy_verdict(doc):
+    j6 = doc["J6"]
+    doc["ok"] = bool(all(v <= 1e-12 for v in doc["pointwise_zero_max"].values())
+                     and doc["J2"]["rel_err"] <= 1e-6
+                     and abs(j6["slope"] - 4.0) <= 0.1
+                     and j6["rel_err"] <= 0.05 and j6["negative"])
 
-    def rows(self):
-        for e, n, d, x in zip(self.eps, self.num, self.den, self.excess):
-            yield "num", float(e), float(n)
-            yield "den", float(e), float(d)
-            yield "excess", float(e), float(x)
 
-    def summary(self) -> dict:
-        above = bool(np.all(self.excess[-2:] > 0.0))
-        return {
-            "audit": "rayleigh",
-            "m": self.m,
-            "eps": [float(e) for e in self.eps],
-            "num_limit": self.num_limit,
-            "den_limit": self.den_limit,
-            "num_rel_err": self.num_rel_err,
-            "den_rel_err": self.den_rel_err,
-            "threshold": self.threshold,
-            "excess": [float(x) for x in self.excess],
-            "excess_positive_smallest_two": above,
-            "ok": bool(self.num_rel_err <= 0.01 and self.den_rel_err <= 0.01
-                       and above),
-        }
+def _rayleigh_verdict(doc):
+    above = all(x > 0.0 for x in doc["excess"][-2:])
+    doc["excess_positive_smallest_two"] = above
+    doc["ok"] = bool(doc["num_rel_err"] <= 0.01 and doc["den_rel_err"] <= 0.01
+                     and above)
+
+
+_VERDICTS = {"residual": _residual_verdict, "energy": _energy_verdict,
+             "rayleigh": _rayleigh_verdict}
 
 
 # ---------------------------------------------------------------------------
 # audit drivers
 
-def _inputs_for(m, inputs, seed, first_scale) -> AuditInputs:
-    """The bundle an audit runs on: ``inputs``, or else the seeded draw."""
-    if inputs is None:
-        return audit_inputs(m, seed=seed, first_scale=first_scale)
-    if inputs.m != m:
-        raise ValueError(f"audit inputs have m = {inputs.m}, not {m}")
-    return inputs
-
-
-def _check_m(audit, m):
+def _preamble(audit, m, eps_grid, inputs, seed, first_scale):
+    """What every audit checks before any work: m within its range, and
+    scales that are finite, positive, strictly decreasing and at least
+    four (two for the Rayleigh audit, which fits no slope but reads the
+    two smallest).  Returns them and the bundle: ``inputs``, or else the
+    seeded draw."""
     lo, hi = AUDIT_M_RANGE[audit]
     if not lo <= m <= hi:
         raise ValueError(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
-
-
-def _eps_grid(eps_grid, fallback, min_points=1) -> np.ndarray:
-    """The audit scales: finite, positive, strictly decreasing, and at
-    least ``min_points`` of them."""
+    fallback, min_points = ((rayleigh_eps_grid, 2) if audit == "rayleigh"
+                            else (default_eps_grid, 4))
     eps = np.asarray(fallback() if eps_grid is None else eps_grid, dtype=float)
     if eps.ndim != 1 or eps.size < min_points:
         raise ValueError(f"eps grid must be a 1-d sequence of at least "
@@ -779,7 +686,11 @@ def _eps_grid(eps_grid, fallback, min_points=1) -> np.ndarray:
         raise ValueError("eps grid entries must be positive and finite")
     if np.any(np.diff(eps) >= 0):
         raise ValueError("eps grid must be strictly decreasing")
-    return eps
+    if inputs is None:
+        inputs = audit_inputs(m, seed=seed, first_scale=first_scale)
+    elif inputs.m != m:
+        raise ValueError(f"audit inputs have m = {inputs.m}, not {m}")
+    return eps, inputs
 
 
 def _sweep(engine, eps, keys):
@@ -787,38 +698,45 @@ def _sweep(engine, eps, keys):
     return {k: np.array([r[k] for r in rows]) for k in keys}
 
 
+def _table(eps, vals, names):
+    """(term, eps, value) rows, term by term."""
+    return tuple((name, float(e), float(v))
+                 for name in names for e, v in zip(eps, vals[name]))
+
+
 def residual_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
                    rule=None, n_leg: int = 16, vol_degree: int = 5,
-                   seed: int = 0, first_scale: float = 100.0) -> ResidualReport:
+                   seed: int = 0, first_scale: float = 100.0) -> AuditReport:
     """Fit the decay orders of the six residual norms and their sum, on
     the ``AuditInputs`` bundle ``inputs``."""
-    _check_m("residual", m)
-    eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
-    inputs = _inputs_for(m, inputs, seed, first_scale)
+    eps, inputs = _preamble("residual", m, eps_grid, inputs, seed, first_scale)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_degree=vol_degree)
-    vals = _sweep(engine, eps, A_TERMS + ("total",))
-    expected = residual_exponents(m) if 4 <= m <= 8 else {
-        k: None for k in A_TERMS + ("total",)}
-    slopes = {k: _window_slope(eps, vals[k], lower=True)
-              for k in A_TERMS + ("total",)}
-    full = {k: _slope(eps, vals[k]) for k in A_TERMS + ("total",)}
-    floor = min((m - 1) / 2.0, 3.0) - _ORDER_TOL
-    return ResidualReport(m, eps, {k: vals[k] for k in A_TERMS + ("total",)},
-                          slopes, full, expected, floor)
+    names = A_TERMS + ("total",)
+    vals = _sweep(engine, eps, names)
+    expected = residual_exponents(m) if m <= 8 else dict.fromkeys(names)
+    payload = {
+        "audit": "residual",
+        "m": m,
+        "eps": [float(e) for e in eps],
+        "terms": {k: {"slope": _window_slope(eps, vals[k], lower=True),
+                      "slope_full_grid": _slope(eps, vals[k]),
+                      "expected": expected[k]} for k in names},
+        "total_floor": min((m - 1) / 2.0, 3.0) - _ORDER_TOL,
+        "log_factor_terms": [k for k, v in expected.items() if v is None],
+    }
+    return AuditReport(payload, _table(eps, vals, names))
 
 
 def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
                  rule=None, n_leg: int = 16, vol_degree: int = 5,
-                 seed: int = 0, first_scale: float = 10.0) -> EnergyReport:
+                 seed: int = 0, first_scale: float = 10.0) -> AuditReport:
     """Decompose the curved pairing of ``inputs`` (an ``AuditInputs``
     bundle with nonzero curvature) and audit each term's behaviour.
 
     ``seed`` also draws the generic spinor that J4_pre pairs against.
     """
-    _check_m("energy", m)
-    eps = _eps_grid(eps_grid, default_eps_grid, min_points=4)
-    inputs = _inputs_for(m, inputs, seed, first_scale)
+    eps, inputs = _preamble("energy", m, eps_grid, inputs, seed, first_scale)
     if inputs.riemann.frobenius() == 0.0:
         raise ValueError("energy audit needs a nonzero curvature tensor")
     rep = inputs.params.rep
@@ -826,51 +744,47 @@ def energy_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
     generic = _generic_spinor(rep, coeff, seed=seed)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_degree=vol_degree, generic_psi0=generic)
-    vals = _sweep(engine, eps, J_TERMS + ("J4_abs", "J4_pre"))
+    names = J_TERMS + ("J4_abs", "J4_pre")
+    vals = _sweep(engine, eps, names)
 
     j2_limit = m ** m * sphere_area(m) * radial_I(m)
-    j2_rel = float(abs(vals["J2"][-1] - j2_limit) / j2_limit)
-    j2_err = np.abs(vals["J2"] - j2_limit)
-    j2_slope = _window_slope(eps, j2_err, lower=False)
-    j2_order = float(min(m, vol_degree))
-    j3_slope = _window_slope(eps, vals["J3"], lower=True)
-
-    floor = 1e-12 * float(vals["J4_abs"].max())
     cancelled = bool(np.all(np.abs(vals["J4"]) <= 1e-12 * vals["J4_abs"]))
-    j4_post = math.inf if cancelled else _window_slope(eps, np.abs(vals["J4"]),
-                                                       lower=True)
-    j4_pre_slope = _window_slope(eps, np.abs(vals["J4_pre"]), lower=True)
-    j4_pre_coeff = float(vals["J4_pre"][-1] / eps[-1] ** 4)
     mom = moment_table(m)
     f_gen = psi0_functional(rep, coeff, generic)
-    j4_pre_pred = -2.0 * m ** (m - 1) * mom.M22 * f_gen
-
-    j6_slope = _window_slope(eps, np.abs(vals["J6"]), lower=True)
     j6_coeff = float(vals["J6"][-1] / eps[-1] ** 4)
     j6_pred = m ** (m - 1) * j6_leading(inputs.riemann, mom)
-    j6_rel = float(abs(j6_coeff - j6_pred) / abs(j6_pred))
-    j6_neg = bool(np.all(vals["J6"][_window(eps, True)] < 0.0))
-
-    keep = J_TERMS + ("J4_abs", "J4_pre")
-    return EnergyReport(
-        m, eps, {k: vals[k] for k in keep},
-        j1_max=float(np.abs(vals["J1"]).max()),
-        j5_max=float(np.abs(vals["J5"]).max()),
-        j7_max=float(np.abs(vals["J7"]).max()),
-        j2_limit=float(j2_limit), j2_rel_err=j2_rel, j2_error_slope=j2_slope,
-        j2_expected_order=j2_order,
-        j3_slope=j3_slope,
-        j4_floor=floor, j4_cancelled=cancelled, j4_post_slope=j4_post,
-        j4_pre_slope=j4_pre_slope, j4_pre_coeff=j4_pre_coeff,
-        j4_pre_predicted=float(j4_pre_pred),
-        j6_slope=j6_slope, j6_coeff=j6_coeff, j6_predicted=float(j6_pred),
-        j6_rel_err=j6_rel, j6_negative=j6_neg,
-    )
+    payload = {
+        "audit": "energy",
+        "m": m,
+        "eps": [float(e) for e in eps],
+        "pointwise_zero_max": {k: float(np.abs(vals[k]).max())
+                               for k in ("J1", "J5", "J7")},
+        "J2": {"limit": float(j2_limit),
+               "rel_err": float(abs(vals["J2"][-1] - j2_limit) / j2_limit),
+               "error_slope": _window_slope(eps, np.abs(vals["J2"] - j2_limit),
+                                            lower=False),
+               "expected_order": float(min(m, vol_degree))},
+        "J3": {"slope": _window_slope(eps, vals["J3"], lower=True)},
+        "J4": {"cancelled": cancelled,
+               "noise_floor": 1e-12 * float(vals["J4_abs"].max()),
+               "post_slope": math.inf if cancelled else _window_slope(
+                   eps, np.abs(vals["J4"]), lower=True),
+               "pre_slope": _window_slope(eps, np.abs(vals["J4_pre"]),
+                                          lower=True),
+               "pre_coeff": float(vals["J4_pre"][-1] / eps[-1] ** 4),
+               "pre_predicted": float(-2.0 * m ** (m - 1) * mom.M22 * f_gen)},
+        "J6": {"slope": _window_slope(eps, np.abs(vals["J6"]), lower=True),
+               "coeff": j6_coeff,
+               "predicted": float(j6_pred),
+               "rel_err": float(abs(j6_coeff - j6_pred) / abs(j6_pred)),
+               "negative": bool(np.all(vals["J6"][_window(eps, True)] < 0.0))},
+    }
+    return AuditReport(payload, _table(eps, vals, names))
 
 
 def rayleigh_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
                    rule=None, n_leg: int = 16, vol_degree: int = 5,
-                   seed: int = 0, first_scale: float = 100.0) -> RayleighReport:
+                   seed: int = 0, first_scale: float = 100.0) -> AuditReport:
     """Assemble the quotient and compare it against its flat-model limit.
 
     The numerator is the L^{2m/(m+1)} integral of the curved image raised
@@ -879,9 +793,7 @@ def rayleigh_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
     the quotient sits above the critical threshold at the smallest two
     grid points.  ``inputs`` is the ``AuditInputs`` bundle audited.
     """
-    _check_m("rayleigh", m)
-    eps = _eps_grid(eps_grid, rayleigh_eps_grid)
-    inputs = _inputs_for(m, inputs, seed, first_scale)
+    eps, inputs = _preamble("rayleigh", m, eps_grid, inputs, seed, first_scale)
     engine = _AuditEngine(inputs, rule=rule, n_leg=n_leg,
                           vol_degree=vol_degree)
     vals = _sweep(engine, eps, ("num", "den"))
@@ -890,11 +802,19 @@ def rayleigh_audit(m: int, eps_grid=None, *, inputs: AuditInputs = None,
     num_limit = (0.5 * m) ** (m + 1) * om ** ((m + 1.0) / m)
     den_limit = (0.5 * m) ** m * om
     threshold = 0.5 * m * om ** (1.0 / m)
-    excess = num / den - threshold
-    return RayleighReport(
-        m, eps, num, den,
-        num_limit=float(num_limit), den_limit=float(den_limit),
-        num_rel_err=float(abs(num[-1] - num_limit) / num_limit),
-        den_rel_err=float(abs(den[-1] - den_limit) / den_limit),
-        threshold=float(threshold), excess=excess,
-    )
+    vals["excess"] = num / den - threshold
+    payload = {
+        "audit": "rayleigh",
+        "m": m,
+        "eps": [float(e) for e in eps],
+        "num_limit": float(num_limit),
+        "den_limit": float(den_limit),
+        "num_rel_err": float(abs(num[-1] - num_limit) / num_limit),
+        "den_rel_err": float(abs(den[-1] - den_limit) / den_limit),
+        "threshold": float(threshold),
+        "excess": [float(x) for x in vals["excess"]],
+    }
+    # scale by scale: num, den and excess at each eps
+    return AuditReport(payload, tuple(
+        (name, float(e), float(vals[name][i]))
+        for i, e in enumerate(eps) for name in ("num", "den", "excess")))

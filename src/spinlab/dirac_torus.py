@@ -414,7 +414,8 @@ def _kernel_reduced(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
     """psi - T(psi) for psi with a zero kernel block; psi if no kernel."""
     if basis.kernel_dim == 0:
         return c
-    return np.concatenate((c[:2 * basis.n_modes], -T_project(basis, c)))
+    # 0 - T(psi) has the bits of -T(psi), except that a zero stays +0.0
+    return np.concatenate((c[:2 * basis.n_modes], 0.0 - T_project(basis, c)))
 
 
 def tilde_phi(basis: SpectralBasis, c: np.ndarray):

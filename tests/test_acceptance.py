@@ -217,28 +217,31 @@ def test_07_residual_scaling_audits():
 
 def test_08_energy_expansion_audit():
     """Term-by-term energy expansion at m = 6 on a trace-free second jet."""
-    report = energy_audit(6)
+    summary = energy_audit(6).summary()
 
     # odd and cross terms vanish pointwise up to quadrature roundoff
-    assert report.j1_max <= 1e-12
-    assert report.j5_max <= 1e-12
-    assert report.j7_max <= 1e-12
+    zero = summary["pointwise_zero_max"]
+    assert zero["J1"] <= 1e-12
+    assert zero["J5"] <= 1e-12
+    assert zero["J7"] <= 1e-12
 
     # the quadratic term reaches the closed-form limit, and its truncation
     # error decays at the order set by the volume-factor degree
     m = 6
     closed = m ** m * sphere_volume(m - 1) * radial_I(m)
-    assert report.j2_limit == pytest.approx(closed, rel=1e-12)
-    assert report.j2_rel_err <= 1e-6
-    assert report.j2_expected_order == 5.0
-    assert abs(report.j2_error_slope - report.j2_expected_order) <= 0.3
+    j2 = summary["J2"]
+    assert j2["limit"] == pytest.approx(closed, rel=1e-12)
+    assert j2["rel_err"] <= 1e-6
+    assert j2["expected_order"] == 5.0
+    assert abs(j2["error_slope"] - j2["expected_order"]) <= 0.3
 
     # the quartic curvature term scales at fourth order with the
     # predicted negative coefficient
-    assert abs(report.j6_slope - 4.0) <= 0.1
-    assert report.j6_negative
-    assert report.j6_rel_err <= 0.05
-    assert report.j6_coeff == pytest.approx(report.j6_predicted, rel=0.05)
+    j6 = summary["J6"]
+    assert abs(j6["slope"] - 4.0) <= 0.1
+    assert j6["negative"]
+    assert j6["rel_err"] <= 0.05
+    assert j6["coeff"] == pytest.approx(j6["predicted"], rel=0.05)
 
 
 # -- 09 ----------------------------------------------------------------------
@@ -246,18 +249,18 @@ def test_08_energy_expansion_audit():
 def test_09_rayleigh_quotient_limits():
     """Rayleigh numerator and denominator limits within 1 percent at m = 6."""
     m = 6
-    report = rayleigh_audit(m)
+    summary = rayleigh_audit(m).summary()
     om = sphere_volume(m)
     num_closed = (m / 2.0) ** (m + 1) * om ** ((m + 1.0) / m)
     den_closed = (m / 2.0) ** m * om
-    assert abs(report.num_limit - num_closed) / num_closed <= 0.01
-    assert abs(report.den_limit - den_closed) / den_closed <= 0.01
-    assert report.num_rel_err <= 0.01
-    assert report.den_rel_err <= 0.01
+    assert abs(summary["num_limit"] - num_closed) / num_closed <= 0.01
+    assert abs(summary["den_limit"] - den_closed) / den_closed <= 0.01
+    assert summary["num_rel_err"] <= 0.01
+    assert summary["den_rel_err"] <= 0.01
     # strict excess over the threshold survives at the two smallest scales
-    assert report.excess[-1] > 0.0
-    assert report.excess[-2] > 0.0
-    assert report.summary()["excess_positive_smallest_two"]
+    assert summary["excess"][-1] > 0.0
+    assert summary["excess"][-2] > 0.0
+    assert summary["excess_positive_smallest_two"]
 
 
 # -- 10 ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ the load-bearing test: every audited quantity is recomputed from
 pointwise spinor fields on the same quadrature nodes and compared.
 """
 
+import copy
 import dataclasses
 import math
 import subprocess
@@ -585,10 +586,18 @@ _AUDIT_M6 = {
 }
 
 
+def _columns(report):
+    """The report's table as term -> values over the scales."""
+    out = {}
+    for name, _, value in report.rows():
+        out.setdefault(name, []).append(value)
+    return out
+
+
 def test_qnorms_match_recorded_audit_m6():
     eps = np.geomspace(1e-2, 1e-3, 4)
-    got = dict(residual_audit(6, eps_grid=eps).norms)
-    got["num"] = rayleigh_audit(6, eps_grid=eps).num
+    got = _columns(residual_audit(6, eps_grid=eps))
+    got["num"] = _columns(rayleigh_audit(6, eps_grid=eps))["num"]
     for name, want in _AUDIT_M6.items():
         for g, w in zip(got[name], want):
             assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), name
@@ -664,12 +673,13 @@ def test_flat_curvature_zeroes_the_curved_terms():
     report = residual_audit(m, inputs=flat, rule=sphere_rule(m, 2, 4),
                             n_leg=8)
     summary = report.summary()
+    terms = summary["terms"]
     for key in ("A3", "A4", "A5", "A6"):
-        assert report.slopes[key] == math.inf
-        assert summary["terms"][key]["within_tolerance"] is None
-    assert report.slopes["A1"] == pytest.approx(2.0, abs=0.15)
-    assert report.slopes["A2"] == pytest.approx(3.0, abs=0.15)
-    assert report.slopes["total"] == pytest.approx(2.0, abs=0.15)
+        assert terms[key]["slope"] == math.inf
+        assert terms[key]["within_tolerance"] is None
+    assert terms["A1"]["slope"] == pytest.approx(2.0, abs=0.15)
+    assert terms["A2"]["slope"] == pytest.approx(3.0, abs=0.15)
+    assert terms["total"]["slope"] == pytest.approx(2.0, abs=0.15)
     assert summary["total_floor_ok"]
 
     with pytest.raises(ValueError):
@@ -723,14 +733,15 @@ def test_energy_audit_computes_theta_lambda_once(m5_rule, monkeypatch):
 def test_residual_audit_recovers_exponents(residual_m5):
     report = residual_m5
     expected = residual_exponents(5)
-    for name, exp in expected.items():
-        assert report.slopes[name] == pytest.approx(exp, abs=0.15), name
     summary = report.summary()
+    for name, exp in expected.items():
+        slope = summary["terms"][name]["slope"]
+        assert slope == pytest.approx(exp, abs=0.15), name
     assert all(term["within_tolerance"] for term in summary["terms"].values())
     assert summary["total_floor_ok"]
     assert summary["log_factor_terms"] == []
     rows = list(report.rows())
-    assert len(rows) == 7 * report.eps.size
+    assert len(rows) == 7 * len(summary["eps"])
     assert all(v > 0.0 for _, _, v in rows)
 
 
@@ -753,93 +764,129 @@ def test_residual_exponent_table():
 
 def test_energy_audit_structure(energy_m5):
     report = energy_m5
+    summary = report.summary()
+    j2, j4, j6 = summary["J2"], summary["J4"], summary["J6"]
     limit = 5 ** 5 * sphere_area(5) * radial_I(5)
-    assert report.j2_limit == pytest.approx(limit, rel=1e-13)
-    assert report.j2_rel_err <= 1e-6
-    assert report.j2_expected_order == 4.0
-    assert report.j2_error_slope == pytest.approx(4.0, abs=0.3)
-    assert report.j3_slope == pytest.approx(5.0, abs=0.2)
+    assert j2["limit"] == pytest.approx(limit, rel=1e-13)
+    assert j2["rel_err"] <= 1e-6
+    assert j2["expected_order"] == 4.0
+    assert j2["error_slope"] == pytest.approx(4.0, abs=0.3)
+    assert summary["J3"]["slope"] == pytest.approx(5.0, abs=0.2)
     # the three pairings that vanish pointwise
-    assert report.j1_max <= 1e-11 * limit
-    assert report.j5_max <= 1e-11 * limit
-    assert report.j7_max <= 1e-16 * limit
+    zero = summary["pointwise_zero_max"]
+    assert zero["J1"] <= 1e-11 * limit
+    assert zero["J5"] <= 1e-11 * limit
+    assert zero["J7"] <= 1e-16 * limit
     # matched spinor kills the cubic pairing, generic one restores it
-    assert report.j4_cancelled
-    assert report.j4_post_slope == math.inf
-    assert report.j4_pre_slope == pytest.approx(4.0, abs=0.1)
+    assert j4["cancelled"] is True
+    assert j4["post_slope"] == math.inf
+    assert j4["pre_slope"] == pytest.approx(4.0, abs=0.1)
     # coefficient truncation decays like eps/delta at m = 5, so half a
     # percent is the honest agreement level on this grid
-    assert report.j4_pre_coeff == pytest.approx(report.j4_pre_predicted,
-                                                rel=5e-3)
+    assert j4["pre_coeff"] == pytest.approx(j4["pre_predicted"], rel=5e-3)
     # quartic term: exact order, predicted coefficient, definite sign
-    assert report.j6_slope == pytest.approx(4.0, abs=0.1)
-    assert report.j6_predicted < 0.0
-    assert report.j6_negative
-    assert report.j6_rel_err <= 5e-3
-    summary = report.summary()
-    assert summary["J4"]["cancelled"] is True
-    assert summary["J6"]["negative"] is True
+    assert j6["slope"] == pytest.approx(4.0, abs=0.1)
+    assert j6["predicted"] < 0.0
+    assert j6["negative"] is True
+    assert j6["rel_err"] <= 5e-3
     rows = list(report.rows())
-    assert len(rows) == 9 * report.eps.size
+    assert len(rows) == 9 * len(summary["eps"])
 
 
 def test_rayleigh_audit_limits(rayleigh_m5):
     report = rayleigh_m5
-    om = sphere_volume(5)
-    assert report.den_limit == pytest.approx(2.5 ** 5 * om, rel=1e-13)
-    assert report.num_limit == pytest.approx(report.threshold * report.den_limit,
-                                             rel=1e-12)
-    assert report.threshold == pytest.approx(2.5 * om ** 0.2, rel=1e-13)
-    assert report.num_rel_err <= 1e-6
-    assert report.den_rel_err <= 1e-6
-    assert report.excess.shape == report.eps.shape
-    assert np.all(np.isfinite(report.excess))
     summary = report.summary()
+    om = sphere_volume(5)
+    assert summary["den_limit"] == pytest.approx(2.5 ** 5 * om, rel=1e-13)
+    assert summary["num_limit"] == pytest.approx(
+        summary["threshold"] * summary["den_limit"], rel=1e-12)
+    assert summary["threshold"] == pytest.approx(2.5 * om ** 0.2, rel=1e-13)
+    assert summary["num_rel_err"] <= 1e-6
+    assert summary["den_rel_err"] <= 1e-6
+    assert len(summary["excess"]) == len(summary["eps"])
+    assert np.all(np.isfinite(summary["excess"]))
     assert isinstance(summary["excess_positive_smallest_two"], bool)
     rows = list(report.rows())
-    assert len(rows) == 3 * report.eps.size
+    assert len(rows) == 3 * len(summary["eps"])
 
 
 # ---------------------------------------------------------------------------
-# each report's verdict: one field past its threshold flips ``ok``
+# each audit's verdict: one payload entry past its threshold flips ``ok``
+
+def _with(report, entries):
+    """``report`` with payload entries replaced; a key "a/b" names the
+    nested entry payload["a"]["b"]."""
+    payload = copy.deepcopy(report.payload)
+    for key, value in entries.items():
+        *path, last = key.split("/")
+        node = payload
+        for step in path:
+            node = node[step]
+        node[last] = value
+    return dataclasses.replace(report, payload=payload)
+
 
 def test_light_audits_pass(residual_m5, energy_m5, rayleigh_m5):
     for report in (residual_m5, energy_m5, rayleigh_m5):
         assert report.summary()["ok"] is True
 
 
-ENERGY_FAILS = {"j1_max": 2e-12, "j5_max": 2e-12, "j7_max": 2e-12,
-                "j2_rel_err": 2e-6, "j6_slope": 4.2, "j6_rel_err": 0.06,
-                "j6_negative": False}
+# case -> (payload entry, failing value)
+ENERGY_FAILS = {"j1_max": ("pointwise_zero_max/J1", 2e-12),
+                "j5_max": ("pointwise_zero_max/J5", 2e-12),
+                "j7_max": ("pointwise_zero_max/J7", 2e-12),
+                "j2_rel_err": ("J2/rel_err", 2e-6),
+                "j6_slope": ("J6/slope", 4.2),
+                "j6_rel_err": ("J6/rel_err", 0.06),
+                "j6_negative": ("J6/negative", False)}
 
 
-@pytest.mark.parametrize("field", list(ENERGY_FAILS))
-def test_energy_verdict_rules(energy_m5, field):
-    bad = dataclasses.replace(energy_m5, **{field: ENERGY_FAILS[field]})
+@pytest.mark.parametrize("case", list(ENERGY_FAILS))
+def test_energy_verdict_rules(energy_m5, case):
+    key, value = ENERGY_FAILS[case]
+    bad = _with(energy_m5, {key: value})
     assert bad.summary()["ok"] is False
 
 
 @pytest.mark.parametrize("field", ["num_rel_err", "den_rel_err", "excess"])
 def test_rayleigh_verdict_rules(rayleigh_m5, field):
-    value = (np.append(rayleigh_m5.excess[:-1], -1e-3) if field == "excess"
-             else 0.02)
-    bad = dataclasses.replace(rayleigh_m5, **{field: value})
+    value = (rayleigh_m5.payload["excess"][:-1] + [-1e-3]
+             if field == "excess" else 0.02)
+    bad = _with(rayleigh_m5, {field: value})
     assert bad.summary()["ok"] is False
 
 
 def test_residual_verdict_rules(residual_m5):
     report = residual_m5
-    below_floor = dataclasses.replace(report,
-                                      floor=report.slopes["total"] + 0.01)
+    total = report.payload["terms"]["total"]["slope"]
+    below_floor = _with(report, {"total_floor": total + 0.01})
+    assert below_floor.summary()["total_floor_ok"] is False
     assert below_floor.summary()["ok"] is False
-    off = dataclasses.replace(report, slopes=dict(report.slopes, A2=3.2))
+    off = _with(report, {"terms/A2/slope": 3.2})
     assert off.summary()["terms"]["A2"]["within_tolerance"] is False
     assert off.summary()["ok"] is False
     # a term with a logarithm has no predicted order and cannot fail
-    unpredicted = dataclasses.replace(
-        report, slopes=dict(report.slopes, A4=9.0),
-        expected=dict(report.expected, A4=None))
+    unpredicted = _with(report, {"terms/A4/slope": 9.0,
+                                 "terms/A4/expected": None})
+    assert unpredicted.summary()["terms"]["A4"]["within_tolerance"] is None
     assert unpredicted.summary()["ok"] is True
+
+
+def test_summary_is_independent(residual_m5, energy_m5, rayleigh_m5):
+    for report in (residual_m5, energy_m5, rayleigh_m5):
+        want = report.summary()
+        got = report.summary()
+        got["ok"] = not got["ok"]
+        got["eps"].append(1.0)
+        for value in got.values():
+            if isinstance(value, dict):
+                value.clear()
+        assert report.summary() == want
+    changed = residual_m5.summary()
+    changed["terms"]["A2"]["slope"] = 9.0
+    changed["log_factor_terms"].append("A2")
+    assert residual_m5.summary()["terms"]["A2"]["slope"] != 9.0
+    assert residual_m5.summary()["log_factor_terms"] == []
 
 
 def test_residual_and_rayleigh_audits_leave_scipy_integrate_unloaded():
@@ -893,6 +940,16 @@ def test_audits_reject_short_eps_grid_before_any_work(monkeypatch):
             audit(6, eps_grid=short)
     with pytest.raises(_WorkStarted):
         rayleigh_audit(6, eps_grid=short)
+
+
+def test_rayleigh_audit_rejects_single_scale_before_any_work(monkeypatch):
+    # its verdict reads the excess at the two smallest scales
+    _forbid_audit_work(monkeypatch)
+    for grid in ([1e-2], []):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            rayleigh_audit(5, eps_grid=grid)
+    with pytest.raises(_WorkStarted):
+        rayleigh_audit(5, eps_grid=[1e-2, 5e-3])
 
 
 @pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])

@@ -393,6 +393,21 @@ def test_env_var_sets_out_dir(capsys, tmp_path, monkeypatch):
     assert len(lines) == 1 + 2 * payload["modes"]
 
 
+def test_torus_state_csv_writes_no_signed_zero(capsys, tmp_path):
+    # at --modes 1 the kernel projection T(psi) is exactly zero; the kernel
+    # rows hold psi - T(psi) on a zero kernel block, which is +0.0
+    rc = run(["solve", "torus", "--spin", "0,0", "--modes", "1",
+              "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    rows = [line.split(",")
+            for line in (tmp_path / "torus_state.csv").read_text().splitlines()]
+    kernel = [row for row in rows if row[1] == "kernel"]
+    assert kernel and all(row[2:] == ["0.0", "0.0"] for row in kernel)
+    assert not any(v.startswith("-0.0") and float(v) == 0.0
+                   for row in rows[1:] for v in row[2:])
+
+
 def test_torus_csv_row_order(capsys, tmp_path):
     # plus rows in basis order, the two kernel rows, then the minus rows
     # with the same labels in the same order

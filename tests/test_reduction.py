@@ -1035,6 +1035,34 @@ def test_solver_kernels_stay_private():
     assert out.returncode == 0, out.stderr
 
 
+def test_audit_layers_record_their_spans():
+    # the audit workload reports the two drivers and the engine's set-up
+    # and per-scale sweep; with the tracer installed, a light m = 5
+    # residual and energy audit must record a span for each of them
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "bench")]
+    code = ("import sys\n"
+            f"sys.path[:0] = {paths!r}\n"
+            "import tracer\n"
+            "import numpy as np\n"
+            "tr = tracer.Tracer()\n"
+            "tracer.install(tr)\n"
+            "from spinlab import asymptotics\n"
+            "from spinlab.quadrature import sphere_rule\n"
+            "kw = dict(eps_grid=np.geomspace(1e-1, 1e-2, 4),\n"
+            "          rule=sphere_rule(5, 2, 4), n_leg=4)\n"
+            "asymptotics.residual_audit(5, **kw)\n"
+            "asymptotics.energy_audit(5, **kw)\n"
+            "seen = {span[0] for span in tr.spans}\n"
+            "names = ['asymptotics.' + s for s in ('residual_audit', "
+            "'energy_audit', 'engine_init', 'terms')]\n"
+            "missing = [n for n in names if n not in seen]\n"
+            "assert not missing, missing\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_import_leaves_scipy_unloaded():
     code = ("import sys, spinlab.reduction; "
             "print(any(k.split('.')[0] == 'scipy' for k in sys.modules))")
