@@ -56,6 +56,7 @@ from .spinor_fields import (
 
 __all__ = [
     "AUDIT_M_RANGE",
+    "check_audit_m",
     "MomentTable",
     "OrderFit",
     "AuditInputs",
@@ -667,15 +668,20 @@ _VERDICTS = {"residual": _residual_verdict, "energy": _energy_verdict,
 # ---------------------------------------------------------------------------
 # audit drivers
 
+def check_audit_m(audit: str, m: int, error=ValueError) -> None:
+    """Raise ``error`` unless m lies in ``AUDIT_M_RANGE[audit]``."""
+    lo, hi = AUDIT_M_RANGE[audit]
+    if not lo <= m <= hi:
+        raise error(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
+
+
 def _preamble(audit, m, eps_grid, inputs, seed, first_scale):
     """What every audit checks before any work: m within its range, and
     scales that are finite, positive, strictly decreasing and at least
     four (two for the Rayleigh audit, which fits no slope but reads the
     two smallest).  Returns them and the bundle: ``inputs``, or else the
     seeded draw."""
-    lo, hi = AUDIT_M_RANGE[audit]
-    if not lo <= m <= hi:
-        raise ValueError(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
+    check_audit_m(audit, m)
     fallback, min_points = ((rayleigh_eps_grid, 2) if audit == "rayleigh"
                             else (default_eps_grid, 4))
     eps = np.asarray(fallback() if eps_grid is None else eps_grid, dtype=float)

@@ -348,9 +348,7 @@ def _run_audit(cfg):
     from . import asymptotics
 
     audit = cfg.subcommand.split()[1]
-    lo, hi = asymptotics.AUDIT_M_RANGE[audit]
-    if not lo <= cfg["m"] <= hi:
-        raise UsageError(f"{audit} audit needs {lo} <= m <= {hi}")
+    asymptotics.check_audit_m(audit, cfg["m"], UsageError)
     fallback = (asymptotics.rayleigh_eps_grid if audit == "rayleigh"
                 else asymptotics.default_eps_grid)
     report = getattr(asymptotics, f"{audit}_audit")(

@@ -584,6 +584,15 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     return root, fibers[root], dw
 
 
+def _nehari_scale(problem: IndefiniteProblem, u: np.ndarray):
+    """(p Psi(u))^(-1/(p-2)) for a unit u; None unless p Psi(u) is finite,
+    positive and matches <grad Psi(u), u> to 1e-8 relative (p-homogeneity)."""
+    q = problem.p * float(problem.psi(u))
+    ok = (0.0 < q < math.inf
+          and abs(float(problem.grad_psi(u) @ u) - q) <= 1e-8 * q)
+    return q ** (-1.0 / (problem.p - 2.0)) if ok else None
+
+
 def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
                    tol: float = 1e-12, t0: float = 1.0) -> float:
     """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
@@ -651,19 +660,19 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     relative of the lowest, so that starts that tie up to rounding do not
     trade places on the last bit.  ``initial`` replaces the first
     random direction, which lets a coarse solution warm start a finer
-    one.  The inner tolerances follow the current gradient norm down, so
-    early iterates are cheap and converged ones are exact.  The fiber
-    solves are warm started from the solutions already in hand:
-
-    - the projection's first fiber, at the previous scale on the new
-      direction, starts from the descent's fiber at the previous point;
-    - its fiber velocity solves start from the last velocity, carried
-      from one projection to the next within a start;
-    - the projection hands over the fiber it solved at the root, more
-      tightly than the descent asks, so the descent's own fiber solve
-      there only confirms it.
-
-    The result carries the winning start's last fiber as ``fiber``.
+    one.  The inner tolerances follow the gradient norm gn with no cap,
+    max(inner, 1e-3 gn) for the fiber and max(1e-12, 1e-2 gn) for the
+    projection, so early iterates are cheap and converged ones exact.
+    Each projection of a unit u starts at a predicted scale: a start's
+    first at s(u) = (p Psi(u))^(-1/(p-2)), the root of K when the fiber
+    vanishes and Psi is p-homogeneous, each later one at t s(u) /
+    s(u_prev), keeping the ratio the fiber set at the previous point;
+    where Psi vanishes along u or is not p-homogeneous (p may be a loose
+    H2 constant), at 1 or at the last t.  Its first fiber starts from the
+    descent's fiber, its velocity solves from the last velocity, and it
+    hands over the fiber solved at the root, more tightly than the
+    descent asks, so the descent's own fiber solve there only confirms
+    it.  The result carries the winning start's last fiber as ``fiber``.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -690,8 +699,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             u = problem.project(rng.standard_normal(problem.n))
             nu = np.linalg.norm(u)
         u = u / nu
+        s = _nehari_scale(problem, u)
         try:
-            t, w, dw = _nehari_root(problem, u, tol=1e-6)
+            t, w, dw = _nehari_root(problem, u, tol=1e-6, t0=s or 1.0)
         except DegenerateRay:
             degenerate += 1
             continue
@@ -703,7 +713,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         for _ in range(max_iter):
             total += 1
             value, g, _, w = reduced(
-                problem, t * u, tol=max(inner, min(1e-8, 1e-3 * gn)), w0=w)
+                problem, t * u, tol=max(inner, 1e-3 * gn), w0=w)
             gn = float(np.linalg.norm(g))
             if gn <= tol:
                 break
@@ -719,9 +729,10 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             prev_u, prev_g = u, g
             u = u - alpha * g
             u = u / np.linalg.norm(u)
+            s_prev, s = s, _nehari_scale(problem, u)
+            t *= s / s_prev if s_prev and s else 1.0
             t, w, dw = _nehari_root(
-                problem, u, tol=max(1e-12, min(1e-6, 1e-2 * gn)), t0=t,
-                w0=w, dw0=dw)
+                problem, u, tol=max(1e-12, 1e-2 * gn), t0=t, w0=w, dw0=dw)
 
         history.append((float(value), gn))
         if gn <= tol:

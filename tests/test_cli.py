@@ -143,6 +143,9 @@ def test_audit_bad_input_is_usage_error(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+    if argv[2] == "--m":
+        # the library's own message, one text for both
+        assert json.loads(captured.err)["error"].endswith(f", got {argv[3]}")
 
 
 # ---------------------------------------------------------------------------

@@ -820,15 +820,10 @@ def test_finer_basis_starts_with_the_coarse_modes(delta):
         assert np.array_equal(large.modes[:small.n_modes], small.modes)
 
 
-def test_fiber_solves_per_descent_step(monkeypatch):
-    # the Nehari projection solves few fibers per descent step and hands
-    # the root's fiber to the descent, whose own fiber solve then finds
-    # it converged and runs no CG; the projection's first fiber starts
-    # from the descent's fiber and each fiber velocity solve from the
-    # last velocity; counted on the solve at cutoff 3 refined to 6
-    # (without the hand-over: 12.9 CG solves per step; with cold first
-    # fibers and velocities: 10.8 CG solves and 57.3 Hessian products)
-    calls = {"beta": 0, "cg": 0, "hess_psi": 0}
+def _count_solve_and_refine(monkeypatch):
+    """Layer call counts of the solve at cutoff 3 refined to 6, and the
+    two solves' outer steps."""
+    calls = {"beta": 0, "cg": 0, "hess_psi": 0, "brentq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -846,14 +841,40 @@ def test_fiber_solves_per_descent_step(monkeypatch):
     monkeypatch.setattr(reduction, "beta", fiber)
     monkeypatch.setattr(dirac_torus, "beta", fiber)
     monkeypatch.setattr(reduction, "cg", counted("cg", reduction.cg))
+    monkeypatch.setattr(reduction, "brentq",
+                        counted("brentq", reduction.brentq))
     monkeypatch.setattr(dirac_torus, "ground_state_problem", counted_problem)
     coarse = solve_ground_state(3.0, (0.5, 0.5), tol=1e-8, seed=0, starts=2)
     fine = refine_ground_state(coarse, 6.0, tol=1e-8)
-    assert (coarse.iterations, fine.iterations) == (45, 24)
-    steps = coarse.iterations + fine.iterations
-    assert calls["beta"] <= 5 * steps
-    assert calls["cg"] <= 9 * steps
-    assert calls["hess_psi"] <= 48 * steps
+    return calls, (coarse.iterations, fine.iterations)
+
+
+def test_fiber_solves_per_descent_step(monkeypatch):
+    # the Nehari projection solves few fibers per descent step and hands
+    # the root's fiber to the descent, whose own fiber solve then finds
+    # it converged and runs no CG; the projection's first fiber starts
+    # from the descent's fiber and each fiber velocity solve from the
+    # last velocity, each projection starts at the predicted scale, and
+    # early inner solves are loose; counted on the solve at cutoff 3
+    # refined to 6 (without the hand-over: 12.9 CG solves per step; with
+    # cold first fibers and velocities: 10.8 CG solves and 57.3 Hessian
+    # products; with projections from the last scale and inner
+    # tolerances capped at 1e-8 and 1e-6: 3.97 fiber solves, 8.55 CG
+    # solves and 44.8 Hessian products)
+    calls, iterations = _count_solve_and_refine(monkeypatch)
+    assert iterations == (45, 24)
+    steps = sum(iterations)
+    assert calls["beta"] <= 3.5 * steps
+    assert calls["cg"] <= 6 * steps
+    assert calls["hess_psi"] <= 28 * steps
+
+
+def test_predicted_scales_leave_no_bracketed_projection(monkeypatch):
+    # from the predicted scales every Newton step of the projections is
+    # accepted, so no root is bracketed and polished by brentq; started
+    # at t = 1, each solve's first projection brackets one, three in all
+    calls, _ = _count_solve_and_refine(monkeypatch)
+    assert calls["brentq"] == 0
 
 
 def test_nehari_result_fiber_solves_the_fiber_equation(monkeypatch):

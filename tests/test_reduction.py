@@ -11,6 +11,7 @@ module's own ``cg`` and ``brentq`` are checked bit for bit against the
 scipy routines they port.
 """
 
+import dataclasses
 import math
 import pathlib
 import subprocess
@@ -676,6 +677,48 @@ def test_minimize_nehari_diagonal_closed_form():
     assert math.isclose(result.nehari_scale, 0.7, rel_tol=1e-6)
     direction = result.minimizer / np.linalg.norm(result.minimizer)
     assert abs(abs(direction[1]) - 1.0) <= 1e-5
+
+
+def test_first_projection_starts_at_the_predicted_scale(monkeypatch):
+    # along e1 of the spectrum (4, -1) the fiber vanishes and the Nehari
+    # scale is exactly (4 Psi(e1))^(-1/2) = 4, so the start's first
+    # projection solves one fiber; from t = 1, where K' > 0 refuses
+    # Newton, it solves three, at t = 1, 2 and 4
+    fibers = []
+    per_projection = []
+    fiber, root = reduction.beta, reduction._nehari_root
+
+    def counted_fiber(*args, **kwargs):
+        fibers.append(1)
+        return fiber(*args, **kwargs)
+
+    def counted_root(*args, **kwargs):
+        before = len(fibers)
+        out = root(*args, **kwargs)
+        per_projection.append(len(fibers) - before)
+        return out
+
+    monkeypatch.setattr(reduction, "beta", counted_fiber)
+    monkeypatch.setattr(reduction, "_nehari_root", counted_root)
+    result = minimize_nehari(diagonal_quartic_problem([4.0, -1.0]),
+                             starts=1, initial=np.array([1.0, 0.0]))
+    assert per_projection == [1]
+    assert result.nehari_scale == 4.0
+    assert result.gamma == 4.0
+
+
+@pytest.mark.parametrize("p", [2.01, 3.0])
+def test_loose_p_keeps_the_plain_start(p):
+    # p = 2.01 and 3 are valid H2 constants of the quartic, which is not
+    # p-homogeneous: (p Psi(u))^(-1/(p-2)) would start the projections far
+    # from the root (at p = 2.01 and u = e1, near 1e30, past any bracket),
+    # so they start at 1 and at the last scale, as without the prediction
+    prob = dataclasses.replace(diagonal_quartic_problem([1.0, 0.7, -0.4]),
+                               p=p)
+    assert check_hypotheses(prob, n_samples=200).ok
+    assert reduction._nehari_scale(prob, np.array([0.6, 0.8, 0.0])) is None
+    result = minimize_nehari(prob, starts=8, tol=1e-10, seed=0)
+    assert math.isclose(result.gamma, 0.7 ** 2 / 4.0, rel_tol=1e-12)
 
 
 def grid_min_max(prob, A, n_theta=600):
