@@ -14,9 +14,10 @@ critical points are exactly those of L.  Ground states are then found
 by minimizing J over its Nehari set {K = <grad J, phi> = 0}.  Along a
 ray t phi of X, K has a simple root with dK/dt < 0 (Szulkin and Weth,
 "The method of Nehari manifold", 2010), so the projection onto the set
-is a safeguarded Newton iteration in t with the exact slope, which
-differentiates the fiber through one linear solve; rays where a Newton
-step is refused fall back to a geometric bracket polished by ``brentq``.
+is a safeguarded Newton iteration in t whose slope differentiates the
+fiber through one linear solve, held to the step's accuracy (inexact
+Newton: Dembo, Eisenstat and Steihaug, 1982); rays where a Newton step
+is refused fall back to a geometric bracket polished by ``brentq``.
 
 The module exposes the hypothesis checker for the structural conditions
 the reduction needs (labelled H1 to H5 throughout), the inner maximizer,
@@ -406,8 +407,8 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     (I - P) v dominates the identity, so each step is a well-conditioned
     CG solve.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be finite and positive")
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).all():
         raise ValueError("fiber direction phi must be finite")
@@ -481,14 +482,14 @@ _MAX_DOUBLINGS = 40
 
 
 def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
-                  w: np.ndarray, dw0: np.ndarray = None):
-    """Exact dK/dt along the ray t phi of X, and the fiber's velocity.
+                  w: np.ndarray, dw0: np.ndarray = None, rtol: float = 1e-6):
+    """dK/dt along the ray t phi of X, and the fiber's velocity.
 
     With w = beta(t phi), z = t phi + w, g = grad Psi(z) and H =
     hess Psi(z), K(t) = t^2 |phi|^2 - t <g, phi>.  Differentiating the
     fiber equation w + Q g = 0 gives (I + Q H Q) w' = -Q H phi, one CG
-    solve with the operator ``beta`` steps with, started from ``dw0``
-    (zero by default), and then
+    solve to ``rtol`` with the operator ``beta`` steps with, started from
+    ``dw0`` (zero by default), and then
 
         dK/dt = 2 t |phi|^2 - <g, phi> - t (<H phi, phi> + <w', H phi>).
 
@@ -498,7 +499,7 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
     g = problem.grad_psi(z)
     h_phi = problem.hess_psi(z, phi)
     dw, info = cg(_fiber_operator(problem, z), -problem.complement(h_phi),
-                  rtol=1e-6, x0=dw0)
+                  rtol=rtol, x0=dw0)
     if info != 0:
         raise RuntimeError(f"fiber derivative CG stalled (info={info})")
     slope = 2.0 * t * (phi @ phi) - g @ phi - t * (h_phi @ phi + dw @ h_phi)
@@ -530,9 +531,11 @@ def _bracket_root(k_of, t, k, tol):
 def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
                  tol: float = 1e-12, t0: float = 1.0, w0: np.ndarray = None,
                  dw0: np.ndarray = None):
-    """``nehari_project``'s scale t, the fiber beta(t phi) solved there and
-    the last fiber velocity: (t, w, w').  The first fiber starts from
-    ``w0`` and the first velocity solve from ``dw0`` (zero by default)."""
+    """``nehari_project``'s scale t, the fiber beta(t phi) solved there to
+    tol / 10 and the last computed fiber velocity: (t, w, w').  The first
+    fiber starts from ``w0`` and the first velocity solve from ``dw0``."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be finite and positive")
     if not (math.isfinite(t0) and t0 > 0.0):
         raise ValueError("initial scale t0 must be finite and positive")
     phi = np.asarray(phi, dtype=float)
@@ -543,7 +546,8 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
         raise DegenerateRay()
     if problem.complement(phi).any():
         raise ValueError("direction must lie in X: its Y part is nonzero")
-    fiber_tol = max(min(tol, 1e-12), tol * 1e-3)
+    fiber_tol = max(min(tol, 1e-12), tol * 1e-1)
+    vel_rtol = max(1e-6, min(1e-2, tol))
     fibers = {}
     last = {"w": w0}
 
@@ -559,7 +563,7 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     for _ in range(_NEWTON_STEPS):
         if k == 0.0:
             break
-        dk, dw = _nehari_slope(problem, phi, t, fibers[t], dw)
+        dk, dw = _nehari_slope(problem, phi, t, fibers[t], dw, rtol=vel_rtol)
         if not dk < 0.0:
             break
         t_new = t - k / dk
@@ -573,11 +577,13 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
         if not abs(k_new) < abs(k):
             break
         t, k = t_new, k_new
+        if abs(k / dk) <= tol:  # the chord step, with the last slope
+            return t, fibers[t], dw
 
     root = float(_bracket_root(k_of, t, k, tol))
     # a bracketed root lies away from the last velocity's scale, so
     # this velocity solve starts from zero
-    slope, dw = _nehari_slope(problem, phi, root, fibers[root])
+    slope, dw = _nehari_slope(problem, phi, root, fibers[root], rtol=vel_rtol)
     if not slope < 0.0:
         raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
                            "expected negative")
@@ -598,18 +604,20 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
 
     Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so
-    the root is found by Newton's method in t from ``t0`` (finite and
-    positive, ValueError otherwise, before any solve), with the exact
-    slope of ``_nehari_slope``.  The first fiber beta(t0 phi) starts from
-    zero; each later one starts from the previous fiber moved along its
-    tangent, and each tangent's CG solve from the previous tangent.  The
-    iteration stops at the current t once the Newton correction is within
-    ``tol``.
+    the root is found by Newton's method in t from ``t0`` (``t0`` and
+    ``tol`` finite and positive, ValueError otherwise, before any solve),
+    with the slope of ``_nehari_slope``.  Fibers are solved to tol / 10
+    and tangents to CG rtol max(1e-6, min(1e-2, tol)).  The first fiber
+    beta(t0 phi) starts from zero; each later one starts from the
+    previous fiber moved along its tangent, and each tangent's CG solve
+    from the previous tangent.  The iteration stops once the Newton
+    correction with the last computed slope, K(t) / K'(t_prev) after a
+    step, is within ``tol``; no second slope confirms it.
     A step is taken only if the slope is negative, the new t is positive
     and |K| decreases there.  When a step is refused, or after
     ``_NEWTON_STEPS`` steps, the root is instead bracketed by geometric
     expansion from the last accepted t and polished by ``brentq``, and
-    one exact slope there confirms K' < 0 (RuntimeError otherwise).
+    one slope solve there confirms K' < 0 (RuntimeError otherwise).
     K(t phi) is positive near t = 0; a ray along which the nonlinearity
     vanishes keeps K = t^2 |phi|^2 > 0 forever and raises
     ``DegenerateRay``, as does every ray of Y.  The zero direction and a
@@ -670,9 +678,10 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     where Psi vanishes along u or is not p-homogeneous (p may be a loose
     H2 constant), at 1 or at the last t.  Its first fiber starts from the
     descent's fiber, its velocity solves from the last velocity, and it
-    hands over the fiber solved at the root, more tightly than the
-    descent asks, so the descent's own fiber solve there only confirms
-    it.  The result carries the winning start's last fiber as ``fiber``.
+    hands over the fiber solved at the root to max(1e-12, 1e-3 gn), for
+    tol >= 1e-10 the descent's own fiber tolerance (1e-7 at a start's
+    first step), so the descent's fiber solve there runs no CG.  The
+    result carries the winning start's last fiber as ``fiber``.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -708,12 +717,11 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
 
         prev_u = None
         prev_g = None
-        value = math.inf
-        gn = math.inf
+        # the start projection's own fiber tolerance (its tol 1e-6 over 10)
+        fiber_tol = 1e-7
         for _ in range(max_iter):
             total += 1
-            value, g, _, w = reduced(
-                problem, t * u, tol=max(inner, 1e-3 * gn), w0=w)
+            value, g, _, w = reduced(problem, t * u, tol=fiber_tol, w0=w)
             gn = float(np.linalg.norm(g))
             if gn <= tol:
                 break
@@ -731,6 +739,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             u = u / np.linalg.norm(u)
             s_prev, s = s, _nehari_scale(problem, u)
             t *= s / s_prev if s_prev and s else 1.0
+            fiber_tol = max(inner, 1e-3 * gn)
             t, w, dw = _nehari_root(
                 problem, u, tol=max(1e-12, 1e-2 * gn), t0=t, w0=w, dw0=dw)
 

@@ -823,7 +823,7 @@ def test_finer_basis_starts_with_the_coarse_modes(delta):
 def _count_solve_and_refine(monkeypatch):
     """Layer call counts of the solve at cutoff 3 refined to 6, and the
     two solves' outer steps."""
-    calls = {"beta": 0, "cg": 0, "hess_psi": 0, "brentq": 0}
+    calls = {"beta": 0, "cg": 0, "hess_psi": 0, "brentq": 0, "slope": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -843,6 +843,8 @@ def _count_solve_and_refine(monkeypatch):
     monkeypatch.setattr(reduction, "cg", counted("cg", reduction.cg))
     monkeypatch.setattr(reduction, "brentq",
                         counted("brentq", reduction.brentq))
+    monkeypatch.setattr(reduction, "_nehari_slope",
+                        counted("slope", reduction._nehari_slope))
     monkeypatch.setattr(dirac_torus, "ground_state_problem", counted_problem)
     coarse = solve_ground_state(3.0, (0.5, 0.5), tol=1e-8, seed=0, starts=2)
     fine = refine_ground_state(coarse, 6.0, tol=1e-8)
@@ -855,18 +857,24 @@ def test_fiber_solves_per_descent_step(monkeypatch):
     # it converged and runs no CG; the projection's first fiber starts
     # from the descent's fiber and each fiber velocity solve from the
     # last velocity, each projection starts at the predicted scale, and
-    # early inner solves are loose; counted on the solve at cutoff 3
-    # refined to 6 (without the hand-over: 12.9 CG solves per step; with
-    # cold first fibers and velocities: 10.8 CG solves and 57.3 Hessian
-    # products; with projections from the last scale and inner
-    # tolerances capped at 1e-8 and 1e-6: 3.97 fiber solves, 8.55 CG
-    # solves and 44.8 Hessian products)
+    # early inner solves are loose; inside the projection the fibers are
+    # solved to tol / 10 and the velocities to max(1e-6, min(1e-2, tol)),
+    # and a Newton step whose chord correction is within tol ends it with
+    # no confirming slope; counted on the solve at cutoff 3 refined to 6
+    # (without the hand-over: 12.9 CG solves per step; with cold first
+    # fibers and velocities: 10.8 CG solves and 57.3 Hessian products;
+    # with projections from the last scale and inner tolerances capped
+    # at 1e-8 and 1e-6: 3.97 fiber solves, 8.55 CG solves and 44.8
+    # Hessian products; with fibers to tol / 1000, velocities to 1e-6
+    # and a confirming slope: 4.83 CG solves, 24.3 Hessian products and
+    # 1.99 slopes)
     calls, iterations = _count_solve_and_refine(monkeypatch)
     assert iterations == (45, 24)
     steps = sum(iterations)
     assert calls["beta"] <= 3.5 * steps
-    assert calls["cg"] <= 6 * steps
-    assert calls["hess_psi"] <= 28 * steps
+    assert calls["cg"] <= 3.5 * steps
+    assert calls["hess_psi"] <= 15 * steps
+    assert calls["slope"] <= 1.25 * steps
 
 
 def test_predicted_scales_leave_no_bracketed_projection(monkeypatch):

@@ -352,6 +352,20 @@ def test_beta_rejects_bad_warm_start(monkeypatch, w0):
         beta(toy_problem(), np.array([1.0, 0.0]), w0=np.array(w0))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_beta_rejects_bad_tolerance(monkeypatch, tol):
+    # before the check tol = inf returned the warm start unsolved: the
+    # zero fiber on diagonal_quartic_problem([1, 0.7, -0.4])
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a fiber solve ran")
+
+    monkeypatch.setattr(reduction, "cg", no_solve)
+    with pytest.raises(ValueError, match="tolerance must be finite and "
+                                         "positive"):
+        beta(diagonal_quartic_problem([1.0, 0.7, -0.4]),
+             np.array([0.6, 0.8, 0.0]), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # the reduced functional
 
@@ -534,6 +548,19 @@ def test_nehari_rejects_bad_initial_scale(monkeypatch, t0):
         nehari_project(toy_problem(), np.array([1.0, 0.0]), t0=t0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_nehari_rejects_bad_tolerance(monkeypatch, tol):
+    # before the check tol = inf returned t0 = 1, which is not a root
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a fiber solve ran")
+
+    monkeypatch.setattr(reduction, "beta", no_solve)
+    with pytest.raises(ValueError, match="tolerance must be finite and "
+                                         "positive"):
+        nehari_project(diagonal_quartic_problem([1.0, 0.7, -0.4]),
+                       np.array([0.6, 0.8, 0.0]), tol=tol)
+
+
 def test_nehari_rejects_direction_with_y_part():
     # the Nehari set is met along rays of X; a direction with a Y part
     # has no scale on it (t = 1.342 on (1, 1) had K(t phi_X) = -1.44)
@@ -550,9 +577,9 @@ def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
     calls = []
     slope = reduction._nehari_slope
 
-    def nonnegative_at_root(problem, phi, t, w):
+    def nonnegative_at_root(problem, phi, t, *args, **kwargs):
         calls.append(t)
-        return 0.0, slope(problem, phi, t, w)[1]
+        return 0.0, slope(problem, phi, t, *args, **kwargs)[1]
 
     monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
     assert math.isclose(nehari_project(prob, np.array([0.5, 0.0])), 2.0,
@@ -590,6 +617,50 @@ def test_nehari_slope_matches_central_difference():
     root = nehari_project(prob, phi, tol=1e-10)
     for t in (0.8 * root, root, 1.3 * root):
         assert_slope_matches_fd(prob, phi, t)
+
+
+def test_converged_newton_step_needs_no_confirming_slope(monkeypatch):
+    # K(t x e1) = (tx)^2 - (tx)^4: from 1e-5 off the root one Newton step
+    # lands within 1e-10 of it, and the chord step with the slope already
+    # at hand stops there; confirming it with a second slope took two
+    scales = []
+    slope = reduction._nehari_slope
+
+    def counted(problem, phi, t, *args, **kwargs):
+        scales.append(t)
+        return slope(problem, phi, t, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_nehari_slope", counted)
+    x = 0.6
+    t = nehari_project(toy_problem(), np.array([x, 0.0]), tol=1e-8,
+                       t0=(1.0 + 1e-5) / x)
+    assert math.isclose(t, 1.0 / x, rel_tol=1e-9)
+    assert scales == [(1.0 + 1e-5) / x]
+
+
+def torus_problem_and_direction():
+    prob, _, _ = ground_state_problem(build_dirac(3.0, (0.5, 0.5)))
+    phi = prob.project(np.random.default_rng(131).standard_normal(prob.n))
+    return prob, phi / np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_projection_stops_within_its_tolerance(tol):
+    # the loose fibers (tol / 10), loose velocity solves and the chord
+    # stop still place the scale within tol of the root: its Newton
+    # correction, from a fiber to 1e-13 and a velocity solve to 1e-12,
+    # is at most 2 tol
+    diagonal = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
+    rng = np.random.default_rng(132)
+    cases = [(diagonal, diagonal.project(rng.standard_normal(5)), t0)
+             for t0 in (0.3, 1.0, 4.0)]
+    torus, phi = torus_problem_and_direction()
+    cases += [(torus, phi, t0) for t0 in (1.0, 3.0)]
+    for prob, phi, t0 in cases:
+        t = nehari_project(prob, phi, tol=tol, t0=t0)
+        _, _, k, w = reduced(prob, t * phi, tol=1e-13)
+        dk, _ = reduction._nehari_slope(prob, phi, t, w, rtol=1e-12)
+        assert abs(k / dk) <= 2.0 * tol
 
 
 def test_psi_positive_and_rays_bounded_away():
@@ -719,6 +790,35 @@ def test_loose_p_keeps_the_plain_start(p):
     assert reduction._nehari_scale(prob, np.array([0.6, 0.8, 0.0])) is None
     result = minimize_nehari(prob, starts=8, tol=1e-10, seed=0)
     assert math.isclose(result.gamma, 0.7 ** 2 / 4.0, rel_tol=1e-12)
+
+
+def test_descent_fiber_solves_reuse_the_projected_fiber(monkeypatch):
+    # the projection solves its fibers to the descent's own tolerance, so
+    # every fiber solve of the descent itself, at the projected point,
+    # finds the handed-over fiber converged and runs no CG
+    solves = {"projection": 0, "descent": 0}
+    inside = []
+    root, cg = reduction._nehari_root, reduction.cg
+
+    def marked_root(*args, **kwargs):
+        inside.append(1)
+        try:
+            return root(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_cg(*args, **kwargs):
+        solves["projection" if inside else "descent"] += 1
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_nehari_root", marked_root)
+    monkeypatch.setattr(reduction, "cg", counted_cg)
+    torus, _ = torus_problem_and_direction()
+    minimize_nehari(torus, starts=2, tol=1e-8, seed=0)
+    minimize_nehari(coupled_quartic_problem(n=6, k=2, seed=41)[0], starts=4,
+                    seed=0)
+    assert solves["projection"] > 0
+    assert solves["descent"] == 0
 
 
 def grid_min_max(prob, A, n_theta=600):
