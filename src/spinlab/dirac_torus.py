@@ -54,7 +54,7 @@ import numbers
 
 import numpy as np
 
-from .reduction import IndefiniteProblem, beta, minimize_nehari
+from .reduction import IndefiniteProblem, minimize_nehari
 
 __all__ = [
     "SpinStructure",
@@ -620,9 +620,7 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
     # the Nehari minimizer lives in the positive block; the critical
     # point of the full functional adds the fiber maximizer over the
     # negative block
-    fiber = beta(problem, result.minimizer, tol=min(tol * 1e-2, 1e-12),
-                 w0=result.fiber)
-    psi = _kernel_reduced(basis, from_coords(result.minimizer + fiber))
+    psi = _kernel_reduced(basis, from_coords(result.minimizer + result.fiber))
     energy, grad, quartic = phi_functional(basis, psi)
     grad_norm = math.sqrt(basis.h_norm_sq(grad))
 

@@ -528,12 +528,13 @@ def _bracket_root(k_of, t, k, tol):
     return brentq(k_of, *((near, far) if k > 0.0 else (far, near)), xtol=tol)
 
 
-def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
-                 tol: float = 1e-12, t0: float = 1.0, w0: np.ndarray = None,
+def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
+                 fiber_tol: float, t0: float = 1.0, w0: np.ndarray = None,
                  dw0: np.ndarray = None):
-    """``nehari_project``'s scale t, the fiber beta(t phi) solved there to
-    tol / 10 and the last computed fiber velocity: (t, w, w').  The first
-    fiber starts from ``w0`` and the first velocity solve from ``dw0``."""
+    """``nehari_project``'s scale t, ``reduced``'s (value, grad, K, w) at
+    t phi with every fiber solved to ``fiber_tol``, and the last computed
+    fiber velocity: (t, (value, grad, K, w), w').  The first fiber starts
+    from ``w0`` and the first velocity solve from ``dw0``."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
     if not (math.isfinite(t0) and t0 > 0.0):
@@ -546,16 +547,15 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
         raise DegenerateRay()
     if problem.complement(phi).any():
         raise ValueError("direction must lie in X: its Y part is nonzero")
-    fiber_tol = max(min(tol, 1e-12), tol * 1e-1)
-    vel_rtol = max(1e-6, min(1e-2, tol))
-    fibers = {}
+    rtol = max(1e-6, min(1e-2, tol))  # for the velocity solves
+    points = {}
     last = {"w": w0}
 
     def k_of(t, start=None):
-        _, _, k, w = reduced(problem, t * phi, tol=fiber_tol,
-                             w0=last["w"] if start is None else start)
-        last["w"] = fibers[t] = w
-        return k
+        point = points[t] = reduced(problem, t * phi, tol=fiber_tol,
+                                    w0=last["w"] if start is None else start)
+        last["w"] = point[3]
+        return point[2]
 
     t = float(t0)
     k = k_of(t)
@@ -563,31 +563,31 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray,
     for _ in range(_NEWTON_STEPS):
         if k == 0.0:
             break
-        dk, dw = _nehari_slope(problem, phi, t, fibers[t], dw, rtol=vel_rtol)
+        dk, dw = _nehari_slope(problem, phi, t, points[t][3], dw, rtol=rtol)
         if not dk < 0.0:
             break
         t_new = t - k / dk
         if abs(t_new - t) <= tol:
             # the slope at this root is dk < 0
-            return t, fibers[t], dw
+            return t, points[t], dw
         if not t_new > 0.0:
             break
         # the fiber's tangent predicts the next fiber
-        k_new = k_of(t_new, fibers[t] + (t_new - t) * dw)
+        k_new = k_of(t_new, points[t][3] + (t_new - t) * dw)
         if not abs(k_new) < abs(k):
             break
         t, k = t_new, k_new
         if abs(k / dk) <= tol:  # the chord step, with the last slope
-            return t, fibers[t], dw
+            return t, points[t], dw
 
     root = float(_bracket_root(k_of, t, k, tol))
     # a bracketed root lies away from the last velocity's scale, so
     # this velocity solve starts from zero
-    slope, dw = _nehari_slope(problem, phi, root, fibers[root], rtol=vel_rtol)
+    slope, dw = _nehari_slope(problem, phi, root, points[root][3], rtol=rtol)
     if not slope < 0.0:
         raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
                            "expected negative")
-    return root, fibers[root], dw
+    return root, points[root], dw
 
 
 def _nehari_scale(problem: IndefiniteProblem, u: np.ndarray):
@@ -606,7 +606,8 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so
     the root is found by Newton's method in t from ``t0`` (``t0`` and
     ``tol`` finite and positive, ValueError otherwise, before any solve),
-    with the slope of ``_nehari_slope``.  Fibers are solved to tol / 10
+    with the slope of ``_nehari_slope``.  Fibers are solved to
+    max(min(tol, 1e-12), tol / 10), which is 1e-12 at the default tol,
     and tangents to CG rtol max(1e-6, min(1e-2, tol)).  The first fiber
     beta(t0 phi) starts from zero; each later one starts from the
     previous fiber moved along its tangent, and each tangent's CG solve
@@ -623,16 +624,16 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     ``DegenerateRay``, as does every ray of Y.  The zero direction and a
     direction with both an X and a nonzero Y part raise ValueError.
     """
-    return _nehari_root(problem, phi, tol=tol, t0=t0)[0]
+    return _nehari_root(problem, phi, tol=tol,
+                        fiber_tol=max(min(tol, 1e-12), tol / 10), t0=t0)[0]
 
 
 @dataclass(frozen=True)
 class NehariResult:
     """Ground-state search outcome.
 
-    ``fiber`` is beta(minimizer) as the winning start's last descent step
-    solved it, to that step's inner tolerance: the warm start for a
-    tighter fiber solve at the minimizer.
+    ``fiber`` is beta(minimizer) solved to min(1e-2 tol, 1e-12), so
+    ``minimizer + fiber`` is the critical point of the full functional.
     """
 
     gamma: float
@@ -668,20 +669,19 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     relative of the lowest, so that starts that tie up to rounding do not
     trade places on the last bit.  ``initial`` replaces the first
     random direction, which lets a coarse solution warm start a finer
-    one.  The inner tolerances follow the gradient norm gn with no cap,
-    max(inner, 1e-3 gn) for the fiber and max(1e-12, 1e-2 gn) for the
-    projection, so early iterates are cheap and converged ones exact.
+    one.  Each projection returns the reduced value and gradient at its
+    root, the next iterate's.  Its tolerances follow the gradient norm gn
+    with no cap, max(1e-12, 1e-2 gn) for the scale and max(inner, 1e-3 gn)
+    for the fibers, inner = min(1e-2 tol, 1e-12), so early iterates are
+    cheap and converged ones exact (a start's first: 1e-6 and 1e-7).
     Each projection of a unit u starts at a predicted scale: a start's
     first at s(u) = (p Psi(u))^(-1/(p-2)), the root of K when the fiber
     vanishes and Psi is p-homogeneous, each later one at t s(u) /
     s(u_prev), keeping the ratio the fiber set at the previous point;
     where Psi vanishes along u or is not p-homogeneous (p may be a loose
     H2 constant), at 1 or at the last t.  Its first fiber starts from the
-    descent's fiber, its velocity solves from the last velocity, and it
-    hands over the fiber solved at the root to max(1e-12, 1e-3 gn), for
-    tol >= 1e-10 the descent's own fiber tolerance (1e-7 at a start's
-    first step), so the descent's fiber solve there runs no CG.  The
-    result carries the winning start's last fiber as ``fiber``.
+    descent's fiber and its velocity solves from the last velocity.  The
+    winning start's fiber is solved once more, to inner, as ``fiber``.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -710,18 +710,16 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         u = u / nu
         s = _nehari_scale(problem, u)
         try:
-            t, w, dw = _nehari_root(problem, u, tol=1e-6, t0=s or 1.0)
+            t, point, dw = _nehari_root(problem, u, tol=1e-6, fiber_tol=1e-7,
+                                        t0=s or 1.0)
         except DegenerateRay:
             degenerate += 1
             continue
 
-        prev_u = None
-        prev_g = None
-        # the start projection's own fiber tolerance (its tol 1e-6 over 10)
-        fiber_tol = 1e-7
+        prev_u = prev_g = None
         for _ in range(max_iter):
             total += 1
-            value, g, _, w = reduced(problem, t * u, tol=fiber_tol, w0=w)
+            value, g, _, w = point
             gn = float(np.linalg.norm(g))
             if gn <= tol:
                 break
@@ -739,9 +737,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             u = u / np.linalg.norm(u)
             s_prev, s = s, _nehari_scale(problem, u)
             t *= s / s_prev if s_prev and s else 1.0
-            fiber_tol = max(inner, 1e-3 * gn)
-            t, w, dw = _nehari_root(
-                problem, u, tol=max(1e-12, 1e-2 * gn), t0=t, w0=w, dw0=dw)
+            t, point, dw = _nehari_root(
+                problem, u, tol=max(1e-12, 1e-2 * gn),
+                fiber_tol=max(inner, 1e-3 * gn), t0=t, w0=w, dw0=dw)
 
         history.append((float(value), gn))
         if gn <= tol:
@@ -759,6 +757,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         raise RuntimeError(f"ground level {gamma} is not positive")
     if not problem.psi(phi_star) > 0.0:
         raise RuntimeError("nonlinearity vanishes at the reported minimizer")
+    fiber = beta(problem, phi_star, tol=inner, w0=fiber)
     return NehariResult(float(gamma), phi_star, fiber, gn, float(t), total,
                         len(found), degenerate, tuple(history))
 

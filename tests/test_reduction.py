@@ -11,6 +11,7 @@ module's own ``cg`` and ``brentq`` are checked bit for bit against the
 scipy routines they port.
 """
 
+import ast
 import dataclasses
 import math
 import pathlib
@@ -793,12 +794,15 @@ def test_loose_p_keeps_the_plain_start(p):
 
 
 def test_descent_fiber_solves_reuse_the_projected_fiber(monkeypatch):
-    # the projection solves its fibers to the descent's own tolerance, so
-    # every fiber solve of the descent itself, at the projected point,
-    # finds the handed-over fiber converged and runs no CG
+    # the projection solves its fibers to the descent's own tolerance and
+    # hands over the reduced value and gradient at its root, so outside
+    # the projection the descent runs no CG and only one fiber solve, the
+    # winning fiber's to min(1e-2 tol, 1e-12); at tol 1e-12 the descent
+    # used to re-solve each handed-over fiber, with 7 CG solves
     solves = {"projection": 0, "descent": 0}
     inside = []
-    root, cg = reduction._nehari_root, reduction.cg
+    fibers = []
+    root, cg, fiber = reduction._nehari_root, reduction.cg, reduction.beta
 
     def marked_root(*args, **kwargs):
         inside.append(1)
@@ -811,14 +815,23 @@ def test_descent_fiber_solves_reuse_the_projected_fiber(monkeypatch):
         solves["projection" if inside else "descent"] += 1
         return cg(*args, **kwargs)
 
+    def counted_fiber(*args, **kwargs):
+        fibers[-1] += not inside
+        return fiber(*args, **kwargs)
+
     monkeypatch.setattr(reduction, "_nehari_root", marked_root)
     monkeypatch.setattr(reduction, "cg", counted_cg)
+    monkeypatch.setattr(reduction, "beta", counted_fiber)
     torus, _ = torus_problem_and_direction()
-    minimize_nehari(torus, starts=2, tol=1e-8, seed=0)
-    minimize_nehari(coupled_quartic_problem(n=6, k=2, seed=41)[0], starts=4,
-                    seed=0)
+    coupled = coupled_quartic_problem(n=6, k=2, seed=41)[0]
+    for problem, kwargs in ((torus, dict(starts=2, tol=1e-8)),
+                            (torus, dict(starts=2, tol=1e-12)),
+                            (coupled, dict(starts=4))):
+        fibers.append(0)
+        minimize_nehari(problem, seed=0, **kwargs)
     assert solves["projection"] > 0
     assert solves["descent"] == 0
+    assert fibers == [1, 1, 1]
 
 
 def grid_min_max(prob, A, n_theta=600):
@@ -954,11 +967,20 @@ def test_minimize_nehari_rejects_no_iterations(max_iter):
 
 def test_minimize_nehari_history_holds_plain_floats():
     # the failure message reaches stderr, where np.float64(...) reprs
-    # depended on the numpy version
+    # depended on the numpy version; each entry pairs a start's last
+    # level with the gradient norm at that same iterate
     prob = diagonal_quartic_problem([1.0, 0.7, -0.4])
-    with pytest.raises(RuntimeError, match="no start converged") as err:
-        minimize_nehari(prob, starts=2, max_iter=1)
-    assert "np.float64" not in str(err.value)
+    for max_iter, history in (
+            (1, [(0.16663122287003615, 0.14265225990031857),
+                 (0.1252603686267706, 0.04049790354387913)]),
+            (2, [(0.15326514456660018, 0.125586298686756),
+                 (0.12425883241866884, 0.0323856902272616)])):
+        with pytest.raises(RuntimeError, match="no start converged") as err:
+            minimize_nehari(prob, starts=2, max_iter=max_iter)
+        assert "np.float64" not in str(err.value)
+        np.testing.assert_allclose(
+            ast.literal_eval(str(err.value).split("history ", 1)[1]),
+            history, rtol=1e-12)
     result = minimize_nehari(prob, starts=2)
     assert result.history
     for entry in result.history:
@@ -1154,7 +1176,9 @@ def test_solver_kernels_stay_private():
     # methods and the problem callbacks of ground_state_problem's 3-tuple:
     # installing it and building a kernel problem fails on any rename, and
     # calling the callbacks must record a span for every layer the torus
-    # workloads report, so a cache that bypasses one fails too
+    # workloads report, so a cache that bypasses one fails too; a descent
+    # on that problem must record fiber and CG spans, with no fiber solve
+    # inside another, and the outer-step count the solver reports
     root = pathlib.Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), str(root / "bench")]
     code = ("import sys\n"
@@ -1172,7 +1196,16 @@ def test_solver_kernels_stay_private():
             "names = ['dirac_torus.' + s for s in ('psi', 'grad_psi', "
             "'hess_psi', 'to_grid', 'from_grid', 'T_project')]\n"
             "missing = [n for n in names if n not in seen]\n"
-            "assert not missing, missing\n")
+            "assert not missing, missing\n"
+            "from spinlab import reduction\n"
+            "reduction.minimize_nehari(prob, starts=1, tol=1e-8, seed=0)\n"
+            "seen = {span[0] for span in tr.spans}\n"
+            "assert {'reduction.beta', 'reduction.cg'} <= seen, seen\n"
+            "assert tr.counters.get('reduction.outer_iterations', 0) > 0\n"
+            "for name, _, _, parent in tr.spans:\n"
+            "    while name == 'reduction.beta' and parent >= 0:\n"
+            "        assert tr.spans[parent][0] != name, 'nested fiber'\n"
+            "        parent = tr.spans[parent][3]\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert out.returncode == 0, out.stderr
