@@ -403,9 +403,10 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
 
     Damped Newton with Armijo backtracking on the residual norm, from the
     warm start ``w0`` (zero by default; finite and of shape (n,), checked
-    before any solve).  The Newton operator v -> v + (I - P) hess Psi
-    (I - P) v dominates the identity, so each step is a well-conditioned
-    CG solve.
+    before any solve), until the residual is within ``tol`` or within
+    1e-14 of its first value, the rounding floor of its terms.  The Newton
+    operator v -> v + (I - P) hess Psi (I - P) v dominates the identity,
+    so each step is a well-conditioned CG solve.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
@@ -423,9 +424,10 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
 
     F = residual(w)
     nrm = float(np.linalg.norm(F))
+    stop = max(tol, 1e-14 * nrm)  # the rounding floor
     for _ in range(max_iter):
         history.append(nrm)
-        if nrm <= tol:
+        if nrm <= stop:
             break
         forcing = min(1e-2, math.sqrt(nrm))
         step, info = cg(_fiber_operator(problem, phi + w), -F,
@@ -670,10 +672,11 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     trade places on the last bit.  ``initial`` replaces the first
     random direction, which lets a coarse solution warm start a finer
     one.  Each projection returns the reduced value and gradient at its
-    root, the next iterate's.  Its tolerances follow the gradient norm gn
-    with no cap, max(1e-12, 1e-2 gn) for the scale and max(inner, 1e-3 gn)
-    for the fibers, inner = min(1e-2 tol, 1e-12), so early iterates are
-    cheap and converged ones exact (a start's first: 1e-6 and 1e-7).
+    root, the next iterate's.  Every projection solves the scale to
+    max(1e-12, gn / 10) and the fibers to max(inner, gn / 100), inner =
+    min(1e-2 tol, 1e-12), gn the reduced gradient norm where it starts,
+    at the zero fiber for a start's first (inexact Newton): early
+    iterates are cheap and converged ones exact.
     Each projection of a unit u starts at a predicted scale: a start's
     first at s(u) = (p Psi(u))^(-1/(p-2)), the root of K when the fiber
     vanishes and Psi is p-homogeneous, each later one at t s(u) /
@@ -698,6 +701,9 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     degenerate = 0
     history = []
 
+    def project(u, t, gn, **warm):
+        return _nehari_root(problem, u, tol=max(1e-12, 1e-1 * gn),
+                            fiber_tol=max(inner, 1e-2 * gn), t0=t, **warm)
     for start_idx in range(starts):
         if start_idx == 0 and initial is not None:
             u = problem.project(np.asarray(initial, dtype=float))
@@ -709,9 +715,10 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             nu = np.linalg.norm(u)
         u = u / nu
         s = _nehari_scale(problem, u)
+        t = s or 1.0
         try:
-            t, point, dw = _nehari_root(problem, u, tol=1e-6, fiber_tol=1e-7,
-                                        t0=s or 1.0)
+            t, point, dw = project(u, t, float(np.linalg.norm(
+                t * u - problem.project(problem.grad_psi(t * u)))))
         except DegenerateRay:
             degenerate += 1
             continue
@@ -737,9 +744,7 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             u = u / np.linalg.norm(u)
             s_prev, s = s, _nehari_scale(problem, u)
             t *= s / s_prev if s_prev and s else 1.0
-            t, point, dw = _nehari_root(
-                problem, u, tol=max(1e-12, 1e-2 * gn),
-                fiber_tol=max(inner, 1e-3 * gn), t0=t, w0=w, dw0=dw)
+            t, point, dw = project(u, t, gn, w0=w, dw0=dw)
 
         history.append((float(value), gn))
         if gn <= tol:

@@ -311,6 +311,44 @@ def test_beta_uniqueness_across_starts():
     assert np.abs(ws - ws[0]).max() <= 1e-8
 
 
+def test_beta_stops_at_its_rounding_floor(monkeypatch):
+    # |phi| = 15.3 at cutoff 6: inside nehari_project, the fiber at 13.5
+    # phi falls from a residual of 699 to 5.8e-12 in six Newton steps,
+    # then rounding holds it near 20 ulp of 699, above the absolute
+    # 1e-12, so beta raised "did not converge in 50 steps" and the
+    # projection failed at its default tolerance; a residual within 1e-14
+    # of the first one is accepted
+    rng = np.random.default_rng(5)
+    for lam in (3.0, 6.0):
+        basis = build_dirac(lam, (0.5, 0.5))
+        c = rng.standard_normal(basis.size) \
+            + 1j * rng.standard_normal(basis.size)
+        prob, to_coords, _ = ground_state_problem(basis)
+        z = to_coords(c)
+        rng.standard_normal(prob.n)
+    phi = 0.5 * prob.project(z)
+    assert math.isclose(np.linalg.norm(phi), 15.28, rel_tol=1e-3)
+    ends = []
+    fiber = reduction.beta
+
+    def residual(x, w):
+        return np.linalg.norm(w + prob.complement(prob.grad_psi(x + w)))
+
+    def recorded(problem, x, tol=1e-12, max_iter=50, w0=None):
+        w = fiber(problem, x, tol=tol, max_iter=max_iter, w0=w0)
+        first = residual(x, np.zeros(prob.n) if w0 is None else w0)
+        ends.append((tol, first, residual(x, w)))
+        return w
+
+    monkeypatch.setattr(reduction, "beta", recorded)
+    t = nehari_project(prob, phi)
+    assert math.isclose(t, 1.40165314, rel_tol=1e-8)
+    assert all(end <= max(tol, 1e-14 * first) for tol, first, end in ends)
+    assert [round(first) for tol, first, end in ends if end > tol] == [699]
+    _, _, k, _ = reduced(prob, t * phi)
+    assert abs(k) <= 1e-12 * float((t * phi) @ (t * phi))
+
+
 def test_beta_bound_invariant():
     prob, _ = coupled_quartic_problem(n=6, k=2, seed=31)
     rng = np.random.default_rng(32)
@@ -832,6 +870,39 @@ def test_descent_fiber_solves_reuse_the_projected_fiber(monkeypatch):
     assert solves["projection"] > 0
     assert solves["descent"] == 0
     assert fibers == [1, 1, 1]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_every_projection_takes_its_tolerances_from_one_rule(tol,
+                                                             monkeypatch):
+    # inexact Newton: each projection of the descent solves the scale to
+    # max(1e-12, gn / 10) and the fibers to max(inner, gn / 100), inner =
+    # min(1e-2 tol, 1e-12), gn the reduced gradient norm at the point it
+    # starts from; that is the previous root's, and for a start's first
+    # projection the zero fiber's at its starting scale (which used to
+    # take the fixed 1e-6 and 1e-7)
+    calls = []
+    root = reduction._nehari_root
+
+    def recorded(problem, phi, tol, fiber_tol, t0=1.0, w0=None, dw0=None):
+        out = root(problem, phi, tol, fiber_tol, t0=t0, w0=w0, dw0=dw0)
+        calls.append((phi, t0, w0, tol, fiber_tol, out[1][1]))
+        return out
+
+    monkeypatch.setattr(reduction, "_nehari_root", recorded)
+    problem, _ = torus_problem_and_direction()
+    minimize_nehari(problem, starts=2, tol=tol, seed=0)
+    inner = min(1e-2 * tol, 1e-12)
+    grad = None
+    for phi, t0, w0, scale_tol, fiber_tol, root_grad in calls:
+        if w0 is None:
+            grad = t0 * phi - problem.project(problem.grad_psi(t0 * phi))
+        gn = float(np.linalg.norm(grad))
+        assert math.isclose(scale_tol, max(1e-12, 1e-1 * gn), rel_tol=1e-12)
+        assert math.isclose(fiber_tol, max(inner, 1e-2 * gn), rel_tol=1e-12)
+        grad = root_grad
+    assert sum(w0 is None for _, _, w0, *_ in calls) == 2
+    assert len(calls) > 20
 
 
 def grid_min_max(prob, A, n_theta=600):
