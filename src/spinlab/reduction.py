@@ -16,8 +16,8 @@ ray t phi of X, K has a simple root with dK/dt < 0 (Szulkin and Weth,
 "The method of Nehari manifold", 2010), so the projection onto the set
 is a safeguarded Newton iteration in t whose slope differentiates the
 fiber through one linear solve, held to the step's accuracy (inexact
-Newton: Dembo, Eisenstat and Steihaug, 1982); rays where a Newton step
-is refused fall back to a geometric bracket polished by ``brentq``.
+Newton: Dembo, Eisenstat and Steihaug, 1982); where a Newton step is
+refused, ``brentq`` (rtsafe) keeps the steps inside a sign bracket of K.
 
 The module exposes the hypothesis checker for the structural conditions
 the reduction needs (labelled H1 to H5 throughout), the inner maximizer,
@@ -28,14 +28,11 @@ approximate critical points must satisfy.
 All constants (p, K, mu, kappa) are part of the problem statement and
 are validated, never inferred.
 
-The module runs on numpy alone.  Its two numerical kernels are written
-out here and take exactly the steps of the scipy routines they replace,
-so results are bit-identical to a solver built on scipy: ``cg`` is the
+The module runs on numpy alone.  Its linear solver ``cg`` is the
 unpreconditioned conjugate gradient method (Hestenes and Stiefel, J. Res.
-NBS 49, 1952) as ``scipy.sparse.linalg.cg`` runs it from a given x0, and
-``brentq`` is Brent's root finder (Brent, "Algorithms for Minimization
-without Derivatives", 1973, ch. 4) as ``scipy.optimize.brentq`` runs it,
-with scipy's tolerance checks and the same errors.
+NBS 49, 1952), written out to take exactly the steps
+``scipy.sparse.linalg.cg`` takes from a given x0, so results are
+bit-identical to a solver built on scipy.
 """
 
 from __future__ import annotations
@@ -276,7 +273,7 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
 
 
 # ---------------------------------------------------------------------------
-# linear and scalar solvers
+# the linear solver
 
 def cg(A, b, rtol=1e-5, maxiter=None, x0=None):
     """Solve A x = b by conjugate gradients from ``x0``, A given by its action.
@@ -312,75 +309,6 @@ def cg(A, b, rtol=1e-5, maxiter=None, x0=None):
     return x, maxiter
 
 
-# Brent's relative tolerance and step cap: scipy's brentq defaults
-_BRENT_RTOL = 4 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
-
-
-def brentq(f, a, b, xtol=2e-12):
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    The port of scipy's C ``brentq`` at its default ``rtol`` and
-    ``maxiter``: inverse quadratic or secant steps where they shrink the
-    bracket fast enough, bisection otherwise, until half the bracket is
-    below (xtol + rtol |x|) / 2.  A bad xtol, a NaN value of f and a
-    bracket without a sign change raise ValueError, and no convergence in
-    100 steps raises RuntimeError.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic step
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta \
-                else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < limit:
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-
-
 # ---------------------------------------------------------------------------
 # the inner maximizer
 
@@ -404,9 +332,9 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     Damped Newton with Armijo backtracking on the residual norm, from the
     warm start ``w0`` (zero by default; finite and of shape (n,), checked
     before any solve), until the residual is within ``tol`` or within
-    1e-14 of its first value, the rounding floor of its terms.  The Newton
-    operator v -> v + (I - P) hess Psi (I - P) v dominates the identity,
-    so each step is a well-conditioned CG solve.
+    1e-15 |grad Psi(phi + w)|, the rounding floor of its terms, whatever
+    the start.  The Newton operator v -> v + (I - P) hess Psi (I - P) v
+    dominates the identity, so each step is a well-conditioned CG solve.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
@@ -420,14 +348,15 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     history = []
 
     def residual(wv):
-        return wv + problem.complement(problem.grad_psi(phi + wv))
+        g = problem.grad_psi(phi + wv)
+        # and the rounding floor of the sum
+        return wv + problem.complement(g), 1e-15 * float(np.linalg.norm(g))
 
-    F = residual(w)
+    F, floor = residual(w)
     nrm = float(np.linalg.norm(F))
-    stop = max(tol, 1e-14 * nrm)  # the rounding floor
     for _ in range(max_iter):
         history.append(nrm)
-        if nrm <= stop:
+        if nrm <= max(tol, floor):
             break
         forcing = min(1e-2, math.sqrt(nrm))
         step, info = cg(_fiber_operator(problem, phi + w), -F,
@@ -438,10 +367,10 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
         lam = 1.0
         while lam > 2.0 ** -30:
             cand = w + lam * step
-            Fc = residual(cand)
+            Fc, floor_c = residual(cand)
             nc = float(np.linalg.norm(Fc))
             if nc <= (1.0 - 1e-4 * lam) * nrm:
-                w, F, nrm = cand, Fc, nc
+                w, F, nrm, floor = cand, Fc, nc, floor_c
                 break
             lam *= 0.5
         else:
@@ -477,10 +406,10 @@ def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # Nehari projection and minimization
 
-# Newton steps tried before the projection falls back to the bracket,
-# and the bracket's doublings (or halvings) of t before it gives up
+# Newton steps tried before the projection falls back to ``brentq``, and
+# the fallback's steps before it gives up
 _NEWTON_STEPS = 30
-_MAX_DOUBLINGS = 40
+_SAFEGUARDED_STEPS = 100
 
 
 def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
@@ -508,26 +437,48 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
     return float(slope), dw
 
 
-def _bracket_root(k_of, t, k, tol):
-    """Root of K bracketed from t, where K = k, by doubling t while K > 0
-    or halving it while K < 0, then polished by ``brentq``."""
-    if k == 0.0:
-        return t
-    factor = 2.0 if k > 0.0 else 0.5
-    near = far = t
-    for _ in range(_MAX_DOUBLINGS):
-        far *= factor
-        k_far = k_of(far)
-        if (k_far <= 0.0) if k > 0.0 else (k_far >= 0.0):
-            break
-        near = far
-    else:
-        if k > 0.0:
-            raise DegenerateRay()
+def brentq(k_of, slope_of, points, t, dw, tol):
+    """Root of K along a ray by ``rtsafe``, Newton's method kept inside a
+    bracket (Numerical Recipes, 3rd ed., sec. 9.4).  This is not Brent's
+    method: the name is the one the benchmark's tracer binds.
+
+    ``points`` maps each scale where K is known to ``reduced``'s tuple
+    there, ``k_of(s, w0)`` adds the scale s and returns K(s), and
+    ``slope_of(s, dw0)`` returns (dK/dt, w') at a known s.  The bracket
+    starts at lo, the largest known scale with K > 0 (0 if none), and hi,
+    the smallest with K < 0 (inf if none).  From t, each step takes the
+    Newton step where it stays inside (lo, hi); otherwise it doubles lo
+    while hi is infinite and bisects once it is not.  Each new fiber
+    starts from the last one moved along its tangent.  It stops once the
+    Newton correction, or hi - lo with lo > 0, is within ``tol`` and
+    returns (t, dK/dt, w') at its last scale.  If ``_SAFEGUARDED_STEPS``
+    steps leave no hi, the ray raises DegenerateRay; if they leave no lo,
+    RuntimeError.
+    """
+    lo = max((s for s in points if points[s][2] > 0.0), default=0.0)
+    hi = min((s for s in points if points[s][2] < 0.0), default=math.inf)
+    for _ in range(_SAFEGUARDED_STEPS):
+        k = points[t][2]
+        dk, dw = slope_of(t, dw)
+        step = -k / dk if dk < 0.0 else math.nan
+        if k == 0.0 or abs(step) <= tol or (0.0 < lo and hi - lo <= tol):
+            return t, dk, dw
+        t_new = t + step
+        if not lo < t_new < hi:
+            t_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            if not lo < t_new < hi:  # lo and hi are adjacent floats
+                return t, dk, dw
+        k_new = k_of(t_new, points[t][3] + (t_new - t) * dw)
+        if k_new > 0.0:
+            lo = t_new
+        elif k_new < 0.0:
+            hi = t_new
+        t = t_new
+    if hi == math.inf:
+        raise DegenerateRay()
+    if lo == 0.0:
         raise RuntimeError("no positive bracket found near t = 0")
-    if k_far == 0.0:
-        return far
-    return brentq(k_of, *((near, far) if k > 0.0 else (far, near)), xtol=tol)
+    raise RuntimeError(f"no Nehari root in {_SAFEGUARDED_STEPS} steps")
 
 
 def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
@@ -551,21 +502,19 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
         raise ValueError("direction must lie in X: its Y part is nonzero")
     rtol = max(1e-6, min(1e-2, tol))  # for the velocity solves
     points = {}
-    last = {"w": w0}
 
-    def k_of(t, start=None):
-        point = points[t] = reduced(problem, t * phi, tol=fiber_tol,
-                                    w0=last["w"] if start is None else start)
-        last["w"] = point[3]
-        return point[2]
+    def k_of(t, start):
+        points[t] = reduced(problem, t * phi, tol=fiber_tol, w0=start)
+        return points[t][2]
+
+    def slope_of(t, start):
+        return _nehari_slope(problem, phi, t, points[t][3], start, rtol=rtol)
 
     t = float(t0)
-    k = k_of(t)
+    k = k_of(t, w0)
     dw = dw0
     for _ in range(_NEWTON_STEPS):
-        if k == 0.0:
-            break
-        dk, dw = _nehari_slope(problem, phi, t, points[t][3], dw, rtol=rtol)
+        dk, dw = slope_of(t, dw)
         if not dk < 0.0:
             break
         t_new = t - k / dk
@@ -582,14 +531,11 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
         if abs(k / dk) <= tol:  # the chord step, with the last slope
             return t, points[t], dw
 
-    root = float(_bracket_root(k_of, t, k, tol))
-    # a bracketed root lies away from the last velocity's scale, so
-    # this velocity solve starts from zero
-    slope, dw = _nehari_slope(problem, phi, root, points[root][3], rtol=rtol)
+    t, slope, dw = brentq(k_of, slope_of, points, t, dw, tol)
     if not slope < 0.0:
         raise RuntimeError(f"K slope at the Nehari point is {slope:.3e}, "
                            "expected negative")
-    return root, points[root], dw
+    return t, points[t], dw
 
 
 def _nehari_scale(problem: IndefiniteProblem, u: np.ndarray):
@@ -618,9 +564,9 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
     step, is within ``tol``; no second slope confirms it.
     A step is taken only if the slope is negative, the new t is positive
     and |K| decreases there.  When a step is refused, or after
-    ``_NEWTON_STEPS`` steps, the root is instead bracketed by geometric
-    expansion from the last accepted t and polished by ``brentq``, and
-    one slope solve there confirms K' < 0 (RuntimeError otherwise).
+    ``_NEWTON_STEPS`` steps, ``brentq`` (rtsafe) continues inside a
+    bracket seeded by every K computed so far; its slope at the root must
+    be negative (RuntimeError otherwise).
     K(t phi) is positive near t = 0; a ray along which the nonlinearity
     vanishes keeps K = t^2 |phi|^2 > 0 forever and raises
     ``DegenerateRay``, as does every ray of Y.  The zero direction and a

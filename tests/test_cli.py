@@ -330,8 +330,9 @@ def test_runconfig_validates_types():
 
 
 def test_solver_failure_echoes_config(capsys, tmp_path):
-    # brentq cannot bracket the Nehari scale at this tolerance: exit 1,
-    # with the resolved configuration on stderr to repeat the run
+    # no start converges to tolerance 1e-17, below rounding (the
+    # gradient norm stalls near 6e-15): exit 1, with the resolved
+    # configuration on stderr to repeat the run
     rc = run(["solve", "torus", "--modes", "1", "--tol", "1e-17",
               "--starts", "1"])
     captured = capsys.readouterr()
@@ -339,6 +340,7 @@ def test_solver_failure_echoes_config(capsys, tmp_path):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["ok"] is False
+    assert err["error"].startswith("no start converged to tolerance 1e-17")
     assert err["config"].startswith("subcommand = solve torus\n")
     cfg = tmp_path / "failed.cfg"
     cfg.write_text(err["config"])
@@ -445,7 +447,8 @@ def test_module_invocation_subprocess():
     ["solve", "generic", "--spectrum", "1,0.7,-0.4"],
 ])
 def test_solve_runs_without_scipy(argv):
-    # the solver path (fiber CG, Nehari bracket and Brent) is numpy only
+    # the solver path (fiber CG, Nehari Newton and its fallback) is numpy
+    # only
     _assert_runs_without_scipy(argv)
 
 

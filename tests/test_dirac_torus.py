@@ -904,8 +904,7 @@ def test_fiber_solves_per_descent_step(monkeypatch):
 
 def test_predicted_scales_leave_no_bracketed_projection(monkeypatch):
     # from the predicted scales every Newton step of the projections is
-    # accepted, so no root is bracketed and polished by brentq; started
-    # at t = 1, each solve's first projection brackets one, three in all
+    # accepted, so the fallback (brentq) never runs
     calls, _ = _count_solve_and_refine(monkeypatch)
     assert calls["brentq"] == 0
 

@@ -5,10 +5,10 @@ first axis, quartic nonlinearity), the exact sharp-curvature direction
 w = -(2/3) z of the quartic, scipy trust-region maximization of the
 fiber functional on a random ten-dimensional quartic, hand formulas for
 the separable diagonal instance, a brute-force grid min-max for a
-coupled three-dimensional instance, and for the Newton projection a
-plain bracket-and-brentq root and central differences of K.  The
-module's own ``cg`` and ``brentq`` are checked bit for bit against the
-scipy routines they port.
+coupled three-dimensional instance, and for the Newton projection and
+its safeguarded fallback a scipy ``brentq`` root and central
+differences of K.  The module's own ``cg`` is checked bit for bit
+against the scipy routine it ports.
 """
 
 import ast
@@ -311,13 +311,9 @@ def test_beta_uniqueness_across_starts():
     assert np.abs(ws - ws[0]).max() <= 1e-8
 
 
-def test_beta_stops_at_its_rounding_floor(monkeypatch):
-    # |phi| = 15.3 at cutoff 6: inside nehari_project, the fiber at 13.5
-    # phi falls from a residual of 699 to 5.8e-12 in six Newton steps,
-    # then rounding holds it near 20 ulp of 699, above the absolute
-    # 1e-12, so beta raised "did not converge in 50 steps" and the
-    # projection failed at its default tolerance; a residual within 1e-14
-    # of the first one is accepted
+def standing_input():
+    """The cutoff-6 (1/2, 1/2) problem and a direction phi of it with
+    |phi| = 15.3, on which ``nehari_project`` once failed."""
     rng = np.random.default_rng(5)
     for lam in (3.0, 6.0):
         basis = build_dirac(lam, (0.5, 0.5))
@@ -328,6 +324,17 @@ def test_beta_stops_at_its_rounding_floor(monkeypatch):
         rng.standard_normal(prob.n)
     phi = 0.5 * prob.project(z)
     assert math.isclose(np.linalg.norm(phi), 15.28, rel_tol=1e-3)
+    return prob, phi
+
+
+def test_beta_stops_at_its_rounding_floor(monkeypatch):
+    # inside nehari_project, the fiber at 13.5 phi falls from a residual
+    # of 699 to 5.8e-12 in six Newton steps, then rounding holds it there,
+    # above the absolute 1e-12, so beta raised "did not converge in 50
+    # steps" and the projection failed at its default tolerance; a
+    # residual within 1e-15 |grad Psi(phi + w)| (2.26e4 there) is accepted,
+    # as it is for the fallback's fiber at 7.2 phi, from a residual of 101
+    prob, phi = standing_input()
     ends = []
     fiber = reduction.beta
 
@@ -337,16 +344,35 @@ def test_beta_stops_at_its_rounding_floor(monkeypatch):
     def recorded(problem, x, tol=1e-12, max_iter=50, w0=None):
         w = fiber(problem, x, tol=tol, max_iter=max_iter, w0=w0)
         first = residual(x, np.zeros(prob.n) if w0 is None else w0)
-        ends.append((tol, first, residual(x, w)))
+        floor = 1e-15 * np.linalg.norm(prob.grad_psi(x + w))
+        ends.append((tol, first, residual(x, w), floor))
         return w
 
     monkeypatch.setattr(reduction, "beta", recorded)
     t = nehari_project(prob, phi)
     assert math.isclose(t, 1.40165314, rel_tol=1e-8)
-    assert all(end <= max(tol, 1e-14 * first) for tol, first, end in ends)
-    assert [round(first) for tol, first, end in ends if end > tol] == [699]
+    assert all(end <= max(tol, floor) for tol, _, end, floor in ends)
+    assert [round(first) for tol, first, end, _ in ends if end > tol] \
+        == [699, 101]
     _, _, k, _ = reduced(prob, t * phi)
     assert abs(k) <= 1e-12 * float((t * phi) @ (t * phi))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6])
+def test_beta_floor_does_not_depend_on_the_warm_start(scale):
+    # at 13.5 phi of the standing input rounding holds the residual near
+    # 3e-12; with the floor at 1e-14 of the first residual, a warm start
+    # at the solved fiber raised "did not converge in 50 steps" and one
+    # scaled by 1 + 1e-6 "Armijo stalled": the floor now comes from
+    # |grad Psi(phi + w)|, whatever the start
+    prob, phi = standing_input()
+    x = 13.5 * phi
+    w = beta(prob, x)
+    again = beta(prob, x, w0=scale * w)
+    g = prob.grad_psi(x + again)
+    assert np.linalg.norm(again + prob.complement(g)) \
+        <= 1e-15 * np.linalg.norm(g)
+    assert np.linalg.norm(again - w) <= 1e-12 * np.linalg.norm(w)
 
 
 def test_beta_bound_invariant():
@@ -529,7 +555,7 @@ def test_nehari_degenerate_ray():
 
 
 def test_nehari_newton_from_far_starts():
-    # K(t x e1) = (tx)^2 - (tx)^4: Newton in t, or its bracket fallback
+    # K(t x e1) = (tx)^2 - (tx)^4: Newton in t, or its bracketed fallback
     # where K' >= 0 (t < 1 / (sqrt(2) x)), reaches t = 1/x from either side
     prob = toy_problem()
     for x in (0.6, 1.0, 3.0):
@@ -542,19 +568,25 @@ def k_along(prob, phi):
     return lambda t: reduced(prob, t * phi, tol=1e-13)[2]
 
 
+def scipy_root(prob, phi):
+    """The root of K along phi by scipy's brentq, bracketed by doubling
+    and halving t from 1."""
+    k_of = k_along(prob, phi)
+    hi = 1.0
+    while k_of(hi) > 0.0:
+        hi *= 2.0
+    lo = hi
+    while k_of(lo) <= 0.0:
+        lo *= 0.5
+    return brentq(k_of, lo, hi, xtol=1e-14)
+
+
 def test_nehari_newton_matches_bracket_root():
     prob = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
     rng = np.random.default_rng(111)
     for _ in range(5):
         phi = prob.project(rng.standard_normal(5))
-        k_of = k_along(prob, phi)
-        hi = 1.0
-        while k_of(hi) > 0.0:
-            hi *= 2.0
-        lo = hi
-        while k_of(lo) <= 0.0:
-            lo *= 0.5
-        oracle = brentq(k_of, lo, hi, xtol=1e-14)
+        oracle = scipy_root(prob, phi)
         for t0 in (0.3, 1.0, 4.0):
             t = nehari_project(prob, phi, t0=t0)
             assert math.isclose(t, oracle, rel_tol=1e-10)
@@ -562,7 +594,7 @@ def test_nehari_newton_matches_bracket_root():
 
 def test_nehari_degenerate_ray_falls_back():
     # along X the Y-only nonlinearity vanishes: K = t^2 and K' = 2t > 0
-    # reject the Newton step, and the bracket reports the ray
+    # reject the Newton step, and the fallback's doublings report the ray
     for t0 in (1e-3, 1.0, 1e3):
         with pytest.raises(ValueError, match="ray degenerate"):
             nehari_project(y_only_problem(), np.array([1.0, 0.0]), t0=t0)
@@ -610,23 +642,116 @@ def test_nehari_rejects_direction_with_y_part():
 
 
 def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
-    # a root that the bracket found gets one exact slope there, and a
-    # slope that is not negative is refused
+    # the fallback returns the slope it computed at its last scale, the
+    # root, with no slope solve after it, and a slope there that is not
+    # negative is refused; along 0.3 e1 of the toy the root is 10/3,
+    # reached by doubling to 4 and bisecting
     prob = toy_problem()
     calls = []
     slope = reduction._nehari_slope
 
-    def nonnegative_at_root(problem, phi, t, *args, **kwargs):
+    def nonnegative(problem, phi, t, *args, **kwargs):
         calls.append(t)
         return 0.0, slope(problem, phi, t, *args, **kwargs)[1]
 
     monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
-    assert math.isclose(nehari_project(prob, np.array([0.5, 0.0])), 2.0,
-                        rel_tol=1e-10)
-    monkeypatch.setattr(reduction, "_nehari_slope", nonnegative_at_root)
-    with pytest.raises(RuntimeError, match="slope"):
-        nehari_project(prob, np.array([0.5, 0.0]))
-    assert len(calls) == 1 and math.isclose(calls[0], 2.0, rel_tol=1e-10)
+    assert math.isclose(nehari_project(prob, np.array([0.3, 0.0])),
+                        10.0 / 3.0, rel_tol=1e-10)
+    monkeypatch.setattr(reduction, "_nehari_slope", nonnegative)
+    with pytest.raises(RuntimeError, match="K slope at the Nehari point"):
+        nehari_project(prob, np.array([0.3, 0.0]))
+    assert abs(calls[-1] - 10.0 / 3.0) <= 1e-12
+    assert len(calls) == len(set(calls)) > 40
+
+
+def test_brentq_zero_at_an_endpoint(monkeypatch):
+    # the fallback returns a scale where K is exactly zero: along 0.5 e1
+    # of the toy, K(t) = t^2 / 4 - t^4 / 16 has K' > 0 at t = 1, and the
+    # doubling lands on the root t = 2
+    fibers = []
+    fiber = reduction.beta
+
+    def counted(*args, **kwargs):
+        fibers.append(1)
+        return fiber(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(reduction, "beta", counted)
+    assert nehari_project(toy_problem(), np.array([0.5, 0.0])) == 2.0
+    assert len(fibers) == 2
+
+
+def capture_fallback(monkeypatch):
+    """Every (t, dK/dt, w') the fallback returns, in order."""
+    found = []
+    fallback = reduction.brentq
+
+    def captured(*args, **kwargs):
+        found.append(fallback(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(reduction, "brentq", captured)
+    return found
+
+
+def test_fallback_roots_match_scipy_on_random_quartics(monkeypatch):
+    # with no Newton steps the projection is the fallback alone, from
+    # scales 1e-2 to 1e2 away; it stops on |K / K'| <= tol, and its root
+    # matches scipy's brentq on K
+    found = capture_fallback(monkeypatch)
+    monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
+    rng = np.random.default_rng(2027)
+    tol = 1e-12
+    for _ in range(12):
+        n = int(rng.integers(3, 8))
+        signs = np.where(np.arange(n) < rng.integers(1, n), 1.0, -1.0)
+        prob = diagonal_quartic_problem(signs * 10.0 ** rng.uniform(-1, 1, n))
+        phi = prob.project(rng.standard_normal(n))
+        t, point, _ = reduction._nehari_root(
+            prob, phi, tol=tol, fiber_tol=1e-13,
+            t0=10.0 ** rng.uniform(-2.0, 2.0))
+        root, slope, _ = found[-1]
+        assert root == t and slope < 0.0
+        assert abs(point[2]) <= tol * abs(slope)
+        assert math.isclose(t, scipy_root(prob, phi), rel_tol=1e-10)
+    assert len(found) == 12
+
+
+def test_standing_projection_falls_back_once(monkeypatch):
+    # Newton's first step from t = 1 lands at 13.5 and the next is refused;
+    # the fallback seeds its bracket from every K computed so far, so no
+    # fiber is solved twice at one scale (a fresh geometric bracket took
+    # 15 solves, three at scales already solved), and it stops at its
+    # tolerance with K' < 0
+    prob, phi = standing_input()
+    found = capture_fallback(monkeypatch)
+    scales = []
+    fiber = reduction.beta
+
+    def recorded(problem, x, *args, **kwargs):
+        scales.append(x.tobytes())
+        return fiber(problem, x, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "beta", recorded)
+    t, point, _ = reduction._nehari_root(prob, phi, tol=1e-12,
+                                         fiber_tol=1e-12)
+    assert len(found) == 1
+    root, slope, _ = found[0]
+    assert root == t and slope < 0.0
+    assert abs(point[2]) <= 1e-12 * abs(slope)
+    assert len(scales) == len(set(scales)) <= 15
+
+
+def test_fallback_reports_a_ray_with_no_positive_k(monkeypatch):
+    # K > 0 near t = 0 on every ray of X; where a stub keeps K < 0 at
+    # every scale, the fallback halves t with no lower end to its bracket
+    def negative(problem, phi, tol=1e-12, w0=None):
+        return 0.0, np.zeros(problem.n), -1.0, np.zeros(problem.n)
+
+    monkeypatch.setattr(reduction, "reduced", negative)
+    with pytest.raises(RuntimeError,
+                       match="no positive bracket found near t = 0"):
+        nehari_project(toy_problem(), np.array([1.0, 0.0]))
 
 
 def assert_slope_matches_fd(prob, phi, t):
@@ -1109,7 +1234,7 @@ def test_energy_bound_rejects_bad_s_grid_before_solving(s_grid, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the in-house CG and Brent against scipy
+# the in-house CG against scipy
 
 def spd_system(rng, n, spread):
     """Random symmetric positive definite matrix, eigenvalues in
@@ -1187,59 +1312,10 @@ def test_cg_warm_start_matches_scipy_bitwise(rtol):
             assert np.array_equal(x0, kept)
 
 
-def bracket_function(c):
-    return lambda x: c[0] + c[1] * x + c[2] * x ** 3 + math.sin(c[3] * x)
-
-
-@pytest.mark.parametrize("xtol", [1e-12, 1e-6, 1e-3])
-def test_brentq_matches_scipy_bitwise(xtol):
-    rng = np.random.default_rng(23)
-    roots = 0
-    for _ in range(1500):
-        f = bracket_function(rng.standard_normal(4))
-        a, b = rng.uniform(-5.0, 5.0, 2)
-        try:
-            want = brentq(f, a, b, xtol=xtol)
-        except ValueError:
-            with pytest.raises(ValueError, match="different signs"):
-                reduction.brentq(f, a, b, xtol=xtol)
-            continue
-        got = reduction.brentq(f, a, b, xtol=xtol)
-        assert got == want and math.copysign(1.0, got) \
-            == math.copysign(1.0, want)
-        roots += 1
-    assert roots > 500
-
-
-def test_brentq_zero_at_an_endpoint():
-    f = lambda x: x * (x - 1.0)  # noqa: E731
-    assert reduction.brentq(f, 1.0, 3.0) == brentq(f, 1.0, 3.0) == 1.0
-    assert reduction.brentq(f, -0.5, 0.0) == brentq(f, -0.5, 0.0) == 0.0
-
-
-BRENT_ERRORS = {
-    "xtol": (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-    "nan": (lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, {}),
-    "same sign": (lambda x: x * x + 1.0, -1.0, 1.0, {}),
-    # a jump at 0 takes bisection steps, and the bracket around 0 only
-    # reaches the absolute tolerance after about 1000 of them, not 100
-    "no convergence": (lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 2.0,
-                       {"xtol": 1e-300}),
-}
-
-
-@pytest.mark.parametrize("case", list(BRENT_ERRORS))
-def test_brentq_errors_match_scipy(case):
-    f, a, b, kwargs = BRENT_ERRORS[case]
-    with pytest.raises((ValueError, RuntimeError)) as want:
-        brentq(f, a, b, **kwargs)
-    with pytest.raises(want.type):
-        reduction.brentq(f, a, b, **kwargs)
-
-
 def test_solver_kernels_stay_private():
-    # the benchmark's tracer wraps cg and brentq once each by name; a
-    # public name would be wrapped a second time
+    # the benchmark's tracer wraps cg and brentq once each by name
+    # (brentq is the Nehari fallback, rtsafe, under the name the tracer
+    # binds); a public name would be wrapped a second time
     assert callable(reduction.cg) and callable(reduction.brentq)
     assert "cg" not in reduction.__all__
     assert "brentq" not in reduction.__all__
