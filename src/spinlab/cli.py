@@ -540,7 +540,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         # a solver or audit refused the data: a failed check, not usage;
         # the resolved configuration lets the run be repeated
         print(json.dumps({"error": str(exc), "ok": False,

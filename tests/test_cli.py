@@ -349,6 +349,21 @@ def test_solver_failure_echoes_config(capsys, tmp_path):
     assert capsys.readouterr().out == err["config"]
 
 
+def test_psi0_failure_echoes_config(capsys):
+    # at tolerance 1e-30 the residual form's rounding (-2.2e-16) fails
+    # find_psi0's ArithmeticError check: exit 1 with the solver-failure
+    # document on stderr, not a traceback
+    rc = run(["psi0", "--tol", "1e-30"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["ok"] is False
+    assert re.fullmatch(r"residual form value \S+ exceeds tolerance",
+                        err["error"])
+    assert err["config"].startswith("subcommand = psi0\n")
+
+
 # ---------------------------------------------------------------------------
 # documentation
 
@@ -447,8 +462,8 @@ def test_module_invocation_subprocess():
     ["solve", "generic", "--spectrum", "1,0.7,-0.4"],
 ])
 def test_solve_runs_without_scipy(argv):
-    # the solver path (fiber CG, Nehari Newton and its fallback) is numpy
-    # only
+    # the solver path (fiber CG, the Nehari projection's bracketed Newton)
+    # is numpy only
     _assert_runs_without_scipy(argv)
 
 

@@ -903,8 +903,8 @@ def test_fiber_solves_per_descent_step(monkeypatch):
 
 
 def test_predicted_scales_leave_no_bracketed_projection(monkeypatch):
-    # from the predicted scales every Newton step of the projections is
-    # accepted, so the fallback (brentq) never runs
+    # from the predicted scales every step of the projections is a Newton
+    # step inside its sign bracket, so no safeguarded step (brentq) is taken
     calls, _ = _count_solve_and_refine(monkeypatch)
     assert calls["brentq"] == 0
 

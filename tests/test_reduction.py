@@ -5,8 +5,8 @@ first axis, quartic nonlinearity), the exact sharp-curvature direction
 w = -(2/3) z of the quartic, scipy trust-region maximization of the
 fiber functional on a random ten-dimensional quartic, hand formulas for
 the separable diagonal instance, a brute-force grid min-max for a
-coupled three-dimensional instance, and for the Newton projection and
-its safeguarded fallback a scipy ``brentq`` root and central
+coupled three-dimensional instance, and for the Newton projection
+inside its sign bracket a scipy ``brentq`` root and central
 differences of K.  The module's own ``cg`` is checked bit for bit
 against the scipy routine it ports.
 """
@@ -333,7 +333,8 @@ def test_beta_stops_at_its_rounding_floor(monkeypatch):
     # above the absolute 1e-12, so beta raised "did not converge in 50
     # steps" and the projection failed at its default tolerance; a
     # residual within 1e-15 |grad Psi(phi + w)| (2.26e4 there) is accepted,
-    # as it is for the fallback's fiber at 7.2 phi, from a residual of 101
+    # as it is for the next two Newton steps' fibers, at 10.1 phi and
+    # 7.6 phi, from residuals of 1.2 and 0.88
     prob, phi = standing_input()
     ends = []
     fiber = reduction.beta
@@ -353,7 +354,7 @@ def test_beta_stops_at_its_rounding_floor(monkeypatch):
     assert math.isclose(t, 1.40165314, rel_tol=1e-8)
     assert all(end <= max(tol, floor) for tol, _, end, floor in ends)
     assert [round(first) for tol, first, end, _ in ends if end > tol] \
-        == [699, 101]
+        == [699, 1, 1]
     _, _, k, _ = reduced(prob, t * phi)
     assert abs(k) <= 1e-12 * float((t * phi) @ (t * phi))
 
@@ -372,6 +373,21 @@ def test_beta_floor_does_not_depend_on_the_warm_start(scale):
     g = prob.grad_psi(x + again)
     assert np.linalg.norm(again + prob.complement(g)) \
         <= 1e-15 * np.linalg.norm(g)
+    assert np.linalg.norm(again - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_beta_drops_the_x_part_of_a_warm_start():
+    # at 13.5 phi of the standing input, a start at the solved fiber plus
+    # 1e-6 of a standard normal over every coordinate raised "Armijo
+    # stalled at residual 5.651e-06": the Newton operator leaves out the
+    # Y-X block, so a damped step that shrinks the X part ignores what it
+    # does to the Y residual; beta starts from the Y part alone
+    prob, phi = standing_input()
+    x = 13.5 * phi
+    w = beta(prob, x)
+    start = w + 1e-6 * np.random.default_rng(0).standard_normal(prob.n)
+    again = beta(prob, x, w0=start)
+    assert np.array_equal(again, beta(prob, x, w0=prob.complement(start)))
     assert np.linalg.norm(again - w) <= 1e-12 * np.linalg.norm(w)
 
 
@@ -555,8 +571,9 @@ def test_nehari_degenerate_ray():
 
 
 def test_nehari_newton_from_far_starts():
-    # K(t x e1) = (tx)^2 - (tx)^4: Newton in t, or its bracketed fallback
-    # where K' >= 0 (t < 1 / (sqrt(2) x)), reaches t = 1/x from either side
+    # K(t x e1) = (tx)^2 - (tx)^4: Newton in t, or a safeguarded step of
+    # its bracket where K' >= 0 (t < 1 / (sqrt(2) x)), reaches t = 1/x from
+    # either side
     prob = toy_problem()
     for x in (0.6, 1.0, 3.0):
         for t0 in (1e-3, 0.5, 2.0, 1e3):
@@ -594,7 +611,7 @@ def test_nehari_newton_matches_bracket_root():
 
 def test_nehari_degenerate_ray_falls_back():
     # along X the Y-only nonlinearity vanishes: K = t^2 and K' = 2t > 0
-    # reject the Newton step, and the fallback's doublings report the ray
+    # reject the Newton step, and the safeguarded doublings report the ray
     for t0 in (1e-3, 1.0, 1e3):
         with pytest.raises(ValueError, match="ray degenerate"):
             nehari_project(y_only_problem(), np.array([1.0, 0.0]), t0=t0)
@@ -642,10 +659,11 @@ def test_nehari_rejects_direction_with_y_part():
 
 
 def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
-    # the fallback returns the slope it computed at its last scale, the
-    # root, with no slope solve after it, and a slope there that is not
-    # negative is refused; along 0.3 e1 of the toy the root is 10/3,
-    # reached by doubling to 4 and bisecting
+    # the projection stops with the slope it computed at its last scale,
+    # the root, with no slope solve after it, and a slope there that is
+    # not negative is refused; with the slope held at 0 it takes no
+    # Newton step, and along 0.3 e1 of the toy the root is 10/3, reached
+    # by doubling to 4 and bisecting
     prob = toy_problem()
     calls = []
     slope = reduction._nehari_slope
@@ -654,7 +672,6 @@ def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
         calls.append(t)
         return 0.0, slope(problem, phi, t, *args, **kwargs)[1]
 
-    monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
     assert math.isclose(nehari_project(prob, np.array([0.3, 0.0])),
                         10.0 / 3.0, rel_tol=1e-10)
     monkeypatch.setattr(reduction, "_nehari_slope", nonnegative)
@@ -665,9 +682,9 @@ def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
 
 
 def test_brentq_zero_at_an_endpoint(monkeypatch):
-    # the fallback returns a scale where K is exactly zero: along 0.5 e1
-    # of the toy, K(t) = t^2 / 4 - t^4 / 16 has K' > 0 at t = 1, and the
-    # doubling lands on the root t = 2
+    # the projection returns a scale where K is exactly zero: along 0.5 e1
+    # of the toy, K(t) = t^2 / 4 - t^4 / 16 has K' > 0 at t = 1, so the
+    # safeguarded step doubles t and lands on the root t = 2
     fibers = []
     fiber = reduction.beta
 
@@ -675,56 +692,76 @@ def test_brentq_zero_at_an_endpoint(monkeypatch):
         fibers.append(1)
         return fiber(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
+    steps = capture_fallback(monkeypatch)
     monkeypatch.setattr(reduction, "beta", counted)
     assert nehari_project(toy_problem(), np.array([0.5, 0.0])) == 2.0
     assert len(fibers) == 2
+    assert steps == [2.0]
 
 
 def capture_fallback(monkeypatch):
-    """Every (t, dK/dt, w') the fallback returns, in order."""
-    found = []
-    fallback = reduction.brentq
+    """Every safeguarded step the projection takes, in order."""
+    steps = []
+    step = reduction.brentq
 
-    def captured(*args, **kwargs):
-        found.append(fallback(*args, **kwargs))
-        return found[-1]
+    def captured(lo, hi):
+        steps.append(step(lo, hi))
+        return steps[-1]
 
     monkeypatch.setattr(reduction, "brentq", captured)
+    return steps
+
+
+def capture_slopes(monkeypatch):
+    """Every (t, dK/dt) the projection computes, in order."""
+    found = []
+    slope = reduction._nehari_slope
+
+    def captured(problem, phi, t, *args, **kwargs):
+        out = slope(problem, phi, t, *args, **kwargs)
+        found.append((t, out[0]))
+        return out
+
+    monkeypatch.setattr(reduction, "_nehari_slope", captured)
     return found
 
 
 def test_fallback_roots_match_scipy_on_random_quartics(monkeypatch):
-    # with no Newton steps the projection is the fallback alone, from
-    # scales 1e-2 to 1e2 away; it stops on |K / K'| <= tol, and its root
-    # matches scipy's brentq on K
-    found = capture_fallback(monkeypatch)
-    monkeypatch.setattr(reduction, "_NEWTON_STEPS", 0)
+    # from scales 1e-2 to 1e2 away the projection brackets the root, with
+    # safeguarded steps on some rays; it stops with |K| <= tol |K'| at its
+    # last slope, and its root matches scipy's brentq on K
+    steps = capture_fallback(monkeypatch)
+    slopes = capture_slopes(monkeypatch)
     rng = np.random.default_rng(2027)
     tol = 1e-12
+    rays_with_steps = 0
     for _ in range(12):
         n = int(rng.integers(3, 8))
         signs = np.where(np.arange(n) < rng.integers(1, n), 1.0, -1.0)
         prob = diagonal_quartic_problem(signs * 10.0 ** rng.uniform(-1, 1, n))
         phi = prob.project(rng.standard_normal(n))
+        before = len(steps)
         t, point, _ = reduction._nehari_root(
             prob, phi, tol=tol, fiber_tol=1e-13,
             t0=10.0 ** rng.uniform(-2.0, 2.0))
-        root, slope, _ = found[-1]
-        assert root == t and slope < 0.0
+        rays_with_steps += len(steps) > before
+        slope = slopes[-1][1]
+        assert slope < 0.0
         assert abs(point[2]) <= tol * abs(slope)
         assert math.isclose(t, scipy_root(prob, phi), rel_tol=1e-10)
-    assert len(found) == 12
+    assert rays_with_steps > 0
 
 
-def test_standing_projection_falls_back_once(monkeypatch):
-    # Newton's first step from t = 1 lands at 13.5 and the next is refused;
-    # the fallback seeds its bracket from every K computed so far, so no
+def test_standing_projection_keeps_newton_in_its_bracket(monkeypatch):
+    # Newton's first step from t = 1 lands at 13.5, where |K| grows from
+    # 114 to 3.8e6; K < 0 there closes the bracket (1, 13.5) and Newton
+    # goes on from 13.5 inside it, so no safeguarded step is taken and no
     # fiber is solved twice at one scale (a fresh geometric bracket took
     # 15 solves, three at scales already solved), and it stops at its
     # tolerance with K' < 0
     prob, phi = standing_input()
-    found = capture_fallback(monkeypatch)
+    steps = capture_fallback(monkeypatch)
+    slopes = capture_slopes(monkeypatch)
     scales = []
     fiber = reduction.beta
 
@@ -735,11 +772,23 @@ def test_standing_projection_falls_back_once(monkeypatch):
     monkeypatch.setattr(reduction, "beta", recorded)
     t, point, _ = reduction._nehari_root(prob, phi, tol=1e-12,
                                          fiber_tol=1e-12)
-    assert len(found) == 1
-    root, slope, _ = found[0]
-    assert root == t and slope < 0.0
+    assert steps == []
+    slope = slopes[-1][1]
+    assert slope < 0.0
     assert abs(point[2]) <= 1e-12 * abs(slope)
     assert len(scales) == len(set(scales)) <= 15
+
+
+def test_standing_projection_takes_one_slope_per_scale(monkeypatch):
+    # one slope at each scale: a step whose |K| grows is kept inside the
+    # bracket rather than refused, so the slope at the scale it left is
+    # not computed again (a hand-over to a separate fallback loop took
+    # 14 slopes at 13 scales, two at t = 1)
+    prob, phi = standing_input()
+    slopes = capture_slopes(monkeypatch)
+    nehari_project(prob, phi)
+    scales = [t for t, _ in slopes]
+    assert len(scales) == len(set(scales)) == 14
 
 
 def test_fallback_reports_a_ray_with_no_positive_k(monkeypatch):
@@ -1314,8 +1363,8 @@ def test_cg_warm_start_matches_scipy_bitwise(rtol):
 
 def test_solver_kernels_stay_private():
     # the benchmark's tracer wraps cg and brentq once each by name
-    # (brentq is the Nehari fallback, rtsafe, under the name the tracer
-    # binds); a public name would be wrapped a second time
+    # (brentq is the Nehari projection's safeguarded step, under the name
+    # the tracer binds); a public name would be wrapped a second time
     assert callable(reduction.cg) and callable(reduction.brentq)
     assert "cg" not in reduction.__all__
     assert "brentq" not in reduction.__all__
