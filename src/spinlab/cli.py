@@ -365,6 +365,8 @@ def _nehari_payload(cfg, problem, extra):
     result = minimize_nehari(problem, starts=cfg["starts"], tol=cfg["tol"],
                              seed=cfg["seed"])
     return dict(result.summary(), seed=cfg["seed"],
+                converged_starts=result.converged_starts,
+                degenerate_starts=result.degenerate_starts,
                 ok=bool(result.grad_norm <= cfg["tol"]), **extra), []
 
 
@@ -402,12 +404,11 @@ def _run_solve_torus(cfg):
     state = dirac_torus.solve_ground_state(
         cfg["modes"], spin, tol=cfg["tol"], seed=cfg["seed"],
         starts=cfg["starts"], n_g=cfg.get("grid"))
-    payload = state.summary()
-    payload["iterations"] = state.iterations
-    payload["nehari_scale"] = state.nehari_scale
-    payload["seed"] = cfg["seed"]
-    payload["spin"] = cfg["spin"]
-    payload["ok"] = bool(state.grad_norm <= cfg["tol"])
+    payload = dict(state.summary(), iterations=state.iterations,
+                   nehari_scale=state.nehari_scale, seed=cfg["seed"],
+                   converged_starts=state.converged_starts,
+                   degenerate_starts=state.degenerate_starts,
+                   spin=cfg["spin"], ok=bool(state.grad_norm <= cfg["tol"]))
     return payload, [("torus_state.csv", ("mode", "block", "re", "im"),
                       state.rows())]
 

@@ -568,6 +568,8 @@ class GroundState:
     nehari_scale: float
     iterations: int
     seed: int
+    converged_starts: int
+    degenerate_starts: int
 
     def summary(self) -> dict:
         return {
@@ -634,7 +636,8 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
                            f"{energy} vs {0.25 * quartic}")
     return GroundState(basis, psi, float(energy), float(quartic),
                        float(grad_norm), float(result.nehari_scale),
-                       int(result.iterations), int(seed))
+                       int(result.iterations), int(seed),
+                       result.converged_starts, result.degenerate_starts)
 
 
 def refine_ground_state(state: GroundState, lam_max: float,

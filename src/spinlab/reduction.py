@@ -38,6 +38,7 @@ bit-identical to a solver built on scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 import math
 from typing import Callable
 
@@ -411,6 +412,8 @@ def reduced(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
 
 # steps of the Nehari projection before it gives up
 _NEHARI_STEPS = 100
+# the descent's L-BFGS pairs, Armijo window and halvings per direction
+_MEMORY, _WINDOW, _HALVINGS = 8, 5, 30
 
 
 def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
@@ -447,7 +450,7 @@ def brentq(lo, hi):
 
 
 def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
-                 fiber_tol: float, t0: float = 1.0, w0: np.ndarray = None,
+                 fiber_tol: float, t0: float = None, w0: np.ndarray = None,
                  dw0: np.ndarray = None):
     """``nehari_project``'s scale t, ``reduced``'s (value, grad, K, w) at
     t phi with every fiber solved to ``fiber_tol``, and the last computed
@@ -455,7 +458,7 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
     from ``w0`` and the first velocity solve from ``dw0``."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    if not (math.isfinite(t0) and t0 > 0.0):
+    if t0 is not None and not (math.isfinite(t0) and t0 > 0.0):
         raise ValueError("initial scale t0 must be finite and positive")
     phi = np.asarray(phi, dtype=float)
     if float(phi @ phi) == 0.0:
@@ -477,6 +480,9 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
             hi = s
         return point
 
+    if t0 is None:  # the predicted scale s(u) / |phi|, or 1
+        norm = math.sqrt(float(phi @ phi))
+        t0 = (_nehari_scale(problem, phi / norm) or norm) / norm
     t = float(t0)
     point = k_of(t, w0)
     dw = dw0
@@ -516,34 +522,54 @@ def _nehari_scale(problem: IndefiniteProblem, u: np.ndarray):
     return q ** (-1.0 / (problem.p - 2.0)) if ok else None
 
 
+def _tangent(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """v projected onto the tangent space of the unit sphere at u."""
+    return v - float(v @ u) * u
+
+
+def _lbfgs_direction(pairs, grad):
+    """-H grad by the two-loop recursion over the (s, y, s.y) ``pairs``,
+    oldest first, with H0 = (s.y / y.y) I from the newest (Nocedal and
+    Wright, Numerical Optimization, 2006, alg. 7.4)."""
+    q, alphas = grad.copy(), []
+    for s, y, sy in reversed(pairs):
+        alphas.append(float(s @ q) / sy)
+        q -= alphas[-1] * y
+    _, y, sy = pairs[-1]
+    q *= sy / float(y @ y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
+    return -q
+
+
 def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
-                   tol: float = 1e-12, t0: float = 1.0) -> float:
+                   tol: float = 1e-12, t0: float = None) -> float:
     """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
 
-    Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so
-    the root is found by rtsafe from ``t0`` (``t0`` and ``tol`` finite
-    and positive, ValueError otherwise, before any solve): Newton's
-    method in t with the slope of ``_nehari_slope``, kept inside the
-    sign bracket (lo, hi) of every K computed, lo the largest scale with
-    K > 0 and hi the smallest with K < 0, from (0, inf).  At each scale
-    one slope is computed; the Newton step is taken where the slope is
-    negative and the step lands strictly inside the bracket, and
-    otherwise the safeguarded step (``brentq``) doubles lo while hi is
-    infinite and bisects once it is not.  Fibers are solved to
-    max(min(tol, 1e-12), tol / 10), which is 1e-12 at the default tol,
-    and tangents to CG rtol max(1e-6, min(1e-2, tol)).  The first fiber
-    beta(t0 phi) starts from zero; each later one starts from the
-    previous fiber moved along its tangent, and each tangent's CG solve
-    from the previous tangent.  The iteration stops once the Newton
-    correction with the last computed slope, K(t) / K'(t_prev) after a
-    Newton step, is within ``tol``, or K is exactly 0, or hi - lo with
-    lo > 0 is within ``tol``; no second slope confirms it.  The last
-    computed slope must be negative (RuntimeError otherwise).
-    K(t phi) is positive near t = 0; a ray along which the nonlinearity
-    vanishes keeps K = t^2 |phi|^2 > 0 forever and raises
-    ``DegenerateRay`` once ``_NEHARI_STEPS`` steps find no K < 0, and
-    every ray of Y raises it at once.  The zero direction and a
-    direction with both an X and a nonzero Y part raise ValueError.
+    Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so the
+    root is found by rtsafe from ``t0`` (``t0`` and ``tol`` finite and
+    positive, ValueError otherwise, before any solve; by default the
+    predicted scale s(u) / |phi| of ``minimize_nehari``, u = phi / |phi|, or
+    1): Newton's method in t with the slope of ``_nehari_slope``, kept
+    inside the sign bracket (lo, hi) of every K computed, lo the largest
+    scale with K > 0 and hi the smallest with K < 0, from (0, inf).  At each
+    scale one slope is computed; the Newton step is taken where the slope is
+    negative and the step lands strictly inside the bracket, and otherwise
+    the safeguarded step (``brentq``) doubles lo while hi is infinite and
+    bisects once it is not.  Fibers are solved to max(min(tol, 1e-12),
+    tol / 10), which is 1e-12 at the default tol, and tangents to CG rtol
+    max(1e-6, min(1e-2, tol)).  The first fiber beta(t0 phi) starts from
+    zero; each later one starts from the previous fiber moved along its
+    tangent, and each tangent's CG solve from the previous tangent.  The
+    iteration stops once the Newton correction with the last computed slope,
+    K(t) / K'(t_prev) after a Newton step, is within ``tol``, or K is
+    exactly 0, or hi - lo with lo > 0 is within ``tol``; no second slope
+    confirms it.  The last computed slope must be negative (RuntimeError
+    otherwise).  K(t phi) is positive near t = 0; a ray along which the
+    nonlinearity vanishes keeps K = t^2 |phi|^2 > 0 forever and raises
+    ``DegenerateRay`` once ``_NEHARI_STEPS`` steps find no K < 0, and every
+    ray of Y raises it at once.  The zero direction and a direction with
+    both an X and a nonzero Y part raise ValueError.
     """
     return _nehari_root(problem, phi, tol=tol,
                         fiber_tol=max(min(tol, 1e-12), tol / 10), t0=t0)[0]
@@ -582,28 +608,32 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
                     initial: np.ndarray = None) -> NehariResult:
     """Minimize the reduced functional over the Nehari set.
 
-    Steepest descent on the unit sphere of X with Barzilai-Borwein step
-    lengths, rescaling onto the Nehari set every iterate; on the set the
-    reduced gradient is automatically tangent to the ray, so the sphere
-    step needs no extra projection.  Runs from several random directions
+    L-BFGS on the unit sphere of X, projecting every iterate onto the
+    Nehari set, where g = grad J(t u) is orthogonal to u: the level m(u)
+    = J(t(u) u) has the gradient G = t g on the sphere.  The direction is
+    -H G from the last ``_MEMORY`` tangent-projected pairs (s, y) with
+    s.y > 0; a start's first step, and one where -H G does not descend,
+    is -g / (1 + |g|), and clears the memory.  Trials (u + alpha d) / |u
+    + alpha d|, alpha = 1, 1/2, ..., are projected until a level is within
+    the largest of the last ``_WINDOW`` accepted levels plus 1e-4 alpha
+    G.d (nonmonotone Armijo: Grippo, Lampariello and Lucidi, 1986); after
+    ``_HALVINGS`` halvings the first step is tried once more, and then
+    the start ends unconverged.  Runs from several random directions
     and keeps the earliest converged start whose level is within 1e-12
     relative of the lowest, so that starts that tie up to rounding do not
-    trade places on the last bit.  ``initial`` replaces the first
-    random direction, which lets a coarse solution warm start a finer
-    one.  Each projection returns the reduced value and gradient at its
-    root, the next iterate's.  Every projection solves the scale to
-    max(1e-12, gn / 10) and the fibers to max(inner, gn / 100), inner =
-    min(1e-2 tol, 1e-12), gn the reduced gradient norm where it starts,
-    at the zero fiber for a start's first (inexact Newton): early
-    iterates are cheap and converged ones exact.
-    Each projection of a unit u starts at a predicted scale: a start's
+    trade places on the last bit.  ``initial`` replaces the first random
+    direction, so a coarse solution can warm start a finer one.  Every
+    projection solves the scale to max(1e-12, gn / 10) and the fibers to
+    max(inner, gn / 100), inner = min(1e-2 tol, 1e-12), gn the reduced
+    gradient norm at the accepted point (inexact Newton), at the zero
+    fiber for a start's first.  It starts at a predicted scale: a start's
     first at s(u) = (p Psi(u))^(-1/(p-2)), the root of K when the fiber
-    vanishes and Psi is p-homogeneous, each later one at t s(u) /
-    s(u_prev), keeping the ratio the fiber set at the previous point;
-    where Psi vanishes along u or is not p-homogeneous (p may be a loose
-    H2 constant), at 1 or at the last t.  Its first fiber starts from the
-    descent's fiber and its velocity solves from the last velocity.  The
-    winning start's fiber is solved once more, to inner, as ``fiber``.
+    vanishes and Psi is p-homogeneous, each trial at t s(u) / s(u_prev),
+    t and u_prev the accepted point's, or at 1 or that t where Psi is
+    not p-homogeneous along u (p may be a loose H2 constant); its fiber
+    and velocity solves start from the accepted point's.  ``iterations``
+    counts each start's first point and accepted steps.  The winning
+    start's fiber is solved once more, to inner, as ``fiber``.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -642,28 +672,34 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
             degenerate += 1
             continue
 
-        prev_u = prev_g = None
+        levels, pairs = [], []
         for _ in range(max_iter):
             total += 1
             value, g, _, w = point
             gn = float(np.linalg.norm(g))
             if gn <= tol:
                 break
-            if prev_u is None:
-                alpha = 1.0 / (1.0 + gn)
-            else:
-                du = u - prev_u
-                dg = g - prev_g
-                denom = float(du @ dg)
-                alpha = float(du @ du) / denom if denom > 1e-300 \
-                    else 1.0 / (1.0 + gn)
-                alpha = min(max(alpha, 1e-8), 1e4)
-            prev_u, prev_g = u, g
-            u = u - alpha * g
-            u = u / np.linalg.norm(u)
-            s_prev, s = s, _nehari_scale(problem, u)
-            t *= s / s_prev if s_prev and s else 1.0
-            t, point, dw = project(u, t, gn, w0=w, dw0=dw)
+            grad = t * g  # of the level J(t(u) u) on the sphere
+            levels = levels[1 - _WINDOW:] + [value]
+            first = _tangent(-(1.0 / (1.0 + gn)) * g, u)
+            d = _tangent(_lbfgs_direction(pairs, grad), u) if pairs else first
+            tries = [first] if d is first or not grad @ d < 0.0 else [d, first]
+            for d, k in itertools.product(tries, range(_HALVINGS)):
+                v = u + 0.5 ** k * d
+                v = v / np.linalg.norm(v)
+                sv = _nehari_scale(problem, v)
+                tv, trial, dwv = project(v, t * (sv / s) if s and sv else t,
+                                         gn, w0=w, dw0=dw)
+                if trial[0] <= max(levels) + 1e-4 * 0.5 ** k * (grad @ d):
+                    break
+            else:  # the halvings ran out on every direction
+                break
+            pairs = [] if d is first else pairs
+            ds, dg = _tangent(v - u, v), _tangent(tv * trial[1] - grad, v)
+            sy = float(ds @ dg)
+            if sy > 0.0:
+                pairs = pairs[1 - _MEMORY:] + [(ds, dg, sy)]
+            u, s, t, point, dw = v, sv, tv, trial, dwv
 
         history.append((float(value), gn))
         if gn <= tol:

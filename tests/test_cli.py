@@ -218,10 +218,34 @@ def test_solve_torus_small_deterministic(capsys):
     assert set(payload) == {"energy", "quartic_mass", "grad_norm",
                             "gamma_crit", "kernel_dim", "modes",
                             "iterations", "nehari_scale", "seed",
-                            "spin", "ok"}
+                            "spin", "ok", "converged_starts",
+                            "degenerate_starts"}
     assert isinstance(payload["iterations"], int)
     assert payload["iterations"] >= 1
     assert payload["nehari_scale"] > 0.0
+
+
+def test_solve_torus_mixed_structure_converges(capsys):
+    # the steepest descent before L-BFGS exited 1 here, "no start
+    # converged", with both starts at pi^2 / 4 and gradients above 1e-8
+    rc, payload = run_json(capsys, ["solve", "torus", "--spin", "0,0.5",
+                                    "--modes", "3"])
+    assert rc == 0
+    assert payload["ok"] is True
+    assert payload["energy"] == pytest.approx(np.pi ** 2 / 4.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("argv, starts", [
+    (["solve", "toy", "--starts", "3"], 3),
+    (["solve", "generic", "--spectrum", "1,0.7,-0.4", "--starts", "2"], 2),
+    (["solve", "torus", "--modes", "1.5", "--starts", "2"], 2),
+])
+def test_solve_reports_its_start_counts(capsys, argv, starts):
+    # every start of these runs converges and none meets a degenerate ray
+    rc, payload = run_json(capsys, argv)
+    assert rc == 0
+    assert payload["converged_starts"] == starts
+    assert payload["degenerate_starts"] == 0
 
 
 def test_psi0_search(capsys):

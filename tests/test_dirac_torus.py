@@ -833,6 +833,26 @@ def test_ground_levels_match_the_recorded_ones(case):
     assert math.isclose(state.energy, RECORDED_LEVELS[case], rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("lam_max", [2.0, 4.0, 8.0])
+def test_mixed_structures_reach_the_lowest_eigenspace(lam_max):
+    # on (0, 1/2) and (1/2, 0) every spinor of the lowest eigenspace,
+    # |theta| = 1/2, is a critical point with zero fiber and level pi^2 / 4
+    # (a plane wave of density 1 / (2 pi^2)); the descent reaches it on
+    # both (the steepest descent before L-BFGS ended with gradients of
+    # 1e-8 to 1e-5 and no converged start).  Swapping the two torus
+    # coordinates maps one structure to the other, so their levels agree
+    # to the descent's second-order accuracy (the quartic mass, first
+    # order in the gradient, agrees only to 3e-9)
+    states = [solve_ground_state(lam_max, delta, tol=1e-8, seed=0, starts=2)
+              for delta in ((0.0, 0.5), (0.5, 0.0))]
+    for state in states:
+        assert state.grad_norm <= 1e-8
+        assert math.isclose(state.energy, math.pi ** 2 / 4.0, rel_tol=1e-10)
+        assert state.converged_starts == 2
+    first, second = states
+    assert math.isclose(first.energy, second.energy, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("delta", SPIN_STRUCTURES)
 def test_finer_basis_starts_with_the_coarse_modes(delta):
     # refine_ground_state embeds the coarse plus block by position: the
@@ -894,7 +914,7 @@ def test_fiber_solves_per_descent_step(monkeypatch):
     # (45, 24) steps: 2.01 fiber solves, 2.93 CG solves, 12.6 Hessian
     # products and 1.13 slopes; measured here: 1.60, 2.19, 8.07 and 1.01)
     calls, iterations = _count_solve_and_refine(monkeypatch)
-    assert iterations == (47, 26)
+    assert iterations == (42, 15)
     steps = sum(iterations)
     assert calls["beta"] <= 1.8 * steps
     assert calls["cg"] <= 2.5 * steps

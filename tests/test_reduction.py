@@ -350,7 +350,7 @@ def test_beta_stops_at_its_rounding_floor(monkeypatch):
         return w
 
     monkeypatch.setattr(reduction, "beta", recorded)
-    t = nehari_project(prob, phi)
+    t = nehari_project(prob, phi, t0=1.0)
     assert math.isclose(t, 1.40165314, rel_tol=1e-8)
     assert all(end <= max(tol, floor) for tol, _, end, floor in ends)
     assert [round(first) for tol, first, end, _ in ends if end > tol] \
@@ -672,11 +672,11 @@ def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
         calls.append(t)
         return 0.0, slope(problem, phi, t, *args, **kwargs)[1]
 
-    assert math.isclose(nehari_project(prob, np.array([0.3, 0.0])),
+    assert math.isclose(nehari_project(prob, np.array([0.3, 0.0]), t0=1.0),
                         10.0 / 3.0, rel_tol=1e-10)
     monkeypatch.setattr(reduction, "_nehari_slope", nonnegative)
     with pytest.raises(RuntimeError, match="K slope at the Nehari point"):
-        nehari_project(prob, np.array([0.3, 0.0]))
+        nehari_project(prob, np.array([0.3, 0.0]), t0=1.0)
     assert abs(calls[-1] - 10.0 / 3.0) <= 1e-12
     assert len(calls) == len(set(calls)) > 40
 
@@ -694,7 +694,7 @@ def test_brentq_zero_at_an_endpoint(monkeypatch):
 
     steps = capture_fallback(monkeypatch)
     monkeypatch.setattr(reduction, "beta", counted)
-    assert nehari_project(toy_problem(), np.array([0.5, 0.0])) == 2.0
+    assert nehari_project(toy_problem(), np.array([0.5, 0.0]), t0=1.0) == 2.0
     assert len(fibers) == 2
     assert steps == [2.0]
 
@@ -771,7 +771,7 @@ def test_standing_projection_keeps_newton_in_its_bracket(monkeypatch):
 
     monkeypatch.setattr(reduction, "beta", recorded)
     t, point, _ = reduction._nehari_root(prob, phi, tol=1e-12,
-                                         fiber_tol=1e-12)
+                                         fiber_tol=1e-12, t0=1.0)
     assert steps == []
     slope = slopes[-1][1]
     assert slope < 0.0
@@ -786,9 +786,34 @@ def test_standing_projection_takes_one_slope_per_scale(monkeypatch):
     # 14 slopes at 13 scales, two at t = 1)
     prob, phi = standing_input()
     slopes = capture_slopes(monkeypatch)
-    nehari_project(prob, phi)
+    nehari_project(prob, phi, t0=1.0)
     scales = [t for t, _ in slopes]
     assert len(scales) == len(set(scales)) == 14
+
+
+def test_standing_projection_starts_at_the_predicted_scale(monkeypatch):
+    # by default the projection starts at the predicted scale s(u) / |phi|
+    # = 1.3677, where Psi is p-homogeneous along u = phi / |phi|, and takes
+    # 5 fiber solves; from t0 = 1 Newton's first step lands at 13.5 and it
+    # takes 15; the two roots agree to rounding
+    prob, phi = standing_input()
+    norm = float(np.linalg.norm(phi))
+    predicted = reduction._nehari_scale(prob, phi / norm) / norm
+    assert math.isclose(predicted, 1.3677, rel_tol=1e-4)
+    scales = []
+    fiber = reduction.beta
+
+    def recorded(problem, x, *args, **kwargs):
+        scales.append(float(x @ phi) / norm ** 2)
+        return fiber(problem, x, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "beta", recorded)
+    t = nehari_project(prob, phi)
+    assert scales[0] == pytest.approx(predicted, rel=1e-15)
+    assert len(scales) <= 5
+    del scales[:]
+    assert math.isclose(t, nehari_project(prob, phi, t0=1.0), rel_tol=1e-12)
+    assert len(scales) == 15
 
 
 def test_fallback_reports_a_ray_with_no_positive_k(monkeypatch):
@@ -954,13 +979,109 @@ def test_minimize_nehari_toy():
 def test_minimize_nehari_diagonal_closed_form():
     # separable quartic: the fiber maximizer vanishes, the level along
     # a direction with X-weight a is 1/(4 a^2), and the slowest positive
-    # eigenvalue wins, so gamma = min(d+)^2 / 4
-    prob = diagonal_quartic_problem([2.0, 0.7, -1.3])
-    result = minimize_nehari(prob, starts=6, tol=1e-10, seed=1)
-    assert math.isclose(result.gamma, 0.7 ** 2 / 4.0, rel_tol=1e-8)
-    assert math.isclose(result.nehari_scale, 0.7, rel_tol=1e-6)
-    direction = result.minimizer / np.linalg.norm(result.minimizer)
-    assert abs(abs(direction[1]) - 1.0) <= 1e-5
+    # eigenvalue wins, so gamma = min(d+)^2 / 4, reached by every start
+    for spectrum, seed in (([2.0, 0.7, -1.3], 1), ([1.0, -1.0], 0),
+                           ([1.0, 0.7, -0.4], 0),
+                           ([3.0, 1.5, 0.9, -0.2, -4.0], 0)):
+        prob = diagonal_quartic_problem(spectrum)
+        result = minimize_nehari(prob, starts=6, tol=1e-10, seed=seed)
+        least = min(d for d in spectrum if d > 0.0)
+        assert math.isclose(result.gamma, least ** 2 / 4.0, rel_tol=1e-12)
+        assert math.isclose(result.nehari_scale, least, rel_tol=1e-6)
+        direction = result.minimizer / np.linalg.norm(result.minimizer)
+        assert abs(abs(direction[spectrum.index(least)]) - 1.0) <= 1e-5
+        assert (result.converged_starts, result.degenerate_starts) == (6, 0)
+
+
+def test_non_descent_direction_clears_the_memory(monkeypatch):
+    # where -H G does not descend (forced here at the third L-BFGS step by
+    # returning +G) the step follows the first-step rule and the memory
+    # is cleared, so the next direction sees only the pair that step made
+    sizes = []
+    direction = reduction._lbfgs_direction
+
+    def forced(pairs, grad):
+        sizes.append(len(pairs))
+        return grad if len(sizes) == 3 else direction(pairs, grad)
+
+    monkeypatch.setattr(reduction, "_lbfgs_direction", forced)
+    prob = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
+    result = minimize_nehari(prob, starts=1, tol=1e-10, seed=0)
+    assert sizes[:4] == [1, 2, 3, 1]
+    assert math.isclose(result.gamma, 0.7 ** 2 / 4.0, rel_tol=1e-12)
+
+
+def recorded_projections(monkeypatch, refused=lambda n: False):
+    """Every projection of the descent as (u, t0, w0, dw0, tol, fiber_tol,
+    point); the level of the n-th (from 1) reads +inf where ``refused(n)``
+    holds, so that the descent refuses that trial."""
+    calls = []
+    root = reduction._nehari_root
+
+    def recorded(problem, phi, tol, fiber_tol, t0=None, w0=None, dw0=None):
+        out = root(problem, phi, tol, fiber_tol, t0=t0, w0=w0, dw0=dw0)
+        calls.append((phi, t0, w0, dw0, tol, fiber_tol, out[1]))
+        if refused(len(calls)):
+            return out[0], (math.inf,) + out[1][1:], out[2]
+        return out
+
+    monkeypatch.setattr(reduction, "_nehari_root", recorded)
+    return calls
+
+
+def test_backtracking_trials_start_from_the_accepted_point(monkeypatch):
+    # the fourth and fifth projections, the first two trials of the third
+    # step, are refused, so that step is accepted at alpha = 1/4; every
+    # trial of a step warm starts from the accepted point's fiber and
+    # velocity and takes its tolerances from that point's gradient norm,
+    # not from the trial it refused, and lies on its step's great circle
+    calls = recorded_projections(monkeypatch, lambda n: n in (4, 5))
+    prob = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
+    result = minimize_nehari(prob, starts=1, tol=1e-10, seed=0)
+    assert math.isclose(result.gamma, 0.7 ** 2 / 4.0, rel_tol=1e-12)
+    inner = min(1e-2 * 1e-10, 1e-12)
+    for u, t0, w0, dw0, tol, fiber_tol, _ in calls[1:]:
+        accepted = next(c for c in calls if c[6][3] is w0)
+        assert all(c[3] is dw0 for c in calls if c[2] is w0)
+        gn = float(np.linalg.norm(accepted[6][1]))
+        assert tol == max(1e-12, 1e-1 * gn)
+        assert fiber_tol == max(inner, 1e-2 * gn)
+    # the third step's trials (u + alpha d) / |u + alpha d|, alpha = 1,
+    # 1/2 and 1/4, all start from the third point
+    base = calls[2][0]
+    trials = [c for c in calls if c[2] is calls[2][6][3]]
+    assert len(trials) == 3
+    d = trials[0][0] * (1.0 / float(trials[0][0] @ base)) - base
+    for k, trial in enumerate(trials):
+        v = base + 0.5 ** k * d
+        assert np.allclose(trial[0], v / np.linalg.norm(v), rtol=0.0,
+                           atol=1e-14)
+
+
+@pytest.mark.parametrize("accepted, refused", [(1, 3), (4, 6)])
+def test_halving_cap_retries_the_first_step_once(monkeypatch, accepted,
+                                                 refused):
+    # with every trial refused after the start's first ``accepted``
+    # points, an L-BFGS direction is halved _HALVINGS times, the first-step
+    # rule -g / (1 + |g|) is then tried _HALVINGS times with the memory
+    # cleared, and the start ends unconverged with its last accepted
+    # point in the history; with an empty memory (accepted = 1) the
+    # first-step rule is the direction, so it is not tried twice
+    monkeypatch.setattr(reduction, "_HALVINGS", 3)
+    calls = recorded_projections(monkeypatch, lambda n: n > accepted)
+    prob = diagonal_quartic_problem([1.0, 0.7, 2.5, -0.4, -1.3])
+    with pytest.raises(RuntimeError, match="no start converged") as err:
+        minimize_nehari(prob, starts=1, tol=1e-10, seed=0)
+    assert len(calls) == accepted + refused
+    u, *_, (value, g, _, _) = calls[accepted - 1]
+    gn = float(np.linalg.norm(g))
+    assert ast.literal_eval(str(err.value).split("history ", 1)[1]) \
+        == [(value, gn)]
+    first = -(1.0 / (1.0 + gn)) * g
+    first = u + first - float(first @ u) * u
+    retry = calls[accepted + refused - 3][0]
+    assert np.allclose(retry, first / np.linalg.norm(first), rtol=0.0,
+                       atol=1e-15)
 
 
 def test_first_projection_starts_at_the_predicted_scale(monkeypatch):
@@ -1052,31 +1173,35 @@ def test_every_projection_takes_its_tolerances_from_one_rule(tol,
     # inexact Newton: each projection of the descent solves the scale to
     # max(1e-12, gn / 10) and the fibers to max(inner, gn / 100), inner =
     # min(1e-2 tol, 1e-12), gn the reduced gradient norm at the point it
-    # starts from; that is the previous root's, and for a start's first
-    # projection the zero fiber's at its starting scale (which used to
-    # take the fixed 1e-6 and 1e-7)
+    # starts from; that is the accepted point's, whose fiber is the warm
+    # start (every backtracking trial from it too, not the last rejected
+    # root's), and for a start's first projection the zero fiber's at its
+    # starting scale (which used to take the fixed 1e-6 and 1e-7)
     calls = []
     root = reduction._nehari_root
 
-    def recorded(problem, phi, tol, fiber_tol, t0=1.0, w0=None, dw0=None):
+    def recorded(problem, phi, tol, fiber_tol, t0=None, w0=None, dw0=None):
         out = root(problem, phi, tol, fiber_tol, t0=t0, w0=w0, dw0=dw0)
-        calls.append((phi, t0, w0, tol, fiber_tol, out[1][1]))
+        calls.append((phi, t0, w0, tol, fiber_tol, out[1]))
         return out
 
     monkeypatch.setattr(reduction, "_nehari_root", recorded)
     problem, _ = torus_problem_and_direction()
     minimize_nehari(problem, starts=2, tol=tol, seed=0)
     inner = min(1e-2 * tol, 1e-12)
-    grad = None
-    for phi, t0, w0, scale_tol, fiber_tol, root_grad in calls:
+    for phi, t0, w0, scale_tol, fiber_tol, _ in calls:
         if w0 is None:
             grad = t0 * phi - problem.project(problem.grad_psi(t0 * phi))
+        else:
+            grad = next(point[1] for *_, point in calls if point[3] is w0)
         gn = float(np.linalg.norm(grad))
         assert math.isclose(scale_tol, max(1e-12, 1e-1 * gn), rel_tol=1e-12)
         assert math.isclose(fiber_tol, max(inner, 1e-2 * gn), rel_tol=1e-12)
-        grad = root_grad
     assert sum(w0 is None for _, _, w0, *_ in calls) == 2
     assert len(calls) > 20
+    # at 1e-12 the step is halved 3 times: trials that share a warm start
+    starts = [id(w0) for _, _, w0, *_ in calls if w0 is not None]
+    assert tol > 1e-12 or len(starts) > len(set(starts))
 
 
 def grid_min_max(prob, A, n_theta=600):
