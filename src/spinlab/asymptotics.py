@@ -57,6 +57,7 @@ from .spinor_fields import (
 __all__ = [
     "AUDIT_M_RANGE",
     "check_audit_m",
+    "check_eps_grid",
     "MomentTable",
     "OrderFit",
     "AuditInputs",
@@ -166,17 +167,17 @@ class MomentTable:
         return t
 
 
-def moment_table(m: int, rho: float = math.inf, n_polar: int = 3) -> MomentTable:
+def moment_table(m: int, rho: float = math.inf) -> MomentTable:
     """Quartic moments; the radius must be finite when m <= 4.
 
     The radial factor int_0^rho r^{m+3} (1+r^2)^{-m} dr only converges at
     infinity for m >= 5, where it is a Beta function; a finite rho (needed
     for the borderline dimensions) takes theta-substituted Gauss-Legendre.
-    The angular factors come from the product sphere rule, so the ratio
-    M4 = 3 M22 is a live check of that rule rather than an input.
+    The angular factors come from the product rule of 3 polar nodes, so
+    the ratio M4 = 3 M22 is a live check of that rule rather than an input.
     """
     radial = _radial_moment(m, 4, rho)
-    rule = sphere_rule(m, n_polar, 2 * n_polar)
+    rule = sphere_rule(m, 3)
     u = rule.points
     a4 = float(rule.integrate(u[:, 0] ** 4))
     a22 = float(rule.integrate(u[:, 0] ** 2 * u[:, 1] ** 2))
@@ -287,20 +288,21 @@ def theta_pairing_coefficients(theta: np.ndarray) -> np.ndarray:
     )
 
 
-def audit_inputs(m: int, seed: int = 0, first_scale: float = 10.0,
-                 delta: float = 1.0) -> AuditInputs:
+def audit_inputs(m: int, seed: int = 0,
+                 first_scale: float = 10.0) -> AuditInputs:
     """Trace-free curvature draw with consistent jets and matched spinor.
 
     The constant spinor is chosen to zero the quartic pairing form of the
     cubic correction, which is what makes the quartic energy term carry
-    the curvature-square coefficient alone.
+    the curvature-square coefficient alone.  The spinor has unit
+    concentration scale and unit inner cutoff radius.
     """
     R = random_riemann(m, seed, weyl_only=True)
     jets = make_cnc_jets(R, seed=seed, first_scale=first_scale)
     rep = build_rep(m)
     corrections = theta_lambda(R, jets)
     psi0 = find_psi0(rep, theta_pairing_coefficients(corrections[0]))
-    inputs = AuditInputs(R, jets, make_params(m, 1.0, delta, psi0))
+    inputs = AuditInputs(R, jets, make_params(m, psi0=psi0))
     # cached_property keeps its value in the instance dict: the audits
     # read the tensors the spinor search used instead of recomputing them
     vars(inputs)["theta_lambda"] = corrections
@@ -327,7 +329,6 @@ def _generic_spinor(rep, coeff, seed: int = 0) -> np.ndarray:
 _VOL_COEFF = 0.1
 
 _POLAR = {7: 4, 8: 3, 9: 3}
-_CIRCLE = {7: 8, 8: 6, 9: 6}
 
 # the angular tables in stacking order; the last four exist only when the
 # engine carries a generic spinor
@@ -349,7 +350,7 @@ _BLOCK_BYTES = 1 << 24
 
 
 def _default_rule(m: int):
-    return sphere_rule(m, _POLAR.get(m, 5), _CIRCLE.get(m, 10))
+    return sphere_rule(m, _POLAR.get(m, 5))
 
 
 def _angular_slots(T, U, UU):
@@ -675,23 +676,31 @@ def check_audit_m(audit: str, m: int, error=ValueError) -> None:
         raise error(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
 
 
-def _preamble(audit, m, eps_grid, inputs, seed, first_scale):
-    """What every audit checks before any work: m within its range, and
-    scales that are finite, positive, strictly decreasing and at least
-    four (two for the Rayleigh audit, which fits no slope but reads the
-    two smallest).  Returns them and the bundle: ``inputs``, or else the
-    seeded draw."""
-    check_audit_m(audit, m)
-    fallback, min_points = ((rayleigh_eps_grid, 2) if audit == "rayleigh"
-                            else (default_eps_grid, 4))
-    eps = np.asarray(fallback() if eps_grid is None else eps_grid, dtype=float)
+def check_eps_grid(audit: str, eps, error=ValueError) -> np.ndarray:
+    """``eps`` as a float array; raise ``error`` unless its scales are
+    finite, positive, strictly decreasing and at least four (two for the
+    Rayleigh audit, which fits no slope but reads the two smallest)."""
+    min_points = 2 if audit == "rayleigh" else 4
+    eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1 or eps.size < min_points:
-        raise ValueError(f"eps grid must be a 1-d sequence of at least "
-                         f"{min_points} points")
+        raise error(f"eps grid must be a 1-d sequence of at least "
+                    f"{min_points} points")
     if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
-        raise ValueError("eps grid entries must be positive and finite")
+        raise error("eps grid entries must be positive and finite")
     if np.any(np.diff(eps) >= 0):
-        raise ValueError("eps grid must be strictly decreasing")
+        raise error("eps grid must be strictly decreasing")
+    return eps
+
+
+def _preamble(audit, m, eps_grid, inputs, seed, first_scale):
+    """What every audit checks before any work: ``check_audit_m`` and
+    ``check_eps_grid``.  Returns the scales, by default the audit's
+    default grid, and the bundle: ``inputs``, or else the seeded draw."""
+    check_audit_m(audit, m)
+    if eps_grid is None:
+        eps_grid = (rayleigh_eps_grid() if audit == "rayleigh"
+                    else default_eps_grid())
+    eps = check_eps_grid(audit, eps_grid)
     if inputs is None:
         inputs = audit_inputs(m, seed=seed, first_scale=first_scale)
     elif inputs.m != m:

@@ -64,7 +64,6 @@ _TYPES = {
     "spectrum": ("float_list", None),
     "spin": ("str", None),
     "modes": ("float", "positive"),
-    "grid": ("int", "positive"),
     "out_dir": ("str", None),
 }
 
@@ -178,23 +177,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-
-def _eps_grid(cfg, fallback):
-    """Strictly decreasing geometric grid from the config, else fallback."""
-    keys = ("eps_lo", "eps_hi", "eps_count")
-    given = [k for k in keys if k in cfg.values]
-    if not given:
-        return fallback()
-    if len(given) != 3:
-        raise UsageError("eps grid needs eps_lo, eps_hi and eps_count")
-    lo, hi, count = cfg["eps_lo"], cfg["eps_hi"], cfg["eps_count"]
-    if not lo < hi:
-        raise UsageError("eps_lo must be below eps_hi")
-    if count < 4:
-        # the audits fit their slopes on at least four scales
-        raise UsageError("eps_count must be at least 4")
-    return np.geomspace(hi, lo, count)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +325,23 @@ def _run_psi0(cfg):
 
 
 def _run_audit(cfg):
-    """The audit the subcommand names, at the configured m, scales, seed
-    and first scale; its report states the verdict."""
+    """The audit the subcommand names, at the configured m, seed, first
+    scale and scales (the geometric grid from eps_hi down to eps_lo, else
+    the audit's default), both checked as the library checks them; its
+    report states the verdict."""
     from . import asymptotics
 
     audit = cfg.subcommand.split()[1]
     asymptotics.check_audit_m(audit, cfg["m"], UsageError)
-    fallback = (asymptotics.rayleigh_eps_grid if audit == "rayleigh"
-                else asymptotics.default_eps_grid)
+    eps = None
+    given = [k for k in ("eps_lo", "eps_hi", "eps_count") if k in cfg.values]
+    if len(given) not in (0, 3):
+        raise UsageError("eps grid needs eps_lo, eps_hi and eps_count")
+    if given:
+        eps = asymptotics.check_eps_grid(audit, np.geomspace(
+            cfg["eps_hi"], cfg["eps_lo"], cfg["eps_count"]), UsageError)
     report = getattr(asymptotics, f"{audit}_audit")(
-        cfg["m"], eps_grid=_eps_grid(cfg, fallback), seed=cfg["seed"],
+        cfg["m"], eps_grid=eps, seed=cfg["seed"],
         first_scale=cfg["first_scale"])
     return dict(report.summary(), seed=cfg["seed"]), [
         (f"{audit}_terms.csv", ("term", "eps", "value"), list(report.rows()))]
@@ -396,14 +385,14 @@ def _run_solve_torus(cfg):
 
     try:
         spin = dirac_torus.SpinStructure.from_text(cfg["spin"]).astuple()
-        # the library's own checks of cutoff and grid size, before any
-        # solve, so that bad values are usage errors
-        dirac_torus.build_dirac(cfg["modes"], spin, cfg.get("grid"))
+        # the library's own check of the cutoff, before any solve, so
+        # that a bad value is a usage error
+        dirac_torus.build_dirac(cfg["modes"], spin)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     state = dirac_torus.solve_ground_state(
         cfg["modes"], spin, tol=cfg["tol"], seed=cfg["seed"],
-        starts=cfg["starts"], n_g=cfg.get("grid"))
+        starts=cfg["starts"])
     payload = dict(state.summary(), iterations=state.iterations,
                    nehari_scale=state.nehari_scale, seed=cfg["seed"],
                    converged_starts=state.converged_starts,
@@ -453,8 +442,8 @@ _COMMANDS = {
                               {"spectrum": None, "starts": 8, "tol": 1e-10,
                                "seed": 0}),
     "solve torus": _Command(_run_solve_torus, "spectral Dirac ground state",
-                            {"spin": "0.5,0.5", "modes": 2.0, "grid": None,
-                             "starts": 2, "tol": 1e-8, "seed": 0}),
+                            {"spin": "0.5,0.5", "modes": 2.0, "starts": 2,
+                             "tol": 1e-8, "seed": 0}),
 }
 
 # help of the first word of the two-word subcommands

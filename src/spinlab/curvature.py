@@ -110,8 +110,9 @@ def riemann_project(arr: np.ndarray) -> np.ndarray:
     return a - cyc / 3.0
 
 
-def random_riemann(m: int, seed, scale: float = 1.0, weyl_only: bool = False) -> RiemannTensor:
-    """Random tensor with exact Riemann symmetries, optionally trace free."""
+def random_riemann(m: int, seed, weyl_only: bool = False) -> RiemannTensor:
+    """Random tensor with exact Riemann symmetries, optionally trace free,
+    of unit Frobenius norm."""
     rng = np.random.default_rng(seed)
     comp = riemann_project(rng.standard_normal((m,) * 4))
     R = RiemannTensor(m, comp)
@@ -120,7 +121,7 @@ def random_riemann(m: int, seed, scale: float = 1.0, weyl_only: bool = False) ->
     nrm = R.frobenius()
     if nrm == 0.0:
         raise ValueError("degenerate random draw")
-    return RiemannTensor(m, R.components * (scale / nrm))
+    return RiemannTensor(m, R.components * (1.0 / nrm))
 
 
 def ricci(R: RiemannTensor) -> np.ndarray:
@@ -303,20 +304,18 @@ def _ricci_target_to_riemann(V_ab):
     return T
 
 
-def cnc_condition3_residual(R: RiemannTensor, jets: CurvatureJets,
-                            n_samples: int = 2048, seed: int = 0) -> float:
+def cnc_condition3_residual(R: RiemannTensor, jets: CurvatureJets) -> float:
     """Sampled sup over unit x of the quartic form of the third flatness condition.
 
     The form is (Ric_ab,kl + (22/9) sum_{i,d} R_iabd R_ikld) x^a x^b x^k x^l;
-    only its full symmetrisation matters, and the sup is estimated on a
-    deterministic set of unit vectors (zero iff the symmetrised tensor is).
+    only its full symmetrisation matters, and the sup is estimated on 2048
+    unit vectors drawn from seed 0 (zero iff the symmetrised tensor is).
     """
     m = R.m
     ric_d2 = np.einsum("iaikbc->akbc", jets.second)
     rr = np.einsum("iabd,ikld->abkl", R.components, R.components)
     S = _sym4(ric_d2 + (22.0 / 9.0) * rr)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((n_samples, m))
+    u = np.random.default_rng(0).standard_normal((2048, m))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     vals = np.einsum("abkl,pa,pb,pk,pl->p", S, u, u, u, u)
     return float(np.abs(vals).max())

@@ -27,7 +27,7 @@ one batched product along the other.
 
 The grid is exact at n_g >= 2 nk - 1, where nk = modes.max() -
 modes.min() + 1 is the width of the box, and that threshold is the
-default.  Proof: on each axis a field is sum_k a_k exp(i (k + delta) x)
+grid.  Proof: on each axis a field is sum_k a_k exp(i (k + delta) x)
 with nk consecutive labels k, so conj(psi) psi' has integer frequencies
 k' - k of modulus <= nk - 1 and the spin phase cancels.  The integrand
 |psi|^4, and the integrand |psi|^2 psi exp(-i (k + delta) x) of every
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-import numbers
 
 import numpy as np
 
@@ -228,22 +227,17 @@ class SpectralBasis:
                     (1.0, c[2 * M:])))
 
 
-def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBasis:
+def build_dirac(lam_max: float, delta=(0.5, 0.5)) -> SpectralBasis:
     """Enumerate the modes below the cutoff and diagonalize the symbol.
 
-    The grid resolution ``n_g`` defaults to the exact threshold
-    2 nk - 1, with nk = modes.max() - modes.min() + 1 the width of the
-    transform box; a smaller grid, or one that is not an integer, is
-    rejected.  The module docstring proves the threshold exact and
-    sharp.
+    The grid resolution ``n_g`` is the exact threshold 2 nk - 1, with
+    nk = modes.max() - modes.min() + 1 the width of the transform box;
+    the module docstring proves it exact and sharp.
     """
     if not lam_max >= 1.0:
         raise ValueError("mode cutoff must be at least 1")
     if not math.isfinite(lam_max):
         raise ValueError("mode cutoff must be finite")
-    if n_g is not None and (isinstance(n_g, bool)
-                            or not isinstance(n_g, numbers.Integral)):
-        raise ValueError(f"grid size must be an integer, got {n_g!r}")
     if not isinstance(delta, SpinStructure):
         d1, d2 = delta
         delta = SpinStructure(float(d1), float(d2))
@@ -259,12 +253,7 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
     order = np.lexsort((modes[:, 1], modes[:, 0], lam))
     modes, theta, lam = modes[order], theta[order], lam[order]
 
-    exact_ng = 2 * (int(modes.max()) - int(modes.min()) + 1) - 1
-    if n_g is None:
-        n_g = exact_ng
-    elif n_g < exact_ng:
-        raise ValueError(f"grid size {n_g} aliases the quartic term; "
-                         f"need at least {exact_ng}")
+    n_g = 2 * (int(modes.max()) - int(modes.min()) + 1) - 1
 
     # symbol -(theta . sigma) has eigenvector (1, -c/|theta|) for +|theta|
     # and (1, c/|theta|) for -|theta|, with c = theta_1 + i theta_2
@@ -275,7 +264,7 @@ def build_dirac(lam_max: float, delta=(0.5, 0.5), n_g: int = None) -> SpectralBa
                        -unit * inv_sqrt2], axis=1)
     e_minus = np.stack([np.full(lam.size, inv_sqrt2 + 0j),
                         unit * inv_sqrt2], axis=1)
-    return SpectralBasis(float(lam_max), delta, int(n_g), modes,
+    return SpectralBasis(float(lam_max), delta, n_g, modes,
                          theta, lam, e_plus, e_minus)
 
 
@@ -596,8 +585,7 @@ class GroundState:
 
 
 def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
-                       seed: int = 0, starts: int = 2,
-                       n_g: int = None) -> GroundState:
+                       seed: int = 0, starts: int = 2) -> GroundState:
     """Ground state of the truncated functional through the reduction.
 
     The positive spectral subspace is X, the negative one Y, and the
@@ -606,7 +594,7 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
     best approximation; the full gradient of Phi is then checked, and
     the critical-value identity Phi = (1/4) int |psi|^4 must hold.
     """
-    basis = build_dirac(lam_max, delta, n_g)
+    basis = build_dirac(lam_max, delta)
     return _solve_on_basis(basis, tol=tol, seed=seed, starts=starts)
 
 
@@ -641,7 +629,7 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
 
 
 def refine_ground_state(state: GroundState, lam_max: float,
-                        tol: float = 1e-8, n_g: int = None) -> GroundState:
+                        tol: float = 1e-8) -> GroundState:
     """Re-solve on a finer mode cutoff, warm started from a coarse state.
 
     The coarse positive-block coefficients seed the first descent
@@ -652,7 +640,7 @@ def refine_ground_state(state: GroundState, lam_max: float,
     coarse = state.basis
     if lam_max <= coarse.lam_max:
         raise ValueError("refinement needs a strictly larger mode cutoff")
-    basis = build_dirac(lam_max, coarse.delta, n_g)
+    basis = build_dirac(lam_max, coarse.delta)
     initial = np.zeros(basis.size, dtype=complex)
     initial[:coarse.n_modes] = state.psi[:coarse.n_modes]
     return _solve_on_basis(basis, tol=tol, seed=state.seed, starts=1,

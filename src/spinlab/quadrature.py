@@ -2,11 +2,12 @@
 
 The angular rule tensors Gauss-Jacobi nodes in the polar cosines, taken
 from the Golub-Welsch eigenproblem (Math. Comp. 23, 1969), with a
-uniform rule on the final circle.  With ``n_polar`` nodes per polar axis
-it integrates polynomials of total degree <= 2 n_polar - 1 exactly
-against the surface measure, and the node set is closed under the
-antipodal map with matched weights, so odd integrands cancel to rounding
-dust instead of leaving a quadrature error.
+uniform rule of 2 ``n_polar`` nodes on the final circle.  With
+``n_polar`` nodes per polar axis it integrates polynomials of total
+degree <= 2 n_polar - 1 exactly against the surface measure, and the
+node set is closed under the antipodal map with matched weights, so odd
+integrands cancel to rounding dust instead of leaving a quadrature
+error.
 
 The radial side is plain Gauss-Legendre stitched over panels whose edges
 are pinned to the break radii of the integrand (the cutoff is only C^2
@@ -59,25 +60,23 @@ def _gauss_gegenbauer(n: int, alpha: float):
     return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
 
 
-def sphere_rule(m: int, n_polar: int = 5, n_circle: int = 10) -> SphereRule:
+def sphere_rule(m: int, n_polar: int = 5) -> SphereRule:
     """Product rule on S^{m-1}, exact through total degree 2*n_polar - 1.
 
-    ``n_circle`` is rounded up to an even count so the rule keeps its
-    antipodal symmetry; it must also stay at least 2*n_polar so the final
-    angle never becomes the accuracy bottleneck.  The rule has
-    n_circle * n_polar^(m-2) nodes, at most 2^20 (100 MB of coordinates
-    at m = 12).
+    The final circle carries 2*n_polar uniform nodes: an even count, so
+    the rule keeps its antipodal symmetry, and exact through the same
+    degree, so that angle is never the accuracy bottleneck.  The rule has
+    2 n_polar^(m-1) nodes, at most 2^20 (100 MB of coordinates at m = 12).
     """
-    for name, value, low in (("m", m, 2), ("n_polar", n_polar, 1),
-                             ("n_circle", n_circle, 1)):
+    for name, value, low in (("m", m, 2), ("n_polar", n_polar, 1)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
                 or value < low:
             raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
-    n_circle = max(n_circle + n_circle % 2, 2 * n_polar)
+    n_circle = 2 * n_polar
     # in Python integers, which cannot overflow
-    if int(n_circle) * int(n_polar) ** (int(m) - 2) > 1 << 20:
-        raise ValueError(f"need n_circle * n_polar^(m-2) <= 2^20 nodes, got "
-                         f"m = {m}, n_polar = {n_polar}, n_circle = {n_circle}")
+    if 2 * int(n_polar) ** (int(m) - 1) > 1 << 20:
+        raise ValueError(f"need 2 n_polar^(m-1) <= 2^20 nodes, got "
+                         f"m = {m}, n_polar = {n_polar}")
 
     phi = 2.0 * math.pi * np.arange(n_circle) / n_circle
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)

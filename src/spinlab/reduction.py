@@ -207,11 +207,11 @@ class HypothesisReport:
 
 
 def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
-                     seed: int = 0, tol: float = 1e-12) -> HypothesisReport:
+                     seed: int = 0) -> HypothesisReport:
     """Sample the structural conditions and report worst margins.
 
     Margins are normalized by the magnitude of the quantities involved,
-    so a margin below -tol is a genuine violation rather than float
+    so a margin below -1e-12 is a genuine violation rather than float
     noise.  The nonvanishing part of H3 is reported as an H3 failure
     when every sampled value of Psi is zero.
     """
@@ -225,7 +225,7 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
 
     def record(name, margin):
         worst[name] = min(worst[name], margin)
-        if not margin >= -tol:
+        if not margin >= -1e-12:
             counts[name] += 1
 
     for _ in range(n_samples):
@@ -749,7 +749,7 @@ class EnvelopeAudit:
 
 
 def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
-                       tol: float = 1e-10, s_grid=None, seed: int = 0,
+                       s_grid=None, seed: int = 0,
                        result: NehariResult = None) -> EnvelopeAudit:
     """Fit the envelope constant over perturbations z + s * noise.
 
@@ -757,8 +757,9 @@ def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
     checked before any solve) perturbs z along four random unit
     directions.  The minimal admissible C is the largest
     ratio of the level deficit gamma - L to the squared gradient across
-    the family; the envelope holds when that ratio stays finite (a
-    positive deficit with a zero gradient would break it).
+    the family, over the deficits above 1e-10; the envelope holds when
+    that ratio stays finite (a positive deficit with a zero gradient
+    would break it).
     """
     z = np.asarray(z, dtype=float)
     base = problem.energy(z)
@@ -785,7 +786,7 @@ def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
     C = 0.0
     ok = True
     for d, g2 in zip(deficits, grad_sq):
-        if d <= tol:
+        if d <= 1e-10:
             continue
         if g2 == 0.0:
             C = math.inf

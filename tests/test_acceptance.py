@@ -312,7 +312,7 @@ def test_10_toy_reduction_ground_level_and_hypotheses():
                                            abs=1e-8 * (1.0 + x4))
     assert worst_margin >= -1e-10, f"worst margin {worst_margin:.3e}"
 
-    report = check_hypotheses(problem, n_samples=10000, seed=0, tol=1e-12)
+    report = check_hypotheses(problem, n_samples=10000, seed=0)
     assert report.violations["H5"] == 0
     assert report.ok
 

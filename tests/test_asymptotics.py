@@ -218,11 +218,9 @@ def test_moment_table_validations(monkeypatch):
     for rho in (math.nan, -2.0):
         with pytest.raises(ValueError, match="upper radius"):
             moment_table(5, rho=rho)
-    for n_polar in (0, True, 3.0):
-        with pytest.raises(ValueError, match="integer n_polar"):
-            moment_table(5, n_polar=n_polar)
-    # past m = 12 the default rule has over 2^20 nodes, and from m = 172
-    # on the closed form overflows: both refused before the rule is built
+    # past m = 12 the rule of 3 polar nodes has over 2^20 nodes, and from
+    # m = 172 on the closed form overflows: both refused before the rule
+    # is built
     monkeypatch.setattr(quadrature, "_gauss_gegenbauer", _unreachable)
     for m in (13, 160):
         with pytest.raises(ValueError, match=r"2\^20 nodes"):
@@ -351,7 +349,7 @@ def test_engine_matches_direct_field_evaluation(m5_inputs):
     R, jets = m5_inputs.riemann, m5_inputs.jets
     psi0 = m5_inputs.params.psi0
     params = make_params(m, 1.0, delta, psi0)
-    rule = sphere_rule(m, 2, 4)
+    rule = sphere_rule(m, 2)
     engine = _AuditEngine(AuditInputs(R, jets, params), rule=rule, n_leg=8)
     out = engine.terms(eps)
 
@@ -483,7 +481,7 @@ def test_audit_inputs_reject_jets_of_another_m(m5_inputs):
 
 def test_quadrature_self_consistency(m5_inputs):
     coarse = _AuditEngine(m5_inputs)
-    fine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 6, 12), n_leg=24)
+    fine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 6), n_leg=24)
     a, b = coarse.terms(1e-2), fine.terms(1e-2)
     for key in ("J2", "J3", "J6", "den", "num"):
         assert a[key] == pytest.approx(b[key], rel=1e-8), key
@@ -495,7 +493,7 @@ def test_quadrature_self_consistency(m5_inputs):
 
 def test_engine_terms_returns_requested_keys(m5_inputs):
     generic = np.ones(m5_inputs.params.rep.N, dtype=complex) / 2.0
-    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2, 4), n_leg=8,
+    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2), n_leg=8,
                           generic_psi0=generic)
     full = engine.terms(0.02)
     assert set(full) == set(J_TERMS + A_TERMS) | {"total", "num", "J4_abs",
@@ -549,7 +547,7 @@ def test_engine_factored_contractions_at_m8():
     generic = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     generic /= np.linalg.norm(generic)
     engine = _AuditEngine(AuditInputs(R, jets, params),
-                          rule=sphere_rule(m, 2, 4), n_leg=4,
+                          rule=sphere_rule(m, 2), n_leg=4,
                           generic_psi0=generic)
     for eps in (0.05, 2e-3):
         out = engine.terms(eps)
@@ -606,7 +604,7 @@ def test_qnorms_match_recorded_audit_m6():
 
 
 def test_qnorms_of_hand_built_fields(m5_inputs):
-    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2, 4), n_leg=8)
+    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2), n_leg=8)
     r, w = panel_nodes(shell_edges(0.02, engine.delta), engine.n_leg)
     meas = w * r ** 4
     n, K = r.size, engine.tables.shape[0]
@@ -627,7 +625,7 @@ def test_qnorms_of_hand_built_fields(m5_inputs):
 
 
 def test_pointwise_gram_waits_for_a_qnorm(m5_inputs):
-    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2, 4), n_leg=8)
+    engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2), n_leg=8)
     engine.terms(0.02, ("J2",))
     assert engine._point_gram is None
     engine.terms(0.02, ("A1",))
@@ -663,14 +661,14 @@ def test_flat_curvature_zeroes_the_curved_terms():
     m = 5
     flat = AuditInputs(RiemannTensor(m, np.zeros((m,) * 4)), CurvatureJets(m),
                        make_params(m))
-    engine = _AuditEngine(flat, rule=sphere_rule(m, 2, 4), n_leg=8)
+    engine = _AuditEngine(flat, rule=sphere_rule(m, 2), n_leg=8)
     out = engine.terms(0.02)
     for key in ("A3", "A4", "A5", "A6", "J4", "J5", "J6", "J7"):
         assert out[key] == 0.0, key
     assert out["A1"] > 0.0 and out["A2"] > 0.0
     assert abs(out["J1"]) <= 1e-10 * out["J2"]
 
-    report = residual_audit(m, inputs=flat, rule=sphere_rule(m, 2, 4),
+    report = residual_audit(m, inputs=flat, rule=sphere_rule(m, 2),
                             n_leg=8)
     summary = report.summary()
     terms = summary["terms"]
@@ -691,7 +689,7 @@ def test_flat_curvature_zeroes_the_curved_terms():
 
 @pytest.fixture(scope="module")
 def m5_rule():
-    return sphere_rule(5, 4, 8)
+    return sphere_rule(5, 4)
 
 
 @pytest.fixture(scope="module")
@@ -895,7 +893,7 @@ def test_residual_and_rayleigh_audits_leave_scipy_integrate_unloaded():
             "from spinlab.asymptotics import rayleigh_audit, residual_audit\n"
             "from spinlab.quadrature import sphere_rule\n"
             "kw = dict(eps_grid=np.geomspace(1e-1, 1e-2, 4),\n"
-            "          rule=sphere_rule(5, 2, 4), n_leg=4)\n"
+            "          rule=sphere_rule(5, 2), n_leg=4)\n"
             "residual_audit(5, **kw)\n"
             "rayleigh_audit(5, **kw)\n"
             "print('scipy.integrate' in sys.modules)\n")

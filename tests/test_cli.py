@@ -13,7 +13,7 @@ import pytest
 
 from spinlab import asymptotics
 from spinlab.asymptotics import AUDIT_M_RANGE
-from spinlab.cli import _COMMANDS, RunConfig, UsageError, _strict, run
+from spinlab.cli import _COMMANDS, _TYPES, RunConfig, UsageError, _strict, run
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli-output.md"
 
@@ -97,6 +97,19 @@ def test_audit_short_grid_passes(capsys, audit):
                                             for k in range(4)], rel=1e-12)
 
 
+@pytest.mark.parametrize("count", ["2", "3"])
+def test_audit_rayleigh_takes_what_the_library_takes(capsys, count):
+    # rayleigh_audit reads only its two smallest scales, so the CLI takes
+    # grids of 2 and 3 points for it, as the library does
+    rc, payload = run_strict_json(capsys, [
+        "audit", "rayleigh", "--eps-hi", "1e-2", "--eps-lo", "5e-3",
+        "--eps-count", count])
+    assert rc == 0
+    assert payload["ok"] is True
+    assert payload["eps"] == pytest.approx(
+        list(np.geomspace(1e-2, 5e-3, int(count))), rel=1e-12)
+
+
 @pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])
 def test_audit_payload_is_the_report_summary(capsys, monkeypatch, audit):
     # the CLI adds only the seed to the library's summary, verdict included
@@ -127,6 +140,14 @@ def test_audit_energy_stdout_is_strict_json(capsys):
      "--eps-count", "3"],
     ["audit", "energy", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
      "--eps-count", "2"],
+    ["audit", "rayleigh", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
+     "--eps-count", "1"],
+    ["audit", "residual", "--eps-hi", "1e-3", "--eps-lo", "1e-2",
+     "--eps-count", "4"],
+    # the grid's two ends are adjacent doubles, so its inner points repeat
+    # one of them and the grid is not strictly decreasing
+    ["audit", "rayleigh", "--eps-hi", "0.010000000000000002",
+     "--eps-lo", "0.01", "--eps-count", "4"],
     ["audit", "residual", "--m", "3"],
     ["audit", "energy", "--m", "4"],
     ["audit", "rayleigh", "--m", "4"],
@@ -180,9 +201,11 @@ def test_solve_generic_needs_spectrum(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "torus", "--spin", "0.3,0"],
     ["solve", "torus", "--modes", "0.5"],
-    ["solve", "torus", "--modes", "2", "--grid", "6"],
-    ["solve", "torus", "--modes", "1.5", "--grid", "2"],
+    # the grid is always the exact 2 nk - 1 (7 at --modes 2), and the
+    # flag that set it is gone: argparse refuses it as unknown
+    ["solve", "torus", "--modes", "2", "--grid", "7"],
     ["solve", "torus", "--modes", "nan"],
+    ["solve", "torus", "--spin", "1/2"],
     ["solve", "generic", "--spectrum", "1,inf,-1"],
     ["solve", "generic", "--spectrum", "1,nan,-1"],
     ["solve", "generic", "--spectrum", "1,0"],
@@ -190,11 +213,11 @@ def test_solve_generic_needs_spectrum(capsys):
     ["solve", "generic", "--spectrum", "1"],
 ])
 def test_solve_bad_input_is_usage_error(capsys, argv):
-    # a grid must hold 2 nk - 1 points per axis, nk the width of the
-    # box of mode labels: 7 at --modes 2 (labels -2..1), 3 at --modes 1.5
-    # (labels -1..0)
     start = time.perf_counter()
-    rc = run(argv)
+    try:
+        rc = run(argv)
+    except SystemExit as exc:  # the parser's own errors
+        rc = exc.code
     captured = capsys.readouterr()
     assert time.perf_counter() - start < 2.0
     assert rc == 2
@@ -321,6 +344,22 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
         assert rc == 2
         assert captured.out == ""
         assert key in json.loads(captured.err)["error"]
+
+
+def test_config_rejects_the_removed_grid_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 7\n")
+    rc = run(["solve", "torus", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "unknown config key 'grid'" in json.loads(captured.err)["error"]
+
+
+def test_every_config_key_is_an_option():
+    # a key that no subcommand takes is a setting nothing can set
+    options = set().union(*(c.options for c in _COMMANDS.values()))
+    assert set(_TYPES) - {"out_dir"} == options
 
 
 def test_config_unreadable_is_usage_error(capsys, tmp_path):

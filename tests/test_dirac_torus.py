@@ -109,15 +109,12 @@ def test_build_dirac_mode_inventory():
         build_dirac(0.5)
     # the box of labels -2..1 has width 4, so the exact grid has 7 points
     assert basis.n_g == 7
-    assert build_dirac(2.0, (0.5, 0.5), n_g=7).n_g == 7
-    with pytest.raises(ValueError, match="aliases"):
-        build_dirac(2.0, (0.5, 0.5), n_g=6)
-
-
-@pytest.mark.parametrize("n_g", [30.5, math.inf, True, 31.0, "31"])
-def test_build_dirac_rejects_non_integer_grid(n_g):
-    with pytest.raises(ValueError, match="grid size must be an integer"):
-        build_dirac(2.0, (0.5, 0.5), n_g=n_g)
+    # the grid is always the exact 2 nk - 1, nk the width of the box
+    for delta in ((0.5, 0.5), (0.0, 0.0), (0.5, 0.0), (0.0, 0.5)):
+        for lam_max in (1.0, 1.5, 2.0, 3.0):
+            b = build_dirac(lam_max, delta)
+            nk = int(b.modes.max() - b.modes.min()) + 1
+            assert b.n_g == 2 * nk - 1, (delta, lam_max)
 
 
 @pytest.mark.parametrize("lam_max", [math.inf, -math.inf, math.nan])
@@ -182,13 +179,15 @@ SPIN_STRUCTURES = [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]
 
 def test_to_grid_matches_mode_sum():
     # psi(x) = sum_k w_k exp(i (k + delta) . x) / (2 pi), kernel included,
-    # at every grid point, on all four spin structures; also two odd,
-    # non-default grid sizes
+    # at every grid point, on all four spin structures; also on two finer
+    # odd grids
     cases = [(lam_max, None) for lam_max in (1.5, 3.0, 6.0)]
     cases += [(2.0, 23), (2.0, 21)]
     for delta in SPIN_STRUCTURES:
         for lam_max, n_g in cases:
-            basis = build_dirac(lam_max, delta, n_g)
+            basis = build_dirac(lam_max, delta)
+            if n_g is not None:
+                basis = dataclasses.replace(basis, n_g=n_g)
             rng = np.random.default_rng(53)
             sp = random_spinor(basis, rng)
             grid = basis.to_grid(sp)
@@ -217,7 +216,9 @@ def test_from_grid_matches_fft_projection():
     # removed gives it
     for delta, n_g in (((0.5, 0.5), None), ((0.0, 0.0), 23),
                        ((0.5, 0.0), None)):
-        basis = build_dirac(2.0, delta, n_g)
+        basis = build_dirac(2.0, delta)
+        if n_g is not None:
+            basis = dataclasses.replace(basis, n_g=n_g)
         n = basis.n_g
         rng = np.random.default_rng(59)
         grid = (rng.standard_normal((2, n, n))
@@ -255,7 +256,7 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
     basis = build_dirac(lam_max, delta)
     nk = int(basis.modes.max() - basis.modes.min()) + 1
     assert basis.n_g == 2 * nk - 1
-    fine = build_dirac(lam_max, delta, 4 * basis.n_g)
+    fine = dataclasses.replace(basis, n_g=4 * basis.n_g)
     rng = np.random.default_rng(67)
     sp = random_spinor(basis, rng)
 
@@ -275,7 +276,7 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
     assert rel_diff(problem.hess_psi(u, v),
                     problem_f.hess_psi(u, v)) <= 1e-13
 
-    # build_dirac refuses the aliasing grid, so shrink the basis directly
+    # build_dirac builds only the exact grid, so shrink the basis directly
     coarse = dataclasses.replace(basis, n_g=basis.n_g - 1)
     assert rel_diff(quartic(coarse, sp), quartic(fine, sp)) > 1e-8
 

@@ -50,18 +50,33 @@ def test_even_monomials_exact_to_degree_eight(m):
 
 @pytest.mark.parametrize("m", [3, 5, 8])
 def test_odd_monomials_vanish(m):
-    rule = sphere_rule(m, 3, 6)
+    rule = sphere_rule(m, 3)
     vals = rule.points[:, 0] * np.prod(rule.points ** 2, axis=1)
     assert abs(rule.integrate(vals)) < 1e-13
 
 
 def test_antipodal_closure():
-    rule = sphere_rule(4, 3, 6)
+    rule = sphere_rule(4, 3)
     pts, wts = rule.points, rule.weights
     # every node's negative is a node with the same weight
     dist = np.linalg.norm(pts[:, None, :] + pts[None, :, :], axis=2)
     partner = dist.argmin(axis=1)
     assert dist[np.arange(len(pts)), partner].max() < 1e-12
+    assert np.abs(wts - wts[partner]).max() < 1e-13 * wts.max()
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("n_polar", [1, 2, 3, 4, 5])
+def test_circle_is_two_n_polar(m, n_polar):
+    # 2 n_polar nodes on the final circle: 2 n_polar^(m-1) in all, and
+    # every node's negative is a node with the same weight
+    rule = sphere_rule(m, n_polar)
+    pts, wts = rule.points, rule.weights
+    assert pts.shape == (2 * n_polar ** (m - 1), m)
+    # the partner of a unit node is the node of least inner product with it
+    partner = np.concatenate([(pts[i:i + 512] @ pts.T).argmin(axis=1)
+                              for i in range(0, len(pts), 512)])
+    assert np.abs(pts + pts[partner]).max() < 1e-12
     assert np.abs(wts - wts[partner]).max() < 1e-13 * wts.max()
 
 
@@ -73,7 +88,7 @@ def test_rejects_low_dimension():
 @pytest.mark.parametrize("args", [
     (2.5,), (True,),
     (4, 0), (4, True), (4, 2.0),
-    (4, 3, 0), (4, 3, True), (4, 3, float("nan")), (4, 3, 6.0),
+    ("4",), (np.int64(1),), (4, np.float64(3.0)), (4, None),
 ])
 def test_rejects_bad_sizes(args):
     with pytest.raises(ValueError, match="need an integer"):
@@ -81,9 +96,9 @@ def test_rejects_bad_sizes(args):
 
 
 def test_rejects_rules_over_the_node_budget():
-    # a rule has n_circle * n_polar^(m-2) nodes: 6 * 3^11 is over 2^20
+    # a rule has 2 n_polar^(m-1) nodes: 2 * 3^12 is over 2^20
     with pytest.raises(ValueError, match=r"2\^20 nodes"):
-        sphere_rule(13, 3, 6)
+        sphere_rule(13, 3)
 
 
 # -- polar rule ----------------------------------------------------------------

@@ -1547,7 +1547,7 @@ def test_audit_layers_record_their_spans():
             "from spinlab import asymptotics\n"
             "from spinlab.quadrature import sphere_rule\n"
             "kw = dict(eps_grid=np.geomspace(1e-1, 1e-2, 4),\n"
-            "          rule=sphere_rule(5, 2, 4), n_leg=4)\n"
+            "          rule=sphere_rule(5, 2), n_leg=4)\n"
             "asymptotics.residual_audit(5, **kw)\n"
             "asymptotics.energy_audit(5, **kw)\n"
             "seen = {span[0] for span in tr.spans}\n"
