@@ -19,9 +19,9 @@ The quadrature is the product of one shared angular rule (see
 
 Every audited field is a sum of real radial coefficients times fixed
 angular spinor tables (see ``_AuditEngine``): a pairing reduces to the
-tables' angular Gram matrix, a q-norm to the pointwise Gram products of
-the tables the field uses, and each audit computes only the outputs it
-reads.
+tables' angular Gram matrix, a q-norm to their pointwise Gram products.
+Each audit builds only the Gram it reads and computes only the outputs
+it reads.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ from .spinor_fields import (
 
 __all__ = [
     "AUDIT_M_RANGE",
+    "AUDIT_MAX_FIRST_SCALE",
     "check_audit_m",
+    "check_first_scale",
     "check_eps_grid",
     "MomentTable",
     "OrderFit",
@@ -84,6 +86,9 @@ J_TERMS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7")
 # finite quartic moments; the cap is memory, as at m = 10 the default
 # sphere rule has 10 * 5^8 points and the pair products U (x) U take 3.1 GB
 AUDIT_M_RANGE = {"residual": (4, 9), "energy": (5, 9), "rayleigh": (5, 9)}
+# the cap on an audit's first_scale: tables grow linearly in it and Grams
+# quadratically, so at the cap they stay below 1e200 (overflow from ~1e150)
+AUDIT_MAX_FIRST_SCALE = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -354,78 +359,73 @@ def _default_rule(m: int):
 
 
 def _angular_slots(T, U, UU):
-    """``T[i, j, a1..ad]`` with its d = 2, 3, 4 slots at U[p]: (P, m, m).
+    """``T[i, j, a1..ad]`` with its d = 2, 3, 4 slots at U[p]: (P, I, J).
 
     One GEMM against the pair products UU = U (x) U eats the last two
     slots; a batched product with U or UU eats what is left.  The angles
-    run in chunks so the (chunk, m^d) intermediate fits the block budget.
+    run in chunks so each intermediate fits the block budget.
     """
     P, m = U.shape
     rows = T.reshape(-1, m * m)
     rest = {2: None, 3: U, 4: UU}[T.ndim - 2]
-    out = np.empty((P, m * m))
+    out = np.empty((P, T.shape[0] * T.shape[1]))
     step = max(1, _BLOCK_BYTES // (8 * rows.shape[0]))
     for lo in range(0, P, step):
         Y = UU[lo:lo + step] @ rows.T
         if rest is not None:
-            Y = (Y.reshape(Y.shape[0], m * m, -1)
+            Y = (Y.reshape(Y.shape[0], out.shape[1], -1)
                  @ rest[lo:lo + step, :, None])[..., 0]
         out[lo:lo + step] = Y
-    return out.reshape(P, m, m)
+    return out.reshape(P, *T.shape[:2])
 
 
-def _theta_tables(C, G, U, psi0):
-    """Angular images of the cubic Clifford term on the profile spinors.
+def _theta_tables(theta, G, U, UU, psi):
+    """Angular images of the cubic Clifford term on the spinor psi.
 
-    ``C[p]`` is the real cubic form at angle p, flattened to (P, m^3).
-    Returns (TH0, TH1) with TH0[p] that form applied to psi0 and TH1[p]
-    the same applied to the angular partner gamma(u) psi0.
+    Returns (TH0, TH1): at angle p, theta[ijk, abc] u_a u_b u_c gamma_i
+    gamma_j gamma_k applied to psi and to its partner gamma(u) psi.  theta
+    meets the Clifford words first and ``_angular_slots`` eats the u slots,
+    so the (P, m^3) cubic form at the angles is never built.
     """
     P, m = U.shape
-    N = psi0.size
-    X1 = np.einsum("irs,s->ir", G, psi0)
-    X2 = np.einsum("jrs,ks->jkr", G, X1)
-    X3 = np.einsum("irs,jks->ijkr", G, X2)
-    W2 = np.einsum("krs,as->kar", G, X1)
-    W3 = np.einsum("jrs,kas->jkar", G, W2)
-    X4 = np.einsum("irs,jkas->ijkar", G, W3)
-    X = np.concatenate([X3.reshape(m ** 3, N), X4.reshape(m ** 3, m * N)],
-                       axis=1)
-    CX = C @ X.real + 1j * (C @ X.imag)
-    TH1 = np.einsum("pan,pa->pn", CX[:, N:].reshape(P, m, N), U)
-    return CX[:, :N], TH1
+    out = []
+    for X in (psi, np.einsum("irs,s->ir", G, psi)):
+        for _ in range(3):
+            X = np.einsum("irs,...s->i...r", G, X)
+        Y = theta.reshape(m ** 3, -1).T @ X.reshape(m ** 3, -1).view(float)
+        T = np.moveaxis(Y.reshape(X.shape + (2,)), (-2, -1), (0, 1))
+        out.append(_angular_slots(T, U, UU).reshape(P, -1).view(complex))
+    return out
 
 
 class _AuditEngine:
-    """Angular tables, their Gram matrix, and a per-epsilon radial sweep.
+    """Angular tables, their Gram matrices, and a per-epsilon radial sweep.
 
     Every audited field is a sum of real radial coefficients times fixed
-    angular spinor tables T_k(p), stacked once as a complex (K, P, N)
-    array: S0, S1 (the profile spinor and its angular partner), TH0, TH1
-    (cubic Clifford term), L1S0..L2S1 (vector term), Q2..Q4, Z2..Z4 and
-    P2..P4 (the B-jet terms by degree), plus S0g, S1g, TH0g, TH1g for a
-    generic spinor.  Set-up keeps the real Gram matrix
-    G_kl = sum_p WA_p Re<T_k(p), T_l(p)> and the four pointwise products
-    <TH_a(p), S_b(p)>.
+    angular spinor tables T_k(p), each written into its row of one complex
+    (K, P, N) array: S0, S1 (the profile spinor and its angular partner),
+    TH0, TH1 (cubic Clifford term), L1S0..L2S1 (vector term), Q2..Q4,
+    Z2..Z4 and P2..P4 (the B-jet terms by degree), plus S0g, S1g, TH0g,
+    TH1g for a generic spinor.  Set-up builds the tables and nothing else.
 
     ``terms`` maps the radial nodes of one epsilon to a coefficient
     matrix c (nodes, K) per field.  A pairing is then sum_t meas_t
-    a(t)^T G b(t), and |J4| needs one (nodes, P) array of pointwise
-    products.  A q-norm needs |A|^2 at every node and angle, which is
-    sum_{k<=l} (2 - delta_kl) c_tk c_tl H_kl(p) with the pointwise Gram
-    H_kl(p) = Re<T_k(p), T_l(p)>, kept as its upper triangle and built
-    on the first q-norm.  Each field uses only its support (the tables
-    with a nonzero coefficient) and its live nodes (the rows that are
-    not all zero), so |A|^2 is one GEMM of the support's pair products
-    against their rows of H.  Only the part an audit reads is computed.
+    a(t)^T G b(t) with the Gram matrix G = ``gram``, and |J4| needs one
+    (nodes, P) array of the pointwise products ``th_s``.  A q-norm needs
+    |A|^2 at every node and angle, which is sum_{k<=l} (2 - delta_kl)
+    c_tk c_tl H_kl(p) with the pointwise Gram H = ``point_gram``.  Each
+    field uses only its support (the tables with a nonzero coefficient)
+    and its live nodes (the rows that are not all zero), so |A|^2 is one
+    GEMM of the support's pair products against their entries of H.
+    G, ``th_s`` and H are each built on first use: the residual audit
+    builds only H, the energy audit only G and ``th_s``.
     """
 
     def __init__(self, inputs: AuditInputs, rule=None, n_leg: int = 16,
                  vol_degree: int = 5, generic_psi0=None):
         m, params = inputs.m, inputs.params
-        rep = params.rep
         self.m = m
-        self.N = rep.N
+        self.N = N = params.rep.N
         self.q = 2.0 * m / (m + 1.0)
         self.two_star = 2.0 * m / (m - 1.0)
         self.cm = float(m) ** ((m - 1) / 2.0)
@@ -436,62 +436,67 @@ class _AuditEngine:
         self.generic = generic_psi0 is not None
 
         U = self.rule.points
-        WA = self.rule.weights
-        self.WA = WA
+        self.WA = self.rule.weights
         P = U.shape[0]
         UU = (U[:, :, None] * U[:, None, :]).reshape(P, m * m)
-        G = np.stack(rep.gammas)
-
-        psi0 = params.psi0
-        GPsi = np.einsum("irs,s->ir", G, psi0)
-        GG = np.einsum("irs,as->iar", G, GPsi)
-        GS1 = np.einsum("pa,ian->pin", U, GG)
-        tables = [np.broadcast_to(psi0, (P, self.N)), U @ GPsi]
-
+        G = np.stack(params.rep.gammas)
         theta, (lin, quad) = inputs.theta_lambda
-        C = (UU[:, :, None] * U[:, None, :]).reshape(P, m ** 3) \
-            @ theta.reshape(m ** 3, m ** 3).T
-        tables += _theta_tables(C, G, U, psi0)
-
-        for L in (U @ lin.T, UU @ quad.reshape(m, m * m).T):
-            tables += [L @ GPsi, np.einsum("pk,pkn->pn", L, GS1)]
-
         Bt, _ = b_coefficient_tensors(inputs.riemann, inputs.jets)
         bh = [_angular_slots(Bt[d], U, UU) for d in (2, 3, 4)]
         wh = [(b @ U[:, :, None])[..., 0] for b in bh]
-        tables += [w @ GPsi for w in wh]
-        tables += [np.einsum("pi,pin->pn", w, GS1) for w in wh]
-        tables += [b.reshape(P, m * m) @ GG.reshape(m * m, self.N) for b in bh]
 
-        if self.generic:
-            g = np.asarray(generic_psi0, dtype=complex)
-            tables += [np.broadcast_to(g, (P, self.N)),
-                       U @ np.einsum("irs,s->ir", G, g)]
-            tables += _theta_tables(C, G, U, g)
+        spinors = {tag: np.asarray(psi, dtype=complex) for tag, psi in
+                   (("", params.psi0), ("g", generic_psi0)) if psi is not None}
+        # all slot blocks run before the tables exist, so their peaks never add
+        cubic = {tag: _theta_tables(theta, G, U, UU, psi)
+                 for tag, psi in spinors.items()}
 
-        self.tables = np.ascontiguousarray(np.stack(tables), dtype=complex)
-        K = self.tables.shape[0]
-        flat = self.tables.view(float).reshape(K, P * 2 * self.N)
-        self.gram = (flat * np.repeat(WA, 2 * self.N)) @ flat.T
+        K = len(_TABLES) - (0 if self.generic else 4)
+        self.tables = T = np.empty((K, P, N), dtype=complex)
+        for tag, psi in spinors.items():
+            T[_ROW["S0" + tag]] = psi
+            T[_ROW["S1" + tag]] = U @ np.einsum("irs,s->ir", G, psi)
+            T[_ROW["TH0" + tag]], T[_ROW["TH1" + tag]] = cubic[tag]
+
+        GPsi = np.einsum("irs,s->ir", G, params.psi0)
+        GG = np.einsum("irs,as->iar", G, GPsi).reshape(m * m, N).view(float)
+
+        def words(A):  # sum_ij A[p, i, j] gamma_i gamma_j psi0: a real GEMM
+            return (A.reshape(P, m * m) @ GG).view(complex)
+
+        # the partner of a vector field L is sum_k L_k gamma_k gamma(u) psi0
+        fields = {"L1": U @ lin.T, "L2": UU @ quad.reshape(m, m * m).T}
+        for name, L in fields.items():
+            T[_ROW[name + "S0"]] = L @ GPsi
+            T[_ROW[name + "S1"]] = words(L[:, :, None] * U[:, None, :])
+        for d, b, w in zip((2, 3, 4), bh, wh):
+            T[_ROW[f"Q{d}"]] = w @ GPsi
+            T[_ROW[f"Z{d}"]] = words(w[:, :, None] * U[:, None, :])
+            T[_ROW[f"P{d}"]] = words(b)
+
+    @functools.cached_property
+    def gram(self):
+        """G_kl = sum_p WA_p Re<T_k(p), T_l(p)>: one GEMM."""
+        flat = self.tables.view(float).reshape(self.tables.shape[0], -1)
+        return (flat * np.repeat(self.WA, 2 * self.N)) @ flat.T
+
+    @functools.cached_property
+    def th_s(self):
+        """<TH_a(p), S_b(p)> for a, b in {0, 1}, as row 2a + b of (4, P)."""
         TH = self.tables[[_ROW["TH0"], _ROW["TH1"]]]
         S = self.tables[[_ROW["S0"], _ROW["S1"]]]
-        self.th_s = np.einsum("apn,bpn->abp", TH.conj(), S).reshape(4, P)
-        self._point_gram = None
+        return np.einsum("apn,bpn->abp", TH.conj(), S).reshape(4, -1)
 
-    def _pointwise_gram(self):
-        """(H, row): H[row[k, l]] = Re<T_k(p), T_l(p)> over p, for k <= l."""
-        if self._point_gram is None:
-            K, P, N = self.tables.shape
-            F = self.tables.view(float).reshape(K, P, 2 * N)
-            upper = np.triu_indices(K)
-            row = np.zeros((K, K), dtype=int)
-            row[upper] = np.arange(upper[0].size)
-            H = np.empty((upper[0].size, P))
-            for k in range(K):
-                H[row[k, k]:row[k, K - 1] + 1] = np.einsum(
-                    "pn,lpn->lp", F[k], F[k:])
-            self._point_gram = H, row
-        return self._point_gram
+    @functools.cached_property
+    def point_gram(self):
+        """(H, row): H[row[k, l]] = Re<T_k(p), T_l(p)> over p, for k <= l,
+        cut from one batched GEMM over p."""
+        K = self.tables.shape[0]
+        F = self.tables.view(float).transpose(1, 0, 2)
+        upper = np.triu_indices(K)
+        row = np.zeros((K, K), dtype=int)
+        row[upper] = np.arange(upper[0].size)
+        return (F @ F.transpose(0, 2, 1)).transpose(1, 2, 0)[upper], row
 
     def _coefficients(self, eps: float, r: np.ndarray) -> dict:
         """Coefficient rows (nodes, K) of every field at the radii r.
@@ -554,7 +559,7 @@ class _AuditEngine:
         return out
 
     def _qnorms(self, c: dict, meas: np.ndarray, names) -> dict:
-        H, row = self._pointwise_gram()
+        H, row = self.point_gram
         out = {}
         for name in names:
             coef = c[name]
@@ -676,6 +681,13 @@ def check_audit_m(audit: str, m: int, error=ValueError) -> None:
         raise error(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
 
 
+def check_first_scale(first_scale: float, error=ValueError) -> None:
+    """Raise ``error`` unless 0 <= first_scale <= AUDIT_MAX_FIRST_SCALE."""
+    if not 0.0 <= first_scale <= AUDIT_MAX_FIRST_SCALE:
+        raise error(f"first_scale must lie in [0, {AUDIT_MAX_FIRST_SCALE:g}]"
+                    f", got {first_scale!r}")
+
+
 def check_eps_grid(audit: str, eps, error=ValueError) -> np.ndarray:
     """``eps`` as a float array; raise ``error`` unless its scales are
     finite, positive, strictly decreasing and at least four (two for the
@@ -693,10 +705,12 @@ def check_eps_grid(audit: str, eps, error=ValueError) -> np.ndarray:
 
 
 def _preamble(audit, m, eps_grid, inputs, seed, first_scale):
-    """What every audit checks before any work: ``check_audit_m`` and
-    ``check_eps_grid``.  Returns the scales, by default the audit's
-    default grid, and the bundle: ``inputs``, or else the seeded draw."""
+    """What every audit checks before any work: ``check_audit_m``,
+    ``check_first_scale`` and ``check_eps_grid``.  Returns the scales, by
+    default the audit's default grid, and the bundle: ``inputs``, or else
+    the seeded draw."""
     check_audit_m(audit, m)
+    check_first_scale(first_scale)
     if eps_grid is None:
         eps_grid = (rayleigh_eps_grid() if audit == "rayleigh"
                     else default_eps_grid())

@@ -327,12 +327,13 @@ def _run_psi0(cfg):
 def _run_audit(cfg):
     """The audit the subcommand names, at the configured m, seed, first
     scale and scales (the geometric grid from eps_hi down to eps_lo, else
-    the audit's default), both checked as the library checks them; its
+    the audit's default), all checked as the library checks them; its
     report states the verdict."""
     from . import asymptotics
 
     audit = cfg.subcommand.split()[1]
     asymptotics.check_audit_m(audit, cfg["m"], UsageError)
+    asymptotics.check_first_scale(cfg["first_scale"], UsageError)
     eps = None
     given = [k for k in ("eps_lo", "eps_hi", "eps_count") if k in cfg.values]
     if len(given) not in (0, 3):

@@ -12,6 +12,8 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -626,16 +628,109 @@ def test_qnorms_of_hand_built_fields(m5_inputs):
 
 def test_pointwise_gram_waits_for_a_qnorm(m5_inputs):
     engine = _AuditEngine(m5_inputs, rule=sphere_rule(5, 2), n_leg=8)
+    derived = {"gram", "th_s", "point_gram"}
+    assert not derived & vars(engine).keys()
     engine.terms(0.02, ("J2",))
-    assert engine._point_gram is None
+    assert "point_gram" not in vars(engine)
     engine.terms(0.02, ("A1",))
-    H, row = engine._point_gram
+    H, row = engine.point_gram
     K, P, _ = engine.tables.shape
     assert H.shape == (K * (K + 1) // 2, P)
     k, l = _ROW["S1"], _ROW["P3"]
     want = np.einsum("pn,pn->p", engine.tables[k].conj(),
                      engine.tables[l]).real
     assert np.allclose(H[row[k, l]], want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("audit, built", [
+    (residual_audit, {"point_gram"}),
+    (energy_audit, {"gram", "th_s"}),
+])
+def test_audit_sweeps_build_only_what_they_read(audit, built, monkeypatch):
+    # the residual audit reads only q-norms, the energy audit only pairings
+    made = []
+
+    class Recorded(_AuditEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(asymptotics, "_AuditEngine", Recorded)
+    audit(5, eps_grid=np.geomspace(1e-2, 1e-3, 4), rule=sphere_rule(5, 2))
+    (engine,) = made
+    assert {"gram", "th_s", "point_gram"} & vars(engine).keys() == built
+
+
+def _einsum_oracle(spec, *operands):
+    """``np.einsum(spec, *operands)`` and the largest sum of the absolute
+    summands of one entry, the scale its rounding is measured against."""
+    want = np.einsum(spec, *operands, optimize=True)
+    scale = np.einsum(spec, *map(np.abs, operands), optimize=True).max()
+    return want, scale
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+def test_engine_tables_match_einsum(m):
+    # the cubic tables contract theta against the Clifford words before the
+    # angles, and each partner table sum_k L_k gamma_k gamma(u) psi0 is one
+    # GEMM of L (x) u; both against the einsum forms they replace.  The Q
+    # and Z tables are rounding dust, so each table is measured against
+    # the size of its summands rather than its own.
+    inputs = audit_inputs(m, seed=1)
+    rule = sphere_rule(m, 2)
+    rng = np.random.default_rng(m)
+    generic = [1.0, 1j] @ rng.standard_normal((2, inputs.params.rep.N))
+    engine = _AuditEngine(inputs, rule=rule, generic_psi0=generic)
+    U = rule.points
+    UU = (U[:, :, None] * U[:, None, :]).reshape(-1, m * m)
+    G = np.stack(inputs.params.rep.gammas)
+    psi0 = inputs.params.psi0
+    theta, (lin, quad) = inputs.theta_lambda
+    partner = "pk,krs,pa,ast,t->pr"
+    cases = {"L1S1": (partner, U @ lin.T, G, U, G, psi0),
+             "L2S1": (partner, UU @ quad.reshape(m, m * m).T, G, U, G, psi0)}
+    Bt, _ = b_coefficient_tensors(inputs.riemann, inputs.jets)
+    for d in (2, 3, 4):
+        bh = _angular_slots(Bt[d], U, UU)
+        w = (bh @ U[:, :, None])[..., 0]
+        cases[f"Z{d}"] = (partner, w, G, U, G, psi0)
+        cases[f"P{d}"] = ("pij,irs,jst,t->pr", bh, G, G, psi0)
+    cubic = "ijkabc,pa,pb,pc,irs,jst,ktu"
+    for tag, psi in (("", psi0), ("g", generic)):
+        cases["TH0" + tag] = (cubic + ",u->pr", theta, U, U, U, G, G, G, psi)
+        cases["TH1" + tag] = (cubic + ",pd,duv,v->pr", theta, U, U, U,
+                              G, G, G, U, G, psi)
+    for name, (spec, *operands) in cases.items():
+        want, scale = _einsum_oracle(spec, *operands)
+        got = engine.tables[_ROW[name]]
+        assert np.abs(got - want).max() <= 1e-13 * scale, name
+
+
+# the traced peaks of building the m = 6 engine and the Grams its audit
+# reads were 70.9 MB (residual) and 84.5 MB (energy) when set-up stacked a
+# list of tables and formed the cubic form at every angle; in place they
+# are 36.1 MB and 34.8 MB
+@pytest.mark.parametrize("audit, grams", [
+    ("residual", ("point_gram",)),
+    ("energy", ("gram", "th_s")),
+])
+def test_engine_setup_peak_memory_m6(audit, grams):
+    inputs = audit_inputs(6, seed=0)
+    generic = None
+    if audit == "energy":
+        coeff = theta_pairing_coefficients(inputs.theta_lambda[0])
+        generic = asymptotics._generic_spinor(inputs.params.rep, coeff)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        engine = _AuditEngine(inputs, generic_psi0=generic)
+        for name in grams:
+            getattr(engine, name)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, peak
 
 
 def test_angular_slots_match_einsum():
@@ -958,6 +1053,37 @@ def test_audits_reject_m_outside_range_before_any_work(audit, monkeypatch):
     for m in (lo - 1, hi + 1, 40):
         with pytest.raises(ValueError, match="audit needs"):
             run_audit(m)
+
+
+@pytest.mark.parametrize("audit", ["residual", "energy", "rayleigh"])
+def test_audits_reject_first_scale_past_the_cap_before_any_work(
+        audit, monkeypatch):
+    _forbid_audit_work(monkeypatch)
+    cap = asymptotics.AUDIT_MAX_FIRST_SCALE
+    run_audit = getattr(asymptotics, f"{audit}_audit")
+    for bad in (np.nextafter(cap, math.inf), 1e300, math.inf, math.nan,
+                -1e-3):
+        with pytest.raises(ValueError, match="first_scale must lie in"):
+            run_audit(6, first_scale=bad)
+    with pytest.raises(_WorkStarted):
+        run_audit(6, first_scale=cap)
+
+
+@pytest.mark.parametrize("m", [5, 9])
+def test_tables_and_grams_stay_finite_at_the_first_scale_cap(m):
+    inputs = audit_inputs(m, first_scale=asymptotics.AUDIT_MAX_FIRST_SCALE)
+    coeff = theta_pairing_coefficients(inputs.theta_lambda[0])
+    generic = asymptotics._generic_spinor(inputs.params.rep, coeff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        engine = _AuditEngine(inputs, rule=sphere_rule(m, 2),
+                              generic_psi0=generic)
+        for built in (engine.tables, engine.gram, engine.th_s,
+                      engine.point_gram[0]):
+            assert np.all(np.isfinite(built))
+        # and every audit runs to its verdict on the cap's draw
+        for run_audit in (residual_audit, energy_audit, rayleigh_audit):
+            run_audit(m, inputs=inputs, rule=sphere_rule(m, 2)).summary()
 
 
 def test_audit_validation():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,9 @@ def test_audit_energy_stdout_is_strict_json(capsys):
     ["audit", "residual", "--m", "10"],
     ["audit", "energy", "--m", "10"],
     ["audit", "rayleigh", "--m", "10"],
+    # past the cap on first_scale the Grams could overflow
+    ["audit", "residual", "--first-scale", "1e+300"],
+    ["audit", "energy", "--first-scale", "1.0000000000000002e+100"],
 ])
 def test_audit_bad_input_is_usage_error(capsys, argv):
     start = time.perf_counter()
@@ -164,9 +168,21 @@ def test_audit_bad_input_is_usage_error(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
-    if argv[2] == "--m":
+    if argv[2] in ("--m", "--first-scale"):
         # the library's own message, one text for both
         assert json.loads(captured.err)["error"].endswith(f", got {argv[3]}")
+
+
+@pytest.mark.parametrize("audit", ["residual", "energy"])
+def test_audit_runs_at_the_first_scale_cap(capsys, audit):
+    # no overflow warning on the way to the verdict
+    cap = repr(asymptotics.AUDIT_MAX_FIRST_SCALE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, payload = run_strict_json(
+            capsys, ["audit", audit, "--first-scale", cap] + AUDIT_GRID)
+    assert rc in (0, 1)
+    assert payload["ok"] is (rc == 0)
 
 
 # ---------------------------------------------------------------------------
