@@ -101,7 +101,8 @@ def sphere_volume(k: int) -> float:
 
 def critical_energy(m: int) -> float:
     """Compactness threshold (1/2m)(m/2)^m vol(S^m) of the critical term,
-    for 1 <= m <= 161 (from m = 162 on, (m/2)^m overflows a double)."""
+    for 1 <= m <= 161 (from m = 162 on, (m/2)^m overflows a double).
+    API only, backed by ``test_critical_energy_surface_case``."""
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) \
             or not 1 <= m <= 161:
         raise ValueError(f"need an integer m with 1 <= m <= 161, got {m!r}")

@@ -527,20 +527,25 @@ def run(argv=None) -> int:
         if args.echo_config:
             sys.stdout.write(cfg.canonical())
             return 0
+        out_dir = cfg.get("out_dir")
+        if out_dir:  # before any work, so a bad directory wastes none
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot use output directory: {exc}")
         payload, csv_specs = _COMMANDS[args.subcommand].handler(cfg)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # a solver or audit refused the data: a failed check, not usage;
-        # the resolved configuration lets the run be repeated
-        print(json.dumps({"error": str(exc), "ok": False,
-                          "config": cfg.canonical()}), file=sys.stderr)
+    except Exception as exc:
+        # a solver refused the data, or memory ran out: a failed run, not
+        # usage; the resolved configuration lets the run be repeated
+        print(json.dumps({"error": str(exc) or type(exc).__name__,
+                          "ok": False, "config": cfg.canonical()}),
+              file=sys.stderr)
         return 1
 
-    out_dir = cfg.get("out_dir")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         for name, header, rows in csv_specs:
             with open(os.path.join(out_dir, name), "w", newline="") as fh:
                 csv.writer(fh).writerows([header, *rows])

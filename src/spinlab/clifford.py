@@ -24,7 +24,6 @@ __all__ = [
     "gamma_word",
     "distinct_mask",
     "volume_projectors",
-    "inner",
 ]
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -73,11 +72,6 @@ def build_rep(m: int) -> CliffordRep:
     for g in gammas:
         g.setflags(write=False)
     return CliffordRep(m, N, gammas)
-
-
-def inner(a, b):
-    """Hermitian inner product, conjugate linear in the first slot."""
-    return complex(np.vdot(a, b))
 
 
 def gamma_word(rep: CliffordRep, indices):

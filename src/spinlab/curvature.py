@@ -33,9 +33,9 @@ from .jets import jet_space, jmat_det, jmat_identity, tensor_to_jets
 __all__ = [
     "RiemannTensor",
     "CurvatureJets",
+    "riemann_project",
     "random_riemann",
     "ricci",
-    "scalar",
     "weyl",
     "metric_jet",
     "b_coefficient_tensors",
@@ -126,10 +126,6 @@ def random_riemann(m: int, seed, weyl_only: bool = False) -> RiemannTensor:
 
 def ricci(R: RiemannTensor) -> np.ndarray:
     return np.einsum("kikj->ij", R.components)
-
-
-def scalar(R: RiemannTensor) -> float:
-    return float(np.trace(ricci(R)))
 
 
 def weyl(R: RiemannTensor) -> RiemannTensor:
@@ -310,6 +306,7 @@ def cnc_condition3_residual(R: RiemannTensor, jets: CurvatureJets) -> float:
     The form is (Ric_ab,kl + (22/9) sum_{i,d} R_iabd R_ikld) x^a x^b x^k x^l;
     only its full symmetrisation matters, and the sup is estimated on 2048
     unit vectors drawn from seed 0 (zero iff the symmetrised tensor is).
+    API only, backed by ``test_cnc_third_condition_holds``.
     """
     m = R.m
     ric_d2 = np.einsum("iaikbc->akbc", jets.second)

@@ -414,6 +414,7 @@ def tilde_phi(basis: SpectralBasis, c: np.ndarray):
     the inner minimum the gradient takes the same form as for Phi with
     the shifted argument, and its kernel component vanishes.  Returns
     ``phi_functional`` at psi - T(psi), which is psi without a kernel.
+    API only, backed by ``test_tilde_phi_inequality_and_kernel_gradient``.
     """
     c = _checked(basis, c)
     if np.any(c[2 * basis.n_modes:] != 0.0):
@@ -636,6 +637,7 @@ def refine_ground_state(state: GroundState, lam_max: float,
     direction in the finer basis, whose first modes are the coarse ones
     in the same order (both sort by (lambda, k1, k2)); the solve then
     runs to the same convergence and consistency checks as a cold start.
+    API only, backed by ``test_finer_basis_starts_with_the_coarse_modes``.
     """
     coarse = state.basis
     if lam_max <= coarse.lam_max:

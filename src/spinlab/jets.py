@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "JetSpace",
     "jet_space",
+    "jmat_identity",
     "jmat_mul",
     "jmat_det",
     "tensor_to_jets",
@@ -92,6 +93,7 @@ def _coeffs_mul(space, a, b):
 
 
 def jmat_identity(space, n):
+    """The n x n identity matrix of jets: constant 1 on the diagonal."""
     out = np.zeros((n, n, space.n))
     for i in range(n):
         out[i, i, 0] = 1.0

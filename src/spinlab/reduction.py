@@ -214,6 +214,7 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
     so a margin below -1e-12 is a genuine violation rather than float
     noise.  The nonvanishing part of H3 is reported as an H3 failure
     when every sampled value of Psi is zero.
+    API only, backed by ``test_hypotheses_quartic``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -442,20 +443,47 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
 
 
 def brentq(lo, hi):
-    """The safeguarded step of ``_nehari_root`` inside the sign bracket
+    """The safeguarded step of ``nehari_project`` inside the sign bracket
     (lo, hi) of K: 2 lo while hi is infinite, the midpoint once it is not.
     This is not Brent's method: the name is the one the benchmark's tracer
     binds, so its call count is the number of safeguarded steps."""
     return 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
 
 
-def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
-                 fiber_tol: float, t0: float = None, w0: np.ndarray = None,
-                 dw0: np.ndarray = None):
-    """``nehari_project``'s scale t, ``reduced``'s (value, grad, K, w) at
-    t phi with every fiber solved to ``fiber_tol``, and the last computed
-    fiber velocity: (t, (value, grad, K, w), w').  The first fiber starts
-    from ``w0`` and the first velocity solve from ``dw0``."""
+def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
+                   tol: float = 1e-12, t0: float = None,
+                   fiber_tol: float = None, w0: np.ndarray = None,
+                   dw0: np.ndarray = None):
+    """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
+
+    Returns (t, (value, grad, K, w), w'): ``reduced``'s output at t phi
+    and the last fiber velocity.  Along a ray of X, K(t) = K(t phi) has a
+    simple root with K' < 0, found by rtsafe from ``t0`` (``t0`` and
+    ``tol`` finite and positive, ValueError otherwise, before any solve;
+    by default the predicted scale s(u) / |phi| of ``minimize_nehari``, u
+    = phi / |phi|, or 1): Newton's method in t with the slope of
+    ``_nehari_slope``, kept inside the sign bracket (lo, hi) of every K
+    computed, lo the largest scale with K > 0 and hi the smallest with K
+    < 0, from (0, inf).  At each scale one slope is computed; the Newton
+    step is taken where the slope is negative and the step lands strictly
+    inside the bracket, and otherwise the safeguarded step (``brentq``)
+    doubles lo while hi is infinite and bisects once it is not.  Fibers
+    are solved to ``fiber_tol``, by default max(min(tol, 1e-12), tol /
+    10), which is 1e-12 at the default tol, and tangents to CG rtol
+    max(1e-6, min(1e-2, tol)).  The first fiber and tangent solves start
+    from ``w0`` and ``dw0`` (zero by default), each later fiber from the
+    previous one moved along its tangent, and each tangent from the
+    previous tangent.  The iteration stops once the Newton correction
+    with the last computed slope, K(t) / K'(t_prev) after a Newton step,
+    is within ``tol``, or K is exactly 0, or hi - lo with lo > 0 is
+    within ``tol``; no second slope confirms it.  The last computed slope
+    must be negative (RuntimeError otherwise).  K(t phi) is positive near
+    t = 0; a ray along which the nonlinearity vanishes keeps K = t^2
+    |phi|^2 > 0 forever and raises ``DegenerateRay`` once
+    ``_NEHARI_STEPS`` steps find no K < 0, and every ray of Y raises it
+    at once.  The zero direction and a direction with both an X and a
+    nonzero Y part raise ValueError.
+    """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
     if t0 is not None and not (math.isfinite(t0) and t0 > 0.0):
@@ -468,6 +496,8 @@ def _nehari_root(problem: IndefiniteProblem, phi: np.ndarray, tol: float,
         raise DegenerateRay()
     if problem.complement(phi).any():
         raise ValueError("direction must lie in X: its Y part is nonzero")
+    if fiber_tol is None:
+        fiber_tol = max(min(tol, 1e-12), tol / 10)
     rtol = max(1e-6, min(1e-2, tol))  # for the velocity solves
     lo, hi = 0.0, math.inf  # the sign bracket: K(lo) > 0 > K(hi)
 
@@ -542,39 +572,6 @@ def _lbfgs_direction(pairs, grad):
     return -q
 
 
-def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
-                   tol: float = 1e-12, t0: float = None) -> float:
-    """Scale t > 0 placing t phi on the Nehari set K = 0, for phi in X.
-
-    Along a ray of X, K(t) = K(t phi) has a simple root with K' < 0, so the
-    root is found by rtsafe from ``t0`` (``t0`` and ``tol`` finite and
-    positive, ValueError otherwise, before any solve; by default the
-    predicted scale s(u) / |phi| of ``minimize_nehari``, u = phi / |phi|, or
-    1): Newton's method in t with the slope of ``_nehari_slope``, kept
-    inside the sign bracket (lo, hi) of every K computed, lo the largest
-    scale with K > 0 and hi the smallest with K < 0, from (0, inf).  At each
-    scale one slope is computed; the Newton step is taken where the slope is
-    negative and the step lands strictly inside the bracket, and otherwise
-    the safeguarded step (``brentq``) doubles lo while hi is infinite and
-    bisects once it is not.  Fibers are solved to max(min(tol, 1e-12),
-    tol / 10), which is 1e-12 at the default tol, and tangents to CG rtol
-    max(1e-6, min(1e-2, tol)).  The first fiber beta(t0 phi) starts from
-    zero; each later one starts from the previous fiber moved along its
-    tangent, and each tangent's CG solve from the previous tangent.  The
-    iteration stops once the Newton correction with the last computed slope,
-    K(t) / K'(t_prev) after a Newton step, is within ``tol``, or K is
-    exactly 0, or hi - lo with lo > 0 is within ``tol``; no second slope
-    confirms it.  The last computed slope must be negative (RuntimeError
-    otherwise).  K(t phi) is positive near t = 0; a ray along which the
-    nonlinearity vanishes keeps K = t^2 |phi|^2 > 0 forever and raises
-    ``DegenerateRay`` once ``_NEHARI_STEPS`` steps find no K < 0, and every
-    ray of Y raises it at once.  The zero direction and a direction with
-    both an X and a nonzero Y part raise ValueError.
-    """
-    return _nehari_root(problem, phi, tol=tol,
-                        fiber_tol=max(min(tol, 1e-12), tol / 10), t0=t0)[0]
-
-
 @dataclass(frozen=True)
 class NehariResult:
     """Ground-state search outcome.
@@ -623,7 +620,8 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     relative of the lowest, so that starts that tie up to rounding do not
     trade places on the last bit.  ``initial`` replaces the first random
     direction, so a coarse solution can warm start a finer one.  Every
-    projection solves the scale to max(1e-12, gn / 10) and the fibers to
+    projection is a ``nehari_project`` call that solves the scale to
+    max(1e-12, gn / 10) and, through its ``fiber_tol``, the fibers to
     max(inner, gn / 100), inner = min(1e-2 tol, 1e-12), gn the reduced
     gradient norm at the accepted point (inexact Newton), at the zero
     fiber for a start's first.  It starts at a predicted scale: a start's
@@ -651,8 +649,8 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
     history = []
 
     def project(u, t, gn, **warm):
-        return _nehari_root(problem, u, tol=max(1e-12, 1e-1 * gn),
-                            fiber_tol=max(inner, 1e-2 * gn), t0=t, **warm)
+        return nehari_project(problem, u, tol=max(1e-12, 1e-1 * gn), t0=t,
+                              fiber_tol=max(inner, 1e-2 * gn), **warm)
     for start_idx in range(starts):
         if start_idx == 0 and initial is not None:
             u = problem.project(np.asarray(initial, dtype=float))
@@ -760,6 +758,7 @@ def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
     the family, over the deficits above 1e-10; the envelope holds when
     that ratio stays finite (a positive deficit with a zero gradient
     would break it).
+    API only, backed by ``test_energy_bound_exact_critical_point``.
     """
     z = np.asarray(z, dtype=float)
     base = problem.energy(z)

@@ -35,7 +35,6 @@ __all__ = [
     "make_params",
     "psi",
     "psi_norm",
-    "grad_psi",
     "grad_psi_all",
     "dirac_residual",
     "psi_eps",
@@ -146,12 +145,6 @@ def grad_psi_all(params: TestSpinorParams, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def grad_psi(params: TestSpinorParams, j: int, x) -> np.ndarray:
-    """Single directional derivative d_j psi (closed form)."""
-    full = grad_psi_all(params, x)
-    return full[j] if full.ndim == 2 else full[:, j]
-
-
 def dirac_residual(params: TestSpinorParams, x) -> float:
     """|D psi(x) - |psi(x)|^{2*-2} psi(x)| via the analytic derivatives."""
     m = params.m
@@ -166,7 +159,8 @@ def dirac_residual(params: TestSpinorParams, x) -> float:
 
 
 def psi_eps(params: TestSpinorParams, x) -> np.ndarray:
-    """Concentrated rescaling eps^{-(m-1)/2} psi(x / eps)."""
+    """Concentrated rescaling eps^{-(m-1)/2} psi(x / eps).
+    API only, backed by ``test_psi_eps_scaling_relation``."""
     pts, single = _as_points(x, params.m)
     scale = params.eps ** (-(params.m - 1) / 2.0)
     vals = scale * psi(params, pts / params.eps)
@@ -192,7 +186,8 @@ def eta_d1(r, delta: float):
 
 
 def phi_eps(params: TestSpinorParams, x) -> np.ndarray:
-    """Cutoff test spinor eta(|x|) psi_eps(x), supported in |x| <= 2 delta."""
+    """Cutoff test spinor eta(|x|) psi_eps(x), supported in |x| <= 2 delta.
+    API only, backed by ``test_phi_eps_inside_and_outside``."""
     pts, single = _as_points(x, params.m)
     r = np.sqrt((pts ** 2).sum(axis=1))
     vals = eta(r, params.delta)[:, None] * psi_eps(params, pts)
@@ -321,6 +316,7 @@ def lemma1_identity(rep: CliffordRep, R, params: TestSpinorParams, x,
     the Ricci trace, so the whole sum is zero exactly when R is
     Ricci-flat.  Requires m >= 4.  With ``relative`` the norm is divided
     by the sum of the norms of the individual (i, j) terms.
+    API only, backed by ``test_lemma1_identity_vanishes``.
     """
     from .curvature import ricci
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -17,6 +18,7 @@ from spinlab.asymptotics import AUDIT_M_RANGE
 from spinlab.cli import _COMMANDS, _TYPES, RunConfig, UsageError, _strict, run
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli-output.md"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -42,14 +44,49 @@ def run_strict_json(capsys, argv):
 # solve generic has no default spectrum
 DEFAULT_EXTRA = {"solve generic": ["--spectrum", "1,0.7,-0.4"]}
 
+# The comparison rule of a payload with its golden: keys, list lengths,
+# ints, bools, strings and nulls match exactly; floats match to 1e-12
+# relative, except the floats that are rounding error, which match to
+# 1e-12 absolute.  Those are named here by their path of dict keys (list
+# positions left out), each covering everything below it.
+ROUNDING = ("results.anticommutation", "results.antihermiticity",
+            "results.max_residual", "results.bbg_residual",
+            "results.binv_residual", "results.det_residual",
+            "worst_functional", "pointwise_zero_max", "J2.rel_err",
+            "den_rel_err", "grad_norm")
+
+
+def assert_matches_golden(got, want, path=""):
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key],
+                                  f"{path}.{key}" if path else key)
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for g, w in zip(got, want):
+            assert_matches_golden(g, w, path)
+    elif isinstance(want, float):
+        if any(path == r or path.startswith(r + ".") for r in ROUNDING):
+            assert abs(got - want) <= 1e-12, (path, got, want)
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12), (path, got, want)
+    else:
+        assert got == want, path
+
 
 @pytest.mark.parametrize("name", list(_COMMANDS))
 def test_default_run_passes(capsys, monkeypatch, name):
+    # each default run against its golden payload, which
+    # `PYTHONPATH=src python3 tests/golden/regenerate.py` rewrites
     monkeypatch.delenv("SPINLAB_OUT", raising=False)
     rc, payload = run_strict_json(capsys, name.split()
                                   + DEFAULT_EXTRA.get(name, []))
     assert rc == 0
     assert payload["ok"] is True
+    golden = GOLDEN / (name.replace(" ", "_") + ".json")
+    assert_matches_golden(payload, json.loads(golden.read_text()))
 
 
 def test_verify_clifford_passes(capsys):
@@ -428,6 +465,26 @@ def test_solver_failure_echoes_config(capsys, tmp_path):
     assert capsys.readouterr().out == err["config"]
 
 
+def test_any_handler_exception_is_a_solver_failure(capsys, monkeypatch):
+    # psi0 --m 40 or solve torus --modes 1e4 run out of memory; a handler
+    # that raises MemoryError (allocating nothing) stands in for them: exit
+    # 1 with the solver-failure document, not a traceback, and the type
+    # name as the message where the exception carries none
+    def out_of_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(_COMMANDS, "psi0",
+                        _COMMANDS["psi0"]._replace(handler=out_of_memory))
+    rc = run(["psi0", "--m", "40"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "MemoryError"
+    assert err["ok"] is False
+    assert err["config"].startswith("subcommand = psi0\nm = 40\n")
+
+
 def test_psi0_failure_echoes_config(capsys):
     # at tolerance 1e-30 the residual form's rounding (-2.2e-16) fails
     # find_psi0's ArithmeticError check: exit 1 with the solver-failure
@@ -480,6 +537,32 @@ def test_out_dir_writes_csv_with_header(capsys, tmp_path):
     lines = (tmp_path / "clifford_residuals.csv").read_text().splitlines()
     assert lines[0] == "m,anticommutation,antihermiticity"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_unusable_out_dir_is_usage_error_before_any_work(capsys, tmp_path,
+                                                         monkeypatch, via):
+    # an out-dir that is an existing file cannot be created: exit 2 with
+    # one JSON error before the handler runs, whether it comes from
+    # --out-dir or SPINLAB_OUT
+    calls = []
+    toy = _COMMANDS["solve toy"]._replace(handler=calls.append)
+    monkeypatch.setitem(_COMMANDS, "solve toy", toy)
+    target = tmp_path / "a_file"
+    target.write_text("")
+    argv = ["solve", "toy"]
+    if via == "flag":
+        argv += ["--out-dir", str(target)]
+    else:
+        monkeypatch.setenv("SPINLAB_OUT", str(target))
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert list(err) == ["error"]
+    assert err["error"].startswith("cannot use output directory: ")
+    assert calls == []
 
 
 def test_env_var_sets_out_dir(capsys, tmp_path, monkeypatch):

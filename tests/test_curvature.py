@@ -18,7 +18,6 @@ from spinlab.curvature import (
     random_riemann,
     ricci,
     riemann_project,
-    scalar,
     theta_lambda,
     weyl,
 )
@@ -87,7 +86,7 @@ def test_constant_curvature_traces():
     R = constant_curvature(m, kappa)
     assert symmetry_residual(R) < 1e-14
     assert np.allclose(ricci(R), kappa * (m - 1) * np.eye(m), atol=1e-13)
-    assert scalar(R) == pytest.approx(kappa * m * (m - 1), rel=1e-13)
+    assert np.trace(ricci(R)) == pytest.approx(kappa * m * (m - 1), rel=1e-13)
     assert np.abs(weyl(R).components).max() < 1e-13
 
 

@@ -350,7 +350,7 @@ def test_beta_stops_at_its_rounding_floor(monkeypatch):
         return w
 
     monkeypatch.setattr(reduction, "beta", recorded)
-    t = nehari_project(prob, phi, t0=1.0)
+    t = nehari_project(prob, phi, t0=1.0)[0]
     assert math.isclose(t, 1.40165314, rel_tol=1e-8)
     assert all(end <= max(tol, floor) for tol, _, end, floor in ends)
     assert [round(first) for tol, first, end, _ in ends if end > tol] \
@@ -534,7 +534,7 @@ def test_fiber_data_at_point():
     value, _, k, _ = reduced(prob, phi, tol=1e-12)
     assert math.isclose(value, 0.5 * 0.49 - 0.25 * 0.7 ** 4, rel_tol=1e-12)
     assert math.isclose(k, 0.49 - 0.7 ** 4, rel_tol=1e-12)
-    assert math.isclose(nehari_project(prob, phi), 1.0 / 0.7, rel_tol=1e-9)
+    assert math.isclose(nehari_project(prob, phi)[0], 1.0 / 0.7, rel_tol=1e-9)
     # along X the Y-only nonlinearity vanishes: no Nehari scale exists
     with pytest.raises(ValueError, match="ray degenerate"):
         nehari_project(y_only_problem(), np.array([1.0, 0.0]))
@@ -545,11 +545,11 @@ def test_fiber_data_at_point():
 
 def test_nehari_project_toy():
     prob = toy_problem()
-    t = nehari_project(prob, np.array([1.0, 0.0]))
+    t = nehari_project(prob, np.array([1.0, 0.0]))[0]
     assert math.isclose(t, 1.0, rel_tol=0.0, abs_tol=1e-12)
     # K(t x e1) = (tx)^2 - (tx)^4 has its root at t = 1/x
     for x in (0.25, 0.6, 3.0):
-        t = nehari_project(prob, np.array([x, 0.0]))
+        t = nehari_project(prob, np.array([x, 0.0]))[0]
         assert math.isclose(t, 1.0 / x, rel_tol=1e-10)
 
 
@@ -557,9 +557,9 @@ def test_nehari_scaling_invariance():
     prob, _ = coupled_quartic_problem(n=6, k=2, seed=81)
     rng = np.random.default_rng(82)
     phi = prob.project(rng.standard_normal(6))
-    t1 = nehari_project(prob, phi)
+    t1 = nehari_project(prob, phi)[0]
     for c in (0.37, 2.9):
-        tc = nehari_project(prob, c * phi)
+        tc = nehari_project(prob, c * phi)[0]
         assert math.isclose(tc, t1 / c, rel_tol=1e-9)
 
 
@@ -577,7 +577,7 @@ def test_nehari_newton_from_far_starts():
     prob = toy_problem()
     for x in (0.6, 1.0, 3.0):
         for t0 in (1e-3, 0.5, 2.0, 1e3):
-            t = nehari_project(prob, np.array([x, 0.0]), t0=t0)
+            t = nehari_project(prob, np.array([x, 0.0]), t0=t0)[0]
             assert math.isclose(t, 1.0 / x, rel_tol=1e-10)
 
 
@@ -605,7 +605,7 @@ def test_nehari_newton_matches_bracket_root():
         phi = prob.project(rng.standard_normal(5))
         oracle = scipy_root(prob, phi)
         for t0 in (0.3, 1.0, 4.0):
-            t = nehari_project(prob, phi, t0=t0)
+            t = nehari_project(prob, phi, t0=t0)[0]
             assert math.isclose(t, oracle, rel_tol=1e-10)
 
 
@@ -672,7 +672,7 @@ def test_nehari_bracket_root_checks_exact_slope(monkeypatch):
         calls.append(t)
         return 0.0, slope(problem, phi, t, *args, **kwargs)[1]
 
-    assert math.isclose(nehari_project(prob, np.array([0.3, 0.0]), t0=1.0),
+    assert math.isclose(nehari_project(prob, np.array([0.3, 0.0]), t0=1.0)[0],
                         10.0 / 3.0, rel_tol=1e-10)
     monkeypatch.setattr(reduction, "_nehari_slope", nonnegative)
     with pytest.raises(RuntimeError, match="K slope at the Nehari point"):
@@ -694,7 +694,8 @@ def test_brentq_zero_at_an_endpoint(monkeypatch):
 
     steps = capture_fallback(monkeypatch)
     monkeypatch.setattr(reduction, "beta", counted)
-    assert nehari_project(toy_problem(), np.array([0.5, 0.0]), t0=1.0) == 2.0
+    t, _, _ = nehari_project(toy_problem(), np.array([0.5, 0.0]), t0=1.0)
+    assert t == 2.0
     assert len(fibers) == 2
     assert steps == [2.0]
 
@@ -741,9 +742,9 @@ def test_fallback_roots_match_scipy_on_random_quartics(monkeypatch):
         prob = diagonal_quartic_problem(signs * 10.0 ** rng.uniform(-1, 1, n))
         phi = prob.project(rng.standard_normal(n))
         before = len(steps)
-        t, point, _ = reduction._nehari_root(
-            prob, phi, tol=tol, fiber_tol=1e-13,
-            t0=10.0 ** rng.uniform(-2.0, 2.0))
+        t, point, _ = nehari_project(
+            prob, phi, tol=tol, t0=10.0 ** rng.uniform(-2.0, 2.0),
+            fiber_tol=1e-13)
         rays_with_steps += len(steps) > before
         slope = slopes[-1][1]
         assert slope < 0.0
@@ -770,8 +771,8 @@ def test_standing_projection_keeps_newton_in_its_bracket(monkeypatch):
         return fiber(problem, x, *args, **kwargs)
 
     monkeypatch.setattr(reduction, "beta", recorded)
-    t, point, _ = reduction._nehari_root(prob, phi, tol=1e-12,
-                                         fiber_tol=1e-12, t0=1.0)
+    t, point, _ = nehari_project(prob, phi, tol=1e-12, t0=1.0,
+                                 fiber_tol=1e-12)
     assert steps == []
     slope = slopes[-1][1]
     assert slope < 0.0
@@ -808,11 +809,11 @@ def test_standing_projection_starts_at_the_predicted_scale(monkeypatch):
         return fiber(problem, x, *args, **kwargs)
 
     monkeypatch.setattr(reduction, "beta", recorded)
-    t = nehari_project(prob, phi)
+    t = nehari_project(prob, phi)[0]
     assert scales[0] == pytest.approx(predicted, rel=1e-15)
     assert len(scales) <= 5
     del scales[:]
-    assert math.isclose(t, nehari_project(prob, phi, t0=1.0), rel_tol=1e-12)
+    assert math.isclose(t, nehari_project(prob, phi, t0=1.0)[0], rel_tol=1e-12)
     assert len(scales) == 15
 
 
@@ -852,7 +853,7 @@ def test_nehari_slope_matches_central_difference():
     prob, _, _ = ground_state_problem(basis)
     phi = prob.project(np.random.default_rng(122).standard_normal(prob.n))
     phi /= np.linalg.norm(phi)
-    root = nehari_project(prob, phi, tol=1e-10)
+    root = nehari_project(prob, phi, tol=1e-10)[0]
     for t in (0.8 * root, root, 1.3 * root):
         assert_slope_matches_fd(prob, phi, t)
 
@@ -871,7 +872,7 @@ def test_converged_newton_step_needs_no_confirming_slope(monkeypatch):
     monkeypatch.setattr(reduction, "_nehari_slope", counted)
     x = 0.6
     t = nehari_project(toy_problem(), np.array([x, 0.0]), tol=1e-8,
-                       t0=(1.0 + 1e-5) / x)
+                       t0=(1.0 + 1e-5) / x)[0]
     assert math.isclose(t, 1.0 / x, rel_tol=1e-9)
     assert scales == [(1.0 + 1e-5) / x]
 
@@ -895,7 +896,7 @@ def test_projection_stops_within_its_tolerance(tol):
     torus, phi = torus_problem_and_direction()
     cases += [(torus, phi, t0) for t0 in (1.0, 3.0)]
     for prob, phi, t0 in cases:
-        t = nehari_project(prob, phi, tol=tol, t0=t0)
+        t = nehari_project(prob, phi, tol=tol, t0=t0)[0]
         _, _, k, w = reduced(prob, t * phi, tol=1e-13)
         dk, _ = reduction._nehari_slope(prob, phi, t, w, rtol=1e-12)
         assert abs(k / dk) <= 2.0 * tol
@@ -910,7 +911,7 @@ def test_psi_positive_and_rays_bounded_away():
     for _ in range(10):
         u = prob.project(rng.standard_normal(6))
         u /= np.linalg.norm(u)
-        t = nehari_project(prob, u)
+        t = nehari_project(prob, u)[0]
         point = t * u
         assert prob.psi(point) > 0.0
         assert prob.psi(point + beta(prob, point)) > 0.0
@@ -1016,16 +1017,18 @@ def recorded_projections(monkeypatch, refused=lambda n: False):
     point); the level of the n-th (from 1) reads +inf where ``refused(n)``
     holds, so that the descent refuses that trial."""
     calls = []
-    root = reduction._nehari_root
+    root = reduction.nehari_project
 
-    def recorded(problem, phi, tol, fiber_tol, t0=None, w0=None, dw0=None):
-        out = root(problem, phi, tol, fiber_tol, t0=t0, w0=w0, dw0=dw0)
+    def recorded(problem, phi, tol=1e-12, t0=None, fiber_tol=None, w0=None,
+                 dw0=None):
+        out = root(problem, phi, tol, t0, fiber_tol=fiber_tol, w0=w0,
+                   dw0=dw0)
         calls.append((phi, t0, w0, dw0, tol, fiber_tol, out[1]))
         if refused(len(calls)):
             return out[0], (math.inf,) + out[1][1:], out[2]
         return out
 
-    monkeypatch.setattr(reduction, "_nehari_root", recorded)
+    monkeypatch.setattr(reduction, "nehari_project", recorded)
     return calls
 
 
@@ -1091,7 +1094,7 @@ def test_first_projection_starts_at_the_predicted_scale(monkeypatch):
     # Newton, it solves three, at t = 1, 2 and 4
     fibers = []
     per_projection = []
-    fiber, root = reduction.beta, reduction._nehari_root
+    fiber, root = reduction.beta, reduction.nehari_project
 
     def counted_fiber(*args, **kwargs):
         fibers.append(1)
@@ -1104,7 +1107,7 @@ def test_first_projection_starts_at_the_predicted_scale(monkeypatch):
         return out
 
     monkeypatch.setattr(reduction, "beta", counted_fiber)
-    monkeypatch.setattr(reduction, "_nehari_root", counted_root)
+    monkeypatch.setattr(reduction, "nehari_project", counted_root)
     result = minimize_nehari(diagonal_quartic_problem([4.0, -1.0]),
                              starts=1, initial=np.array([1.0, 0.0]))
     assert per_projection == [1]
@@ -1135,7 +1138,7 @@ def test_descent_fiber_solves_reuse_the_projected_fiber(monkeypatch):
     solves = {"projection": 0, "descent": 0}
     inside = []
     fibers = []
-    root, cg, fiber = reduction._nehari_root, reduction.cg, reduction.beta
+    root, cg, fiber = reduction.nehari_project, reduction.cg, reduction.beta
 
     def marked_root(*args, **kwargs):
         inside.append(1)
@@ -1152,7 +1155,7 @@ def test_descent_fiber_solves_reuse_the_projected_fiber(monkeypatch):
         fibers[-1] += not inside
         return fiber(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "_nehari_root", marked_root)
+    monkeypatch.setattr(reduction, "nehari_project", marked_root)
     monkeypatch.setattr(reduction, "cg", counted_cg)
     monkeypatch.setattr(reduction, "beta", counted_fiber)
     torus, _ = torus_problem_and_direction()
@@ -1178,14 +1181,16 @@ def test_every_projection_takes_its_tolerances_from_one_rule(tol,
     # root's), and for a start's first projection the zero fiber's at its
     # starting scale (which used to take the fixed 1e-6 and 1e-7)
     calls = []
-    root = reduction._nehari_root
+    root = reduction.nehari_project
 
-    def recorded(problem, phi, tol, fiber_tol, t0=None, w0=None, dw0=None):
-        out = root(problem, phi, tol, fiber_tol, t0=t0, w0=w0, dw0=dw0)
+    def recorded(problem, phi, tol=1e-12, t0=None, fiber_tol=None, w0=None,
+                 dw0=None):
+        out = root(problem, phi, tol, t0, fiber_tol=fiber_tol, w0=w0,
+                   dw0=dw0)
         calls.append((phi, t0, w0, tol, fiber_tol, out[1]))
         return out
 
-    monkeypatch.setattr(reduction, "_nehari_root", recorded)
+    monkeypatch.setattr(reduction, "nehari_project", recorded)
     problem, _ = torus_problem_and_direction()
     minimize_nehari(problem, starts=2, tol=tol, seed=0)
     inner = min(1e-2 * tol, 1e-12)
