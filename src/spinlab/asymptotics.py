@@ -350,13 +350,22 @@ _PAIR_KEYS = J_TERMS + ("J4_abs", "J4_pre", "den")
 _NORM_KEYS = A_TERMS + ("total", "num")
 _KEYS = J_TERMS + A_TERMS + ("total", "num", "J4_abs", "J4_pre", "den")
 
-# byte budget of one (angles, m^d) block in ``_angular_slots``; blocks over
-# 32 MB take fresh pages on every allocation and run markedly slower
-_BLOCK_BYTES = 1 << 24
+# the one byte budget of a block: ``_angular_slots``, ``point_gram``, J4_abs
+# and ``_qnorms`` hold at most this much of their intermediates at a time,
+# so no (nodes, angles) or (angles, K, K) array is ever formed; at 1 MB the
+# blocks get so few rows that each GEMM streams its fixed operand too often
+_BLOCK_BYTES = 1 << 22
 
 
 def _default_rule(m: int):
     return sphere_rule(m, _POLAR.get(m, 5))
+
+
+def _blocks(n: int, row_bytes: int):
+    """Slices cutting range(n) into blocks of rows of ``row_bytes`` each,
+    every block within ``_BLOCK_BYTES`` or one row long."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _angular_slots(T, U, UU):
@@ -364,19 +373,18 @@ def _angular_slots(T, U, UU):
 
     One GEMM against the pair products UU = U (x) U eats the last two
     slots; a batched product with U or UU eats what is left.  The angles
-    run in chunks so each intermediate fits the block budget.
+    run in blocks of ``_blocks``.
     """
     P, m = U.shape
     rows = T.reshape(-1, m * m)
     rest = {2: None, 3: U, 4: UU}[T.ndim - 2]
     out = np.empty((P, T.shape[0] * T.shape[1]))
-    step = max(1, _BLOCK_BYTES // (8 * rows.shape[0]))
-    for lo in range(0, P, step):
-        Y = UU[lo:lo + step] @ rows.T
+    for blk in _blocks(P, 8 * rows.shape[0]):
+        Y = UU[blk] @ rows.T
         if rest is not None:
             Y = (Y.reshape(Y.shape[0], out.shape[1], -1)
-                 @ rest[lo:lo + step, :, None])[..., 0]
-        out[lo:lo + step] = Y
+                 @ rest[blk, :, None])[..., 0]
+        out[blk] = Y
     return out.reshape(P, *T.shape[:2])
 
 
@@ -419,7 +427,8 @@ class _AuditEngine:
     and its live nodes (the rows that are not all zero), so |A|^2 is one
     GEMM of the support's pair products against their entries of H.
     G, ``th_s`` and H are each built on first use: the residual audit
-    builds only H, the energy audit only G and ``th_s``.
+    builds only H, the energy audit only G and ``th_s``.  Every loop over
+    angles or nodes runs in ``_blocks``, so no (nodes, P) array is formed.
     """
 
     def __init__(self, inputs: AuditInputs, rule=None, n_leg: int = 16,
@@ -491,13 +500,16 @@ class _AuditEngine:
     @functools.cached_property
     def point_gram(self):
         """(H, row): H[row[k, l]] = Re<T_k(p), T_l(p)> over p, for k <= l,
-        cut from one batched GEMM over p."""
-        K = self.tables.shape[0]
+        cut from a batched GEMM over each block of angles."""
+        K, P, _ = self.tables.shape
         F = self.tables.view(float).transpose(1, 0, 2)
-        upper = np.triu_indices(K)
+        i, j = np.triu_indices(K)
         row = np.zeros((K, K), dtype=int)
-        row[upper] = np.arange(upper[0].size)
-        return (F @ F.transpose(0, 2, 1)).transpose(1, 2, 0)[upper], row
+        row[i, j] = np.arange(i.size)
+        H = np.empty((i.size, P))
+        for blk in _blocks(P, 8 * K * K):
+            H[:, blk] = (F[blk] @ F[blk].transpose(0, 2, 1))[:, i, j].T
+        return H, row
 
     def _coefficients(self, eps: float, r: np.ndarray) -> dict:
         """Coefficient rows (nodes, K) of every field at the radii r.
@@ -554,8 +566,11 @@ class _AuditEngine:
         out["J4_pre"] = pair(c["A3g"], c["psg"]) if self.generic else 0.0
         th = c["A3"][:, [_ROW["TH0"], _ROW["TH1"]]]
         s = c["phib"][:, [_ROW["S0"], _ROW["S1"]]]
-        inner = (th[:, :, None] * s[:, None, :]).reshape(-1, 4) @ self.th_s
-        out["J4_abs"] = float(meas @ (np.abs(inner) @ self.WA))
+        ts = (th[:, :, None] * s[:, None, :]).reshape(-1, 4)
+        per = np.empty(ts.shape[0])
+        for blk in _blocks(ts.shape[0], self.th_s.itemsize * self.WA.size):
+            per[blk] = np.abs(ts[blk] @ self.th_s) @ self.WA
+        out["J4_abs"] = float(meas @ per)
         out["den"] = float(sum(out[k] for k in J_TERMS))
         return out
 
@@ -572,8 +587,13 @@ class _AuditEngine:
                 i, j = np.triu_indices(s.size)
                 pairs = a[:, i] * a[:, j]
                 pairs[:, i != j] *= 2.0
-                dens = pairs @ H[row[s[i], s[j]]]
-                acc = meas[live] @ ((dens ** (self.q / 2.0)) @ self.WA)
+                # on the full support row[s[i], s[j]] is arange: H itself
+                Hs = H if s.size == row.shape[0] else H[row[s[i], s[j]]]
+                per = np.empty(live.size)
+                for blk in _blocks(live.size, H.itemsize * H.shape[1]):
+                    dens = pairs[blk] @ Hs
+                    per[blk] = np.power(dens, self.q / 2.0, out=dens) @ self.WA
+                acc = meas[live] @ per
             power = (self.m + 1.0) / self.m if name == "num" else 1.0 / self.q
             out[name] = float(acc ** power)
         return out

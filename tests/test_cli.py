@@ -43,6 +43,8 @@ def run_strict_json(capsys, argv):
 
 # solve generic has no default spectrum
 DEFAULT_EXTRA = {"solve generic": ["--spectrum", "1,0.7,-0.4"]}
+# runs past the defaults with a golden payload: file stem -> argv
+GOLDEN_RUNS = {"audit_residual_m9": ["audit", "residual", "--m", "9"]}
 
 # The comparison rule of a payload with its golden: keys, list lengths,
 # ints, bools, strings and nulls match exactly; floats match to 1e-12
@@ -87,6 +89,15 @@ def test_default_run_passes(capsys, monkeypatch, name):
     assert payload["ok"] is True
     golden = GOLDEN / (name.replace(" ", "_") + ".json")
     assert_matches_golden(payload, json.loads(golden.read_text()))
+
+
+@pytest.mark.parametrize("stem", list(GOLDEN_RUNS))
+def test_golden_run_matches(capsys, monkeypatch, stem):
+    monkeypatch.delenv("SPINLAB_OUT", raising=False)
+    rc, payload = run_strict_json(capsys, GOLDEN_RUNS[stem])
+    assert rc == 0
+    assert_matches_golden(payload, json.loads(
+        (GOLDEN / (stem + ".json")).read_text()))
 
 
 def test_verify_clifford_passes(capsys):
