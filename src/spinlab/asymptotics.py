@@ -57,9 +57,7 @@ from .spinor_fields import (
 __all__ = [
     "AUDIT_M_RANGE",
     "AUDIT_MAX_FIRST_SCALE",
-    "check_audit_m",
-    "check_first_scale",
-    "check_eps_grid",
+    "check_audit_args",
     "MomentTable",
     "OrderFit",
     "AuditInputs",
@@ -695,47 +693,40 @@ _VERDICTS = {"residual": _residual_verdict, "energy": _energy_verdict,
 # ---------------------------------------------------------------------------
 # audit drivers
 
-def check_audit_m(audit: str, m: int, error=ValueError) -> None:
-    """Raise ``error`` unless m lies in ``AUDIT_M_RANGE[audit]``."""
+def check_audit_args(audit: str, m: int, first_scale: float,
+                     eps) -> np.ndarray:
+    """What every audit checks before any work, in this order: m lies in
+    ``AUDIT_M_RANGE[audit]``, 0 <= first_scale <= AUDIT_MAX_FIRST_SCALE,
+    and the scales ``eps`` (``None``: the audit's default grid) are
+    finite, positive, strictly decreasing and at least four (two for the
+    Rayleigh audit, which fits no slope but reads the two smallest).
+    Raises ValueError at the first that fails; returns the scales as a
+    float array."""
     lo, hi = AUDIT_M_RANGE[audit]
     if not lo <= m <= hi:
-        raise error(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
-
-
-def check_first_scale(first_scale: float, error=ValueError) -> None:
-    """Raise ``error`` unless 0 <= first_scale <= AUDIT_MAX_FIRST_SCALE."""
+        raise ValueError(f"{audit} audit needs {lo} <= m <= {hi}, got {m}")
     if not 0.0 <= first_scale <= AUDIT_MAX_FIRST_SCALE:
-        raise error(f"first_scale must lie in [0, {AUDIT_MAX_FIRST_SCALE:g}]"
-                    f", got {first_scale!r}")
-
-
-def check_eps_grid(audit: str, eps, error=ValueError) -> np.ndarray:
-    """``eps`` as a float array; raise ``error`` unless its scales are
-    finite, positive, strictly decreasing and at least four (two for the
-    Rayleigh audit, which fits no slope but reads the two smallest)."""
+        raise ValueError(f"first_scale must lie in [0, "
+                         f"{AUDIT_MAX_FIRST_SCALE:g}], got {first_scale!r}")
+    if eps is None:
+        eps = (rayleigh_eps_grid() if audit == "rayleigh"
+               else default_eps_grid())
     min_points = 2 if audit == "rayleigh" else 4
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1 or eps.size < min_points:
-        raise error(f"eps grid must be a 1-d sequence of at least "
-                    f"{min_points} points")
+        raise ValueError(f"eps grid must be a 1-d sequence of at least "
+                         f"{min_points} points")
     if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
-        raise error("eps grid entries must be positive and finite")
+        raise ValueError("eps grid entries must be positive and finite")
     if np.any(np.diff(eps) >= 0):
-        raise error("eps grid must be strictly decreasing")
+        raise ValueError("eps grid must be strictly decreasing")
     return eps
 
 
 def _preamble(audit, m, eps_grid, inputs, seed, first_scale):
-    """What every audit checks before any work: ``check_audit_m``,
-    ``check_first_scale`` and ``check_eps_grid``.  Returns the scales, by
-    default the audit's default grid, and the bundle: ``inputs``, or else
-    the seeded draw."""
-    check_audit_m(audit, m)
-    check_first_scale(first_scale)
-    if eps_grid is None:
-        eps_grid = (rayleigh_eps_grid() if audit == "rayleigh"
-                    else default_eps_grid())
-    eps = check_eps_grid(audit, eps_grid)
+    """``check_audit_args``, then the bundle: ``inputs``, or else the
+    seeded draw."""
+    eps = check_audit_args(audit, m, first_scale, eps_grid)
     if inputs is None:
         inputs = audit_inputs(m, seed=seed, first_scale=first_scale)
     elif inputs.m != m:

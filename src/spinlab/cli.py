@@ -23,6 +23,7 @@ identical configuration gives byte-identical output.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -236,10 +237,10 @@ def _run_verify_spinor(cfg):
 
     dims, n_pts = cfg["dims"], cfg["points"]
     tol, slope_tol, seed = cfg["tol"], cfg["slope_tol"], cfg["seed"]
+    if min(dims) < 2:
+        raise UsageError("spinor verification needs m >= 2")
     results = []
     for m in dims:
-        if m < 2:
-            raise UsageError("spinor verification needs m >= 2")
         params = sf.make_params(m)
         rng = np.random.default_rng(seed + m)
         pts = rng.standard_normal((n_pts, m)) * 1.5
@@ -262,11 +263,11 @@ def _run_verify_curvature(cfg):
 
     dims, tensors, tol, seed = (cfg["dims"], cfg["tensors"], cfg["tol"],
                                 cfg["seed"])
+    if min(dims) < 4:
+        raise UsageError("curvature verification needs m >= 4")
     results = []
     rows = []
     for m in dims:
-        if m < 4:
-            raise UsageError("curvature verification needs m >= 4")
         space = jet_space(m, 4)
         eye = jmat_identity(space, m)
         worst_bbg = worst_binv = worst_det = 0.0
@@ -324,6 +325,15 @@ def _run_psi0(cfg):
                       rows)]
 
 
+@contextlib.contextmanager
+def _refused():
+    """A ValueError the library raises inside is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _run_audit(cfg):
     """The audit the subcommand names, at the configured m, seed, first
     scale and scales (the geometric grid from eps_hi down to eps_lo, else
@@ -332,15 +342,15 @@ def _run_audit(cfg):
     from . import asymptotics
 
     audit = cfg.subcommand.split()[1]
-    asymptotics.check_audit_m(audit, cfg["m"], UsageError)
-    asymptotics.check_first_scale(cfg["first_scale"], UsageError)
-    eps = None
     given = [k for k in ("eps_lo", "eps_hi", "eps_count") if k in cfg.values]
+    # a partial grid is refused after the m and first-scale checks
+    grid = (np.geomspace(cfg["eps_hi"], cfg["eps_lo"], cfg["eps_count"])
+            if len(given) == 3 else None)
+    with _refused():
+        eps = asymptotics.check_audit_args(audit, cfg["m"],
+                                           cfg["first_scale"], grid)
     if len(given) not in (0, 3):
         raise UsageError("eps grid needs eps_lo, eps_hi and eps_count")
-    if given:
-        eps = asymptotics.check_eps_grid(audit, np.geomspace(
-            cfg["eps_hi"], cfg["eps_lo"], cfg["eps_count"]), UsageError)
     report = getattr(asymptotics, f"{audit}_audit")(
         cfg["m"], eps_grid=eps, seed=cfg["seed"],
         first_scale=cfg["first_scale"])
@@ -373,10 +383,8 @@ def _run_solve_generic(cfg):
     if spectrum is None:
         raise UsageError("solve generic needs a spectrum "
                          "(--spectrum or config)")
-    try:
+    with _refused():
         problem = diagonal_quartic_problem(spectrum)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     return _nehari_payload(cfg, problem, {
         "problem": "generic", "spectrum": [float(d) for d in spectrum]})
 
@@ -384,13 +392,10 @@ def _run_solve_generic(cfg):
 def _run_solve_torus(cfg):
     from . import dirac_torus
 
-    try:
+    with _refused():
         spin = dirac_torus.SpinStructure.from_text(cfg["spin"]).astuple()
-        # the library's own check of the cutoff, before any solve, so
-        # that a bad value is a usage error
+        # the library's own check of the cutoff, before any solve
         dirac_torus.build_dirac(cfg["modes"], spin)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     state = dirac_torus.solve_ground_state(
         cfg["modes"], spin, tol=cfg["tol"], seed=cfg["seed"],
         starts=cfg["starts"])

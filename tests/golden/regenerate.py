@@ -9,8 +9,9 @@ stdout of each further run in ``test_cli.GOLDEN_RUNS``, all with
     PYTHONPATH=src python3 tests/golden/regenerate.py
 
 The runs are deterministic, so a second run rewrites the files bit for
-bit; ``test_default_run_passes`` and ``test_golden_run_matches`` compare
-each payload with its file.
+bit; ``test_default_run_passes``, ``test_golden_run_matches`` and the
+tests named in ``GOLDEN_RUNS`` compare each payload with its file, by the
+rule in ``tests/conftest.py``.
 """
 
 import contextlib

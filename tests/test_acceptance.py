@@ -439,7 +439,7 @@ def run_twice(argv, capsys):
     return codes, outs
 
 
-def test_13_cli_runs_are_deterministic(capsys):
+def test_13_cli_runs_are_deterministic(capsys, matches_golden):
     """Identical seeds give byte-identical structured output."""
     for argv in (
         ["verify", "clifford", "--m-max", "5"],
@@ -450,3 +450,5 @@ def test_13_cli_runs_are_deterministic(capsys):
         assert codes[0] == 0 and codes[1] == 0
         assert outs[0] == outs[1], f"output differs for {argv}"
         json.loads(outs[0])
+    # the torus run is the golden run ``solve_torus_modes8``
+    matches_golden("solve_torus_modes8", json.loads(outs[0]))

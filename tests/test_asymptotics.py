@@ -1125,6 +1125,20 @@ def test_audits_reject_first_scale_past_the_cap_before_any_work(
         run_audit(6, first_scale=cap)
 
 
+def test_check_audit_args_reports_the_first_fault():
+    # m, then the first scale, then the grid; None is the default grid
+    check = asymptotics.check_audit_args
+    with pytest.raises(ValueError, match="residual audit needs"):
+        check("residual", 3, 1e300, [1e-3])
+    with pytest.raises(ValueError, match="first_scale must lie in"):
+        check("residual", 6, 1e300, [1e-3])
+    with pytest.raises(ValueError, match="at least 4 points"):
+        check("residual", 6, 100.0, [1e-3])
+    assert np.array_equal(check("energy", 6, 10.0, None), default_eps_grid())
+    assert np.array_equal(check("rayleigh", 6, 100.0, None),
+                          rayleigh_eps_grid())
+
+
 @pytest.mark.parametrize("m", [5, 9])
 def test_tables_and_grams_stay_finite_at_the_first_scale_cap(m):
     inputs = audit_inputs(m, first_scale=asymptotics.AUDIT_MAX_FIRST_SCALE)

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import pathlib
 import re
 import subprocess
@@ -13,12 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from spinlab import asymptotics
+from spinlab import (asymptotics, clifford, curvature, dirac_torus,
+                     reduction, spinor_fields)
 from spinlab.asymptotics import AUDIT_M_RANGE
 from spinlab.cli import _COMMANDS, _TYPES, RunConfig, UsageError, _strict, run
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli-output.md"
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -38,66 +37,78 @@ def run_strict_json(capsys, argv):
     return rc, json.loads(out, parse_constant=reject_constant)
 
 
+class WorkStarted(BaseException):
+    """A refused run reached a work entry point (not an Exception, so
+    that ``run`` does not report it as a solver failure)."""
+
+
+# the entry points of every subcommand's work, none of which a refused
+# run may reach
+WORK = [(asymptotics, "audit_inputs"), (dirac_torus, "solve_ground_state"),
+        (reduction, "minimize_nehari"), (spinor_fields, "make_params"),
+        (curvature, "metric_jet"), (clifford, "build_rep")]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def started(*args, **kwargs):
+        raise WorkStarted
+
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, started)
+
+
+def assert_refused(capsys, argv, error):
+    """``run(argv)`` exits 2 within 2 s, with nothing on stdout and the
+    document ``{"error": error}`` as its whole stderr."""
+    start = time.perf_counter()
+    try:
+        rc = run(argv)
+    except SystemExit as exc:  # the parser's own errors
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2.0
+    assert (rc, captured.out, captured.err) == (
+        2, "", json.dumps({"error": error}) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
 # solve generic has no default spectrum
 DEFAULT_EXTRA = {"solve generic": ["--spectrum", "1,0.7,-0.4"]}
-# runs past the defaults with a golden payload: file stem -> argv
-GOLDEN_RUNS = {"audit_residual_m9": ["audit", "residual", "--m", "9"]}
-
-# The comparison rule of a payload with its golden: keys, list lengths,
-# ints, bools, strings and nulls match exactly; floats match to 1e-12
-# relative, except the floats that are rounding error, which match to
-# 1e-12 absolute.  Those are named here by their path of dict keys (list
-# positions left out), each covering everything below it.
-ROUNDING = ("results.anticommutation", "results.antihermiticity",
-            "results.max_residual", "results.bbg_residual",
-            "results.binv_residual", "results.det_residual",
-            "worst_functional", "pointwise_zero_max", "J2.rel_err",
-            "den_rel_err", "grad_norm")
-
-
-def assert_matches_golden(got, want, path=""):
-    assert type(got) is type(want), path
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), path
-        for key in want:
-            assert_matches_golden(got[key], want[key],
-                                  f"{path}.{key}" if path else key)
-    elif isinstance(want, list):
-        assert len(got) == len(want), path
-        for g, w in zip(got, want):
-            assert_matches_golden(g, w, path)
-    elif isinstance(want, float):
-        if any(path == r or path.startswith(r + ".") for r in ROUNDING):
-            assert abs(got - want) <= 1e-12, (path, got, want)
-        else:
-            assert math.isclose(got, want, rel_tol=1e-12), (path, got, want)
-    else:
-        assert got == want, path
+# runs past the defaults with a golden payload: file stem -> argv.
+# test_golden_run_matches makes the first two; each of the others is
+# compared by the test that already makes it, named beside it
+GOLDEN_RUNS = {
+    "audit_residual_m9": ["audit", "residual", "--m", "9"],
+    # the benchmark's torus-kernel command
+    "solve_torus_kernel": ["solve", "torus", "--spin", "0,0", "--modes",
+                           "1.5", "--starts", "1", "--seed", "7"],
+    # test_13_cli_runs_are_deterministic
+    "solve_torus_modes8": ["solve", "torus", "--spin", "0,0", "--modes", "8",
+                           "--seed", "7"],
+    # test_solve_torus_mixed_structure_converges
+    "solve_torus_mixed": ["solve", "torus", "--spin", "0,0.5", "--modes",
+                          "3"],
+}
 
 
 @pytest.mark.parametrize("name", list(_COMMANDS))
-def test_default_run_passes(capsys, monkeypatch, name):
-    # each default run against its golden payload, which
-    # `PYTHONPATH=src python3 tests/golden/regenerate.py` rewrites
-    monkeypatch.delenv("SPINLAB_OUT", raising=False)
+def test_default_run_passes(capsys, matches_golden, name):
+    # each default run against its golden payload
     rc, payload = run_strict_json(capsys, name.split()
                                   + DEFAULT_EXTRA.get(name, []))
     assert rc == 0
     assert payload["ok"] is True
-    golden = GOLDEN / (name.replace(" ", "_") + ".json")
-    assert_matches_golden(payload, json.loads(golden.read_text()))
+    matches_golden(name.replace(" ", "_"), payload)
 
 
-@pytest.mark.parametrize("stem", list(GOLDEN_RUNS))
-def test_golden_run_matches(capsys, monkeypatch, stem):
-    monkeypatch.delenv("SPINLAB_OUT", raising=False)
+@pytest.mark.parametrize("stem", ["audit_residual_m9", "solve_torus_kernel"])
+def test_golden_run_matches(capsys, matches_golden, stem):
     rc, payload = run_strict_json(capsys, GOLDEN_RUNS[stem])
     assert rc == 0
-    assert_matches_golden(payload, json.loads(
-        (GOLDEN / (stem + ".json")).read_text()))
+    matches_golden(stem, payload)
 
 
 def test_verify_clifford_passes(capsys):
@@ -108,29 +119,25 @@ def test_verify_clifford_passes(capsys):
     assert all(r["anticommutation"] <= 1e-12 for r in payload["results"])
 
 
-def test_unknown_flag_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "clifford", "--bogus", "1"])
-    assert exc.value.code == 2
+def test_unknown_flag_is_usage_error(capsys):
+    assert_refused(capsys, ["verify", "clifford", "--bogus", "1"],
+                   "unrecognized arguments: --bogus 1")
 
 
-def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run([])
-    assert exc.value.code == 2
+def test_missing_subcommand_is_usage_error(capsys):
+    assert_refused(capsys, [], "the following arguments are required: "
+                   "command")
 
 
-def test_invalid_value_is_usage_error(capsys):
-    rc = run(["psi0", "--m", "0", "--trials", "1"])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert "positive" in err["error"]
+def test_invalid_value_is_usage_error(capsys, no_work):
+    assert_refused(capsys, ["psi0", "--m", "0", "--trials", "1"],
+                   "config key 'm' must be positive")
 
 
-def test_partial_eps_grid_is_usage_error(capsys):
-    rc = run(["audit", "residual", "--m", "6", "--eps-lo", "1e-3"])
-    assert rc == 2
-    assert "eps" in json.loads(capsys.readouterr().err)["error"]
+def test_partial_eps_grid_is_usage_error(capsys, no_work):
+    assert_refused(capsys, ["audit", "residual", "--m", "6", "--eps-lo",
+                            "1e-3"],
+                   "eps grid needs eps_lo, eps_hi and eps_count")
 
 
 AUDIT_GRID = ["--m", "6", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
@@ -184,41 +191,57 @@ def test_audit_energy_stdout_is_strict_json(capsys):
     assert payload["pointwise_zero_max"]["J1"] <= 1e-12
 
 
-@pytest.mark.parametrize("argv", [
-    ["audit", "residual", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
-     "--eps-count", "3"],
-    ["audit", "energy", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
-     "--eps-count", "2"],
-    ["audit", "rayleigh", "--eps-hi", "1e-2", "--eps-lo", "1e-3",
-     "--eps-count", "1"],
-    ["audit", "residual", "--eps-hi", "1e-3", "--eps-lo", "1e-2",
-     "--eps-count", "4"],
+# bad input: command line -> the error its stderr document states; where
+# a line has several faults, the first in the order of the checks
+AUDIT_REFUSALS = {
+    "audit residual --eps-hi 1e-2 --eps-lo 1e-3 --eps-count 3":
+        "eps grid must be a 1-d sequence of at least 4 points",
+    "audit energy --eps-hi 1e-2 --eps-lo 1e-3 --eps-count 2":
+        "eps grid must be a 1-d sequence of at least 4 points",
+    "audit rayleigh --eps-hi 1e-2 --eps-lo 1e-3 --eps-count 1":
+        "eps grid must be a 1-d sequence of at least 2 points",
+    "audit residual --eps-hi 1e-3 --eps-lo 1e-2 --eps-count 4":
+        "eps grid must be strictly decreasing",
     # the grid's two ends are adjacent doubles, so its inner points repeat
     # one of them and the grid is not strictly decreasing
-    ["audit", "rayleigh", "--eps-hi", "0.010000000000000002",
-     "--eps-lo", "0.01", "--eps-count", "4"],
-    ["audit", "residual", "--m", "3"],
-    ["audit", "energy", "--m", "4"],
-    ["audit", "rayleigh", "--m", "4"],
+    "audit rayleigh --eps-hi 0.010000000000000002 --eps-lo 0.01 "
+    "--eps-count 4": "eps grid must be strictly decreasing",
+    "audit residual --m 3": "residual audit needs 4 <= m <= 9, got 3",
+    "audit energy --m 4": "energy audit needs 5 <= m <= 9, got 4",
+    "audit rayleigh --m 4": "rayleigh audit needs 5 <= m <= 9, got 4",
     # past the cap the default sphere rule would need gigabytes
-    ["audit", "residual", "--m", "10"],
-    ["audit", "energy", "--m", "10"],
-    ["audit", "rayleigh", "--m", "10"],
+    "audit residual --m 10": "residual audit needs 4 <= m <= 9, got 10",
+    "audit energy --m 10": "energy audit needs 5 <= m <= 9, got 10",
+    "audit rayleigh --m 10": "rayleigh audit needs 5 <= m <= 9, got 10",
     # past the cap on first_scale the Grams could overflow
-    ["audit", "residual", "--first-scale", "1e+300"],
-    ["audit", "energy", "--first-scale", "1.0000000000000002e+100"],
-])
-def test_audit_bad_input_is_usage_error(capsys, argv):
-    start = time.perf_counter()
-    rc = run(argv)
-    captured = capsys.readouterr()
-    assert time.perf_counter() - start < 2.0
-    assert rc == 2
-    assert captured.out == ""
-    assert "error" in json.loads(captured.err)
-    if argv[2] in ("--m", "--first-scale"):
-        # the library's own message, one text for both
-        assert json.loads(captured.err)["error"].endswith(f", got {argv[3]}")
+    "audit residual --first-scale 1e+300":
+        "first_scale must lie in [0, 1e+100], got 1e+300",
+    "audit energy --first-scale 1.0000000000000002e+100":
+        "first_scale must lie in [0, 1e+100], got 1.0000000000000002e+100",
+    # several faults: m, then first scale, then a partial grid, then the
+    # grid itself; the flags' own casts come before all four
+    "audit residual --m 3 --eps-hi 1e-2":
+        "residual audit needs 4 <= m <= 9, got 3",
+    "audit residual --m 3 --first-scale 1e300":
+        "residual audit needs 4 <= m <= 9, got 3",
+    "audit energy --first-scale 1e300 --eps-lo 1e-3":
+        "first_scale must lie in [0, 1e+100], got 1e+300",
+    "audit rayleigh --first-scale 1e300 --eps-hi 1e-2 --eps-lo 1e-3 "
+    "--eps-count 1": "first_scale must lie in [0, 1e+100], got 1e+300",
+    "audit residual --m 10 --eps-hi 1e-3 --eps-lo 1e-2 --eps-count 4":
+        "residual audit needs 4 <= m <= 9, got 10",
+    "audit energy --eps-count 4 --eps-hi 1e-2":
+        "eps grid needs eps_lo, eps_hi and eps_count",
+    "audit rayleigh --eps-hi 1e-2 --eps-lo 1e-3 --eps-count 0":
+        "config key 'eps_count' must be positive",
+    "audit energy --m 4 --first-scale -1":
+        "config key 'first_scale' must be nonnegative",
+}
+
+
+@pytest.mark.parametrize("argv", [line.split() for line in AUDIT_REFUSALS])
+def test_audit_bad_input_is_usage_error(capsys, no_work, argv):
+    assert_refused(capsys, argv, AUDIT_REFUSALS[" ".join(argv)])
 
 
 @pytest.mark.parametrize("audit", ["residual", "energy"])
@@ -256,37 +279,52 @@ def test_solve_generic_diagonal(capsys):
     assert payload["spectrum"] == [1.0, 0.7, -0.5]
 
 
-def test_solve_generic_needs_spectrum(capsys):
-    rc = run(["solve", "generic"])
-    assert rc == 2
-    assert "spectrum" in json.loads(capsys.readouterr().err)["error"]
+def test_solve_generic_needs_spectrum(capsys, no_work):
+    assert_refused(capsys, ["solve", "generic"],
+                   "solve generic needs a spectrum (--spectrum or config)")
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "torus", "--spin", "0.3,0"],
-    ["solve", "torus", "--modes", "0.5"],
+SOLVE_REFUSALS = {
+    "solve torus --spin 0.3,0": "cannot parse spin structure '0.3,0'",
+    "solve torus --modes 0.5": "mode cutoff must be at least 1",
     # the grid is always the exact 2 nk - 1 (7 at --modes 2), and the
     # flag that set it is gone: argparse refuses it as unknown
-    ["solve", "torus", "--modes", "2", "--grid", "7"],
-    ["solve", "torus", "--modes", "nan"],
-    ["solve", "torus", "--spin", "1/2"],
-    ["solve", "generic", "--spectrum", "1,inf,-1"],
-    ["solve", "generic", "--spectrum", "1,nan,-1"],
-    ["solve", "generic", "--spectrum", "1,0"],
-    ["solve", "generic", "--spectrum", "1,2"],
-    ["solve", "generic", "--spectrum", "1"],
-])
-def test_solve_bad_input_is_usage_error(capsys, argv):
-    start = time.perf_counter()
-    try:
-        rc = run(argv)
-    except SystemExit as exc:  # the parser's own errors
-        rc = exc.code
-    captured = capsys.readouterr()
-    assert time.perf_counter() - start < 2.0
-    assert rc == 2
-    assert captured.out == ""
-    assert "error" in json.loads(captured.err)
+    "solve torus --modes 2 --grid 7": "unrecognized arguments: --grid 7",
+    "solve torus --modes nan":
+        "config key 'modes': expected a finite number, got 'nan'",
+    "solve torus --spin 1/2": "cannot parse spin structure '1/2'",
+    "solve generic --spectrum 1,inf,-1":
+        "config key 'spectrum': expected a finite number, got 'inf'",
+    "solve generic --spectrum 1,nan,-1":
+        "config key 'spectrum': expected a finite number, got 'nan'",
+    "solve generic --spectrum 1,0": "spectrum entries must be nonzero",
+    "solve generic --spectrum 1,2": "spectrum must be indefinite (both signs)",
+    "solve generic --spectrum 1": "spectrum must be a vector of length >= 2",
+    "solve torus --spin 0.3,0 --modes 0.5":
+        "cannot parse spin structure '0.3,0'",
+}
+
+
+@pytest.mark.parametrize("argv", [line.split() for line in SOLVE_REFUSALS])
+def test_solve_bad_input_is_usage_error(capsys, no_work, argv):
+    assert_refused(capsys, argv, SOLVE_REFUSALS[" ".join(argv)])
+
+
+CHECK_REFUSALS = {
+    # every --dims entry is checked before the first dimension's work
+    "verify spinor --dims 8,1": "spinor verification needs m >= 2",
+    "verify curvature --dims 6,3": "curvature verification needs m >= 4",
+    "verify curvature --dims 6,6,6,3": "curvature verification needs m >= 4",
+    "verify spinor --dims 8,1 --points 0":
+        "config key 'points' must be positive",
+    "verify clifford --m-max 1": "m_max must be at least 2",
+    "psi0 --m 2": "psi0 search needs m >= 3",
+}
+
+
+@pytest.mark.parametrize("argv", [line.split() for line in CHECK_REFUSALS])
+def test_verify_and_psi0_bad_input_is_usage_error(capsys, no_work, argv):
+    assert_refused(capsys, argv, CHECK_REFUSALS[" ".join(argv)])
 
 
 def test_solve_torus_small_deterministic(capsys):
@@ -312,14 +350,14 @@ def test_solve_torus_small_deterministic(capsys):
     assert payload["nehari_scale"] > 0.0
 
 
-def test_solve_torus_mixed_structure_converges(capsys):
+def test_solve_torus_mixed_structure_converges(capsys, matches_golden):
     # the steepest descent before L-BFGS exited 1 here, "no start
     # converged", with both starts at pi^2 / 4 and gradients above 1e-8
-    rc, payload = run_json(capsys, ["solve", "torus", "--spin", "0,0.5",
-                                    "--modes", "3"])
+    rc, payload = run_strict_json(capsys, GOLDEN_RUNS["solve_torus_mixed"])
     assert rc == 0
     assert payload["ok"] is True
     assert payload["energy"] == pytest.approx(np.pi ** 2 / 4.0, rel=1e-10)
+    matches_golden("solve_torus_mixed", payload)
 
 
 @pytest.mark.parametrize("argv, starts", [
@@ -397,27 +435,21 @@ def test_runconfig_round_trip():
     assert again["seed"] == 7
 
 
-def test_config_rejects_unknown_key(capsys, tmp_path):
+def test_config_rejects_unknown_key(capsys, tmp_path, no_work):
     # a key of another subcommand is as unknown to solve toy as a made-up one
     cfg = tmp_path / "run.cfg"
     for key, value in (("bogus", "1"), ("modes", "3"), ("spectrum", "1,2"),
                        ("eps_lo", "0.1")):
         cfg.write_text(f"{key} = {value}\n")
-        rc = run(["solve", "toy", "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert key in json.loads(captured.err)["error"]
+        assert_refused(capsys, ["solve", "toy", "--config", str(cfg)],
+                       f"unknown config key {key!r} for solve toy")
 
 
-def test_config_rejects_the_removed_grid_key(capsys, tmp_path):
+def test_config_rejects_the_removed_grid_key(capsys, tmp_path, no_work):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid = 7\n")
-    rc = run(["solve", "torus", "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "unknown config key 'grid'" in json.loads(captured.err)["error"]
+    assert_refused(capsys, ["solve", "torus", "--config", str(cfg)],
+                   "unknown config key 'grid' for solve torus")
 
 
 def test_every_config_key_is_an_option():
@@ -426,23 +458,24 @@ def test_every_config_key_is_an_option():
     assert set(_TYPES) - {"out_dir"} == options
 
 
-def test_config_unreadable_is_usage_error(capsys, tmp_path):
+def test_config_unreadable_is_usage_error(capsys, tmp_path, no_work):
     # a missing file and a file that is not text are malformed config
     binary = tmp_path / "run.cfg"
     binary.write_bytes(b"\xff\xfe\x00")
-    for path in (tmp_path / "missing.cfg", binary):
-        rc = run(["solve", "toy", "--config", str(path)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert "cannot read config file" in json.loads(captured.err)["error"]
+    missing = str(tmp_path / "missing.cfg")
+    for path, reason in (
+            (missing, f"[Errno 2] No such file or directory: {missing!r}"),
+            (binary, "'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte")):
+        assert_refused(capsys, ["solve", "toy", "--config", str(path)],
+                       f"cannot read config file: {reason}")
 
 
-def test_config_subcommand_mismatch(capsys, tmp_path):
+def test_config_subcommand_mismatch(capsys, tmp_path, no_work):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("subcommand = solve torus\n")
-    rc = run(["solve", "toy", "--config", str(cfg)])
-    assert rc == 2
+    assert_refused(capsys, ["solve", "toy", "--config", str(cfg)],
+                   "config file is for 'solve torus', not 'solve toy'")
 
 
 def test_runconfig_validates_types():
@@ -566,13 +599,8 @@ def test_unusable_out_dir_is_usage_error_before_any_work(capsys, tmp_path,
         argv += ["--out-dir", str(target)]
     else:
         monkeypatch.setenv("SPINLAB_OUT", str(target))
-    rc = run(argv)
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    err = json.loads(captured.err)
-    assert list(err) == ["error"]
-    assert err["error"].startswith("cannot use output directory: ")
+    assert_refused(capsys, argv, "cannot use output directory: "
+                   f"[Errno 17] File exists: {str(target)!r}")
     assert calls == []
 
 

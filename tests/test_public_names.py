@@ -1,4 +1,5 @@
-"""The public surface: each module's ``__all__``, read from the source.
+"""The public surface, read from the source: each module's ``__all__``,
+and the count of the lab's settable values.
 
 ``bench/tracer.py`` wraps exactly the ``__all__`` functions of each
 module and skips an entry that does not exist, so a stale entry, or a
@@ -101,3 +102,27 @@ def test_api_only_names_cite_a_test_that_exists():
         path = ROOT / "tests" / f"test_{module}.py"
         assert test in {n.name for n in ast.parse(path.read_text()).body
                         if isinstance(n, ast.FunctionDef)}, (name, test)
+
+
+# The lab's settable values: the defaulted parameters of every function
+# in src/ plus the keys of cli._TYPES.  A change that moves the count
+# updates it here and says why in CHANGES.md.
+SETTABLE_VALUES = 99
+
+
+def settable_values():
+    defaulted = sum(len(node.args.defaults)
+                    + sum(d is not None for d in node.args.kw_defaults)
+                    for tree in MODULES.values() for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.Lambda)))
+    keys = [len(node.value.keys) for node in MODULES["cli"].body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "_TYPES"
+                    for t in node.targets)]
+    assert len(keys) == 1
+    return defaulted + keys[0]
+
+
+def test_settable_values_are_counted():
+    assert settable_values() == SETTABLE_VALUES
