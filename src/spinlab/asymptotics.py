@@ -243,7 +243,7 @@ def _slope(eps: np.ndarray, values: np.ndarray) -> float:
     return order_fit(eps, values).slope
 
 
-def _window_slope(eps: np.ndarray, values: np.ndarray, lower=True) -> float:
+def _window_slope(eps: np.ndarray, values: np.ndarray, lower: bool) -> float:
     w = _window(eps, lower)
     return _slope(eps[w], values[w])
 

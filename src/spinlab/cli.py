@@ -173,8 +173,8 @@ class RunConfig:
             lines.append(f"{key} = {_format_value(key, self.values[key])}")
         return "\n".join(lines) + "\n"
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    def get(self, key):
+        return self.values.get(key)
 
     def __getitem__(self, key):
         return self.values[key]

@@ -535,7 +535,7 @@ def ground_state_problem(basis: SpectralBasis):
 
     n_freq = M + (1 if basis.kernel_dim else 0)
     problem = IndefiniteProblem(
-        x_mask=np.arange(n) < 2 * M, psi=psi, grad_psi=grad_psi,
+        n=n, n_x=2 * M, psi=psi, grad_psi=grad_psi,
         hess_psi=hess_psi, p=4.0, mu=0.75, kappa=5.0 / 3.0,
         K=math.sqrt(n_freq / (TWO_PI * float(basis.lam.min()))))
     return problem, to_coords, from_coords

@@ -4,20 +4,20 @@ The object of study is
 
     L(z) = (|Pz|^2 - |(I - P)z|^2) / 2 - Psi(z)
 
-on R^n, where the positive subspace X is spanned by a set of coordinate
-axes and the negative subspace Y by the others, P is the orthogonal
-projection onto X, and Psi is a convex superquadratic nonlinearity
-supplied through callbacks.  Because L is strictly concave along Y,
-each X-component phi owns a unique fiber maximizer beta(phi);
-eliminating Y this way leaves a reduced functional J on X whose
-critical points are exactly those of L.  Ground states are then found
-by minimizing J over its Nehari set {K = <grad J, phi> = 0}.  Along a
-ray t phi of X, K has a simple root with dK/dt < 0 (Szulkin and Weth,
-"The method of Nehari manifold", 2010), so the projection onto the set
-is Newton's method in t kept inside a sign bracket of K (rtsafe,
-Numerical Recipes, 3rd ed., sec. 9.4), whose slope differentiates the
-fiber through one linear solve, held to the step's accuracy (inexact
-Newton: Dembo, Eisenstat and Steihaug, 1982).
+on R^n, where the positive subspace X is spanned by the first n_x
+coordinate axes and the negative subspace Y by the others, P is the
+orthogonal projection onto X, and Psi is a convex superquadratic
+nonlinearity supplied through callbacks.  Because L is strictly concave
+along Y, each X-component phi owns a unique fiber maximizer beta(phi);
+eliminating Y this way leaves a reduced functional J on X whose critical
+points are exactly those of L.  Ground states are then found by
+minimizing J over its Nehari set {K = <grad J, phi> = 0}.  Along a
+ray t phi of X, K has a simple root with dK/dt < 0 (Szulkin and Weth, "The
+method of Nehari manifold", 2010), so the projection onto the set is
+Newton's method in t kept inside a sign bracket of K (rtsafe, Numerical
+Recipes, 3rd ed., sec. 9.4), whose slope differentiates the fiber
+through one linear solve, held to the step's accuracy (inexact Newton:
+Dembo, Eisenstat and Steihaug, 1982).
 
 The module exposes the hypothesis checker for the structural conditions
 the reduction needs (labelled H1 to H5 throughout), the inner maximizer,
@@ -25,8 +25,9 @@ the reduced functional, Nehari projection and minimization, and an audit
 of the quadratic energy envelope gamma <= L(z) + C |grad L(z)|^2 that
 approximate critical points must satisfy.
 
-All constants (p, K, mu, kappa) are part of the problem statement and
-are validated, never inferred.
+All constants (n, n_x, p, K, mu, kappa) are part of the problem
+statement and are validated, never inferred; so is every vector an entry
+point takes, which must be finite and of shape (n,).
 
 The module runs on numpy alone.  Its linear solver ``cg`` is the
 unpreconditioned conjugate gradient method (Hestenes and Stiefel, J. Res.
@@ -67,13 +68,14 @@ HYPOTHESES = ("H1", "H2", "H3", "H4", "H5", "positivity")
 class IndefiniteProblem:
     """Splitting, nonlinearity callbacks and structural constants.
 
-    X is spanned by the coordinate axes where ``x_mask`` is true and Y
-    by the rest, so ``project`` zeroes the Y coordinates; ``n`` is the
-    mask's size.  ``hess_psi(z, v)`` applies the Hessian of Psi at z to
-    v; the solver never needs the dense matrix.
+    The space is R^n with X the first ``n_x`` coordinates and Y the other
+    n - n_x, so ``project`` zeroes z[n_x:] and ``complement`` z[:n_x];
+    both return vectors of length n.  ``hess_psi(z, v)`` applies the
+    Hessian of Psi at z to v; the solver never needs the dense matrix.
     """
 
-    x_mask: np.ndarray
+    n: int
+    n_x: int
     psi: Callable[[np.ndarray], float]
     grad_psi: Callable[[np.ndarray], np.ndarray]
     hess_psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -83,10 +85,8 @@ class IndefiniteProblem:
     kappa: float
 
     def __post_init__(self):
-        mask = np.asarray(self.x_mask)
-        if mask.dtype != bool or mask.ndim != 1 or mask.size < 2:
-            raise ValueError("x_mask must be a 1-d boolean array, size >= 2")
-        object.__setattr__(self, "x_mask", mask)
+        if not (self.n >= 2 and 1 <= self.n_x <= self.n):
+            raise ValueError("need n >= 2 coordinates and 1 <= n_x <= n")
         if not 2.0 < self.p < math.inf:
             raise ValueError("superquadraticity needs finite p > 2")
         if not 0.0 < self.K < math.inf:
@@ -104,15 +104,15 @@ class IndefiniteProblem:
 
     # -- splitting helpers ------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self.x_mask.size
-
     def project(self, z: np.ndarray) -> np.ndarray:
-        return np.where(self.x_mask, z, 0.0)
+        out = np.zeros(self.n)
+        out[:self.n_x] = z[:self.n_x]
+        return out
 
     def complement(self, z: np.ndarray) -> np.ndarray:
-        return np.where(self.x_mask, 0.0, z)
+        out = np.array(z, dtype=float)
+        out[:self.n_x] = 0.0
+        return out
 
     def energy(self, z: np.ndarray) -> float:
         zx = self.project(z)
@@ -122,6 +122,14 @@ class IndefiniteProblem:
     def energy_gradient(self, z: np.ndarray) -> np.ndarray:
         zx = self.project(z)
         return zx - (z - zx) - self.grad_psi(z)
+
+
+def _checked(problem: IndefiniteProblem, name: str, v) -> np.ndarray:
+    """``v`` as floats, refused by ``name`` unless finite, of shape (n,)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (problem.n,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, of shape ({problem.n},)")
+    return v
 
 
 def toy_problem(n: int = 2) -> IndefiniteProblem:
@@ -137,8 +145,10 @@ def toy_problem(n: int = 2) -> IndefiniteProblem:
 def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
     """Quartic problem whose quadratic part has the given diagonal.
 
-    A quadratic form sum d_i z_i^2 / 2 with nonzero entries rescales to
-    the unit indefinite form by z_i -> z_i / sqrt(|d_i|); the |z|^4 / 4
+    The coordinates are the positive entries first and then the negative
+    ones, each group in the order given, so X is a prefix.  A quadratic
+    form sum d_i z_i^2 / 2 with nonzero entries rescales to the unit
+    indefinite form by z_i -> z_i / sqrt(|d_i|); the |z|^4 / 4
     nonlinearity becomes |S z|^4 / 4 with S the scaling.  The curvature
     constant is unchanged by the linear substitution; the growth constant
     picks up the largest scaling factor.  Entries must be finite: an
@@ -153,6 +163,7 @@ def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
         raise ValueError("spectrum entries must be nonzero")
     if not (np.any(d > 0.0) and np.any(d < 0.0)):
         raise ValueError("spectrum must be indefinite (both signs)")
+    d = np.concatenate([d[d > 0.0], d[d < 0.0]])
     s = 1.0 / np.sqrt(np.abs(d))
     s2 = s * s
 
@@ -169,16 +180,16 @@ def diagonal_quartic_problem(spectrum) -> IndefiniteProblem:
         return w2 * s2 * v + 2.0 * float((s2 * z) @ v) * s2 * z
 
     return IndefiniteProblem(
-        x_mask=d > 0.0, psi=psi, grad_psi=grad, hess_psi=hess,
-        p=4.0, K=max(1.0, float(s.max())), mu=0.75, kappa=5.0 / 3.0,
-    )
+        n=d.size, n_x=int(np.sum(d > 0.0)), psi=psi, grad_psi=grad,
+        hess_psi=hess, p=4.0, K=max(1.0, float(s.max())), mu=0.75,
+        kappa=5.0 / 3.0)
 
 
 class DegenerateRay(ValueError):
     """K(t) stays positive along the ray, so it never meets the Nehari set."""
 
-    def __init__(self, msg="ray degenerate: K stays positive along the ray"):
-        super().__init__(msg)
+    def __init__(self):
+        super().__init__("ray degenerate: K stays positive along the ray")
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +280,8 @@ def check_hypotheses(problem: IndefiniteProblem, n_samples: int = 1000,
     failures = [k for k in HYPOTHESES if counts[k] > 0]
     if psi_max == 0.0 and "H3" not in failures:
         failures.append("H3")
-    failures = tuple(failures)
     return HypothesisReport(n_samples, worst, counts, psi_max > 0.0,
-                            failures, not failures)
+                            tuple(failures), not failures)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +352,9 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
-        raise ValueError("fiber direction phi must be finite")
-    w = np.zeros(problem.n) if w0 is None else np.array(w0, dtype=float)
-    if w.shape != (problem.n,) or not np.isfinite(w).all():
-        raise ValueError(f"warm start w0 must be finite, of shape "
-                         f"({problem.n},)")
-    w = problem.complement(w)
+    phi = _checked(problem, "fiber direction phi", phi)
+    w = problem.complement(np.zeros(problem.n) if w0 is None
+                           else _checked(problem, "warm start w0", w0))
     history = []
 
     def residual(wv):
@@ -488,13 +493,13 @@ def nehari_project(problem: IndefiniteProblem, phi: np.ndarray,
         raise ValueError("tolerance must be finite and positive")
     if t0 is not None and not (math.isfinite(t0) and t0 > 0.0):
         raise ValueError("initial scale t0 must be finite and positive")
-    phi = np.asarray(phi, dtype=float)
+    phi = _checked(problem, "direction phi", phi)
     if float(phi @ phi) == 0.0:
         raise ValueError("cannot project the zero direction")
-    if not problem.project(phi).any():
+    if not phi[:problem.n_x].any():
         # P grad Psi is orthogonal to Y, so K = t^2 |phi|^2 on a ray of Y
         raise DegenerateRay()
-    if problem.complement(phi).any():
+    if phi[problem.n_x:].any():
         raise ValueError("direction must lie in X: its Y part is nonzero")
     if fiber_tol is None:
         fiber_tol = max(min(tol, 1e-12), tol / 10)
@@ -639,8 +644,8 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         raise ValueError("tolerance must be finite and positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    if initial is not None and not np.isfinite(initial).all():
-        raise ValueError("initial direction must be finite")
+    if initial is not None:
+        initial = _checked(problem, "initial direction", initial)
     rng = np.random.default_rng(seed)
     inner = min(tol * 1e-2, 1e-12)
     found = []
@@ -652,10 +657,8 @@ def minimize_nehari(problem: IndefiniteProblem, starts: int = 8,
         return nehari_project(problem, u, tol=max(1e-12, 1e-1 * gn), t0=t,
                               fiber_tol=max(inner, 1e-2 * gn), **warm)
     for start_idx in range(starts):
-        if start_idx == 0 and initial is not None:
-            u = problem.project(np.asarray(initial, dtype=float))
-        else:
-            u = problem.project(rng.standard_normal(problem.n))
+        u = problem.project(initial if start_idx == 0 and initial is not None
+                            else rng.standard_normal(problem.n))
         nu = np.linalg.norm(u)
         while nu < 1e-8:
             u = problem.project(rng.standard_normal(problem.n))
@@ -753,14 +756,13 @@ def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
 
     Each scale s of ``s_grid`` (1-d, non-empty, positive and finite,
     checked before any solve) perturbs z along four random unit
-    directions.  The minimal admissible C is the largest
-    ratio of the level deficit gamma - L to the squared gradient across
-    the family, over the deficits above 1e-10; the envelope holds when
-    that ratio stays finite (a positive deficit with a zero gradient
-    would break it).
+    directions.  The minimal admissible C is the largest ratio of the
+    level deficit gamma - L to the squared gradient across the family,
+    over the deficits above 1e-10; the envelope holds when that ratio
+    stays finite (a positive deficit with a zero gradient breaks it).
     API only, backed by ``test_energy_bound_exact_critical_point``.
     """
-    z = np.asarray(z, dtype=float)
+    z = _checked(problem, "audit point z", z)
     base = problem.energy(z)
     if not base > 0.0:
         raise ValueError("audit point must carry positive energy")
@@ -783,15 +785,13 @@ def energy_bound_audit(problem: IndefiniteProblem, z: np.ndarray,
                         for q in points])
 
     C = 0.0
-    ok = True
     for d, g2 in zip(deficits, grad_sq):
         if d <= 1e-10:
             continue
         if g2 == 0.0:
             C = math.inf
-            ok = False
             break
         C = max(C, d / g2)
-    return EnvelopeAudit(float(gamma), ok and math.isfinite(C), float(C),
+    return EnvelopeAudit(float(gamma), math.isfinite(C), float(C),
                          s_grid, deficits, grad_sq, float(base),
                          float(math.sqrt(grad_sq[0])))

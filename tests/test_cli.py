@@ -279,6 +279,19 @@ def test_solve_generic_diagonal(capsys):
     assert payload["spectrum"] == [1.0, 0.7, -0.5]
 
 
+def test_solve_generic_payload_follows_the_partition(capsys):
+    # X is the positive entries first, each group in the order given, so
+    # a permuted spectrum solves the golden run's problem to its bits
+    rc, payload = run_strict_json(
+        capsys, ["solve", "generic", "--spectrum=-0.4,1,0.7"])
+    golden = json.loads((pathlib.Path(__file__).resolve().parent / "golden"
+                         / "solve_generic.json").read_text())
+    assert rc == 0
+    assert payload.pop("spectrum") == [-0.4, 1.0, 0.7]
+    del golden["spectrum"]
+    assert payload == golden
+
+
 def test_solve_generic_needs_spectrum(capsys, no_work):
     assert_refused(capsys, ["solve", "generic"],
                    "solve generic needs a spectrum (--spectrum or config)")

@@ -107,7 +107,7 @@ def test_api_only_names_cite_a_test_that_exists():
 # The lab's settable values: the defaulted parameters of every function
 # in src/ plus the keys of cli._TYPES.  A change that moves the count
 # updates it here and says why in CHANGES.md.
-SETTABLE_VALUES = 99
+SETTABLE_VALUES = 96
 
 
 def settable_values():

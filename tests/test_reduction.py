@@ -47,7 +47,7 @@ from spinlab.reduction import (
 def zero_problem(n=2):
     """Psi identically zero: every hypothesis holds except nonvanishing."""
     return IndefiniteProblem(
-        x_mask=np.arange(n) == 0,
+        n=n, n_x=1,
         psi=lambda z: 0.0,
         grad_psi=lambda z: np.zeros(n),
         hess_psi=lambda z, v: np.zeros(n),
@@ -58,7 +58,7 @@ def zero_problem(n=2):
 def y_only_problem():
     """Psi = y^4 / 4 vanishes along X, so every X-ray is degenerate."""
     return IndefiniteProblem(
-        x_mask=np.array([True, False]),
+        n=2, n_x=1,
         psi=lambda z: 0.25 * z[1] ** 4,
         grad_psi=lambda z: np.array([0.0, z[1] ** 3]),
         hess_psi=lambda z, v: np.array([0.0, 3.0 * z[1] ** 2 * v[1]]),
@@ -90,7 +90,7 @@ def coupled_quartic_problem(n, k, seed):
         return 2.0 * float(Az @ v) * Az + float(z @ A @ z) * (A @ v)
 
     return IndefiniteProblem(
-        x_mask=np.arange(n) < k, psi=psi, grad_psi=grad, hess_psi=hess,
+        n=n, n_x=k, psi=psi, grad_psi=grad, hess_psi=hess,
         p=4.0, K=float(lam[-1] / math.sqrt(lam[0])), mu=0.75,
         kappa=5.0 / 3.0,
     ), A
@@ -101,7 +101,7 @@ def coupled_quartic_problem(n, k, seed):
 
 # the valid fields of the two-dimensional quartic problem
 GOOD = dict(
-    x_mask=np.array([True, False]),
+    n=2, n_x=1,
     psi=lambda z: 0.25 * float(z @ z) ** 2,
     grad_psi=lambda z: float(z @ z) * z,
     hess_psi=lambda z, v: float(z @ z) * v + 2.0 * float(z @ v) * z,
@@ -115,15 +115,23 @@ def test_problem_validation():
                 dict(kappa=1.0)):
         with pytest.raises(ValueError):
             IndefiniteProblem(**{**GOOD, **bad})
-    # the mask must be a 1-d boolean array of size >= 2
-    for mask in (np.array([1.0, 0.0]), np.array([[True, False]]),
-                 np.array([True])):
-        with pytest.raises(ValueError, match="x_mask"):
-            IndefiniteProblem(**{**GOOD, "x_mask": mask})
+    # X is the first n_x of n >= 2 coordinates; Y may be empty
+    assert IndefiniteProblem(**{**GOOD, "n_x": 2}).complement(
+        np.ones(2)).tolist() == [0.0, 0.0]
+    for n, n_x in ((1, 1), (2, 3)):
+        with pytest.raises(ValueError, match="1 <= n_x <= n"):
+            IndefiniteProblem(**{**GOOD, "n": n, "n_x": n_x})
     with pytest.raises(ValueError):
         IndefiniteProblem(**{**GOOD, "psi": lambda z: 1.0 + float(z @ z)})
     with pytest.raises(ValueError):
         IndefiniteProblem(**{**GOOD, "grad_psi": lambda z: z + 1.0})
+
+
+def test_problem_refuses_an_empty_x():
+    # with X empty every random start projects to zero, and
+    # minimize_nehari drew start directions forever
+    with pytest.raises(ValueError, match="1 <= n_x <= n"):
+        IndefiniteProblem(**{**GOOD, "n_x": 0})
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -152,7 +160,7 @@ def test_toy_callbacks_are_the_plain_quartic():
     # the toy is the diagonal problem of (1, -1, -1), whose scaling is
     # the identity: its callbacks are the unscaled quartic, bit for bit
     prob = toy_problem(3)
-    assert prob.x_mask.tolist() == [True, False, False]
+    assert (prob.n, prob.n_x) == (3, 1)
     assert (prob.p, prob.K, prob.mu, prob.kappa) == (4.0, 1.0, 0.75, 5.0 / 3.0)
     rng = np.random.default_rng(81)
     for _ in range(5):
@@ -223,7 +231,7 @@ def test_hypotheses_zero_nonlinearity():
 def test_hypotheses_violation_named():
     # a quadratic nonlinearity breaks superquadraticity at p = 4
     prob = IndefiniteProblem(
-        x_mask=np.array([True, False]),
+        n=2, n_x=1,
         psi=lambda z: 0.5 * float(z @ z),
         grad_psi=lambda z: np.array(z, dtype=float),
         hess_psi=lambda z, v: np.array(v, dtype=float),
@@ -445,6 +453,36 @@ def test_beta_rejects_bad_tolerance(monkeypatch, tol):
                                          "positive"):
         beta(diagonal_quartic_problem([1.0, 0.7, -0.4]),
              np.array([0.6, 0.8, 0.0]), tol=tol)
+
+
+# each vector input of the solver: its name and a call on toy_problem(3)
+VECTOR_INPUTS = {
+    "beta-phi": ("phi", lambda prob, v: beta(prob, v)),
+    "beta-w0": ("w0", lambda prob, v: beta(prob, np.array([1.0, 0.0, 0.0]),
+                                            w0=v)),
+    "nehari_project-phi": ("phi", lambda prob, v: nehari_project(prob, v)),
+    "minimize_nehari-initial": (
+        "initial", lambda prob, v: minimize_nehari(prob, initial=v)),
+    "energy_bound_audit-z": ("z", lambda prob, v: energy_bound_audit(prob, v)),
+}
+BAD_VECTORS = {"short": np.ones(2), "long": np.ones(4), "one": np.ones(1),
+               "column": np.ones((3, 1)),
+               "nan": np.array([1.0, math.nan, 0.0])}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("entry", sorted(VECTOR_INPUTS))
+def test_vector_inputs_are_refused_by_name(monkeypatch, entry, bad):
+    # slices read any length, so each input is checked against (n,);
+    # numpy broadcasting once let beta's phi and minimize_nehari's
+    # initial of shape (1,) through, to a fiber and to gamma = 0.25
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(reduction, "cg", no_solve)
+    name, call = VECTOR_INPUTS[entry]
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*\(3,\)"):
+        call(toy_problem(3), BAD_VECTORS[bad])
 
 
 # ---------------------------------------------------------------------------
@@ -1270,7 +1308,7 @@ def test_minimize_nehari_counts_degenerate_starts():
     # the initial direction e2 is a degenerate ray, the random start is not
     s = np.array([1.0, 0.0, 1.0])
     prob = IndefiniteProblem(
-        x_mask=np.array([True, True, False]),
+        n=3, n_x=2,
         psi=lambda z: 0.25 * float((s * z) @ z) ** 2,
         grad_psi=lambda z: float((s * z) @ z) * s * z,
         hess_psi=lambda z, v: (float((s * z) @ z) * s * v
@@ -1294,7 +1332,7 @@ def test_minimize_nehari_propagates_callback_value_error():
         return base.psi(z)
 
     prob = IndefiniteProblem(
-        x_mask=base.x_mask, psi=psi, grad_psi=base.grad_psi,
+        n=base.n, n_x=base.n_x, psi=psi, grad_psi=base.grad_psi,
         hess_psi=base.hess_psi, p=4.0, K=1.0, mu=0.75, kappa=5.0 / 3.0)
     with pytest.raises(ValueError, match="callback failed"):
         minimize_nehari(prob, starts=3, seed=0)
