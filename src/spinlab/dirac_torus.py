@@ -13,9 +13,10 @@ into a finite-dimensional strongly indefinite problem matching the
 reduction solver's contract, with the H^(1/2) norm |psi|^2 = sum of
 |lambda| |a|^2 over eigenmodes and plain L^2 on the kernel block.  For
 the trivial offset the operator kernel consists of the constant
-spinors; the quartic term is then replaced by the kernel-reduced
-|psi - T(psi)|^4 with T the best L^4 approximation in the kernel, whose
-critical points map back to those of Phi via psi -> psi - T(psi).
+spinors.  Their coefficients are the null block E^0 of the solver's Y,
+on which the quadratic form vanishes, so maximizing over the fiber
+also minimizes the quartic over the kernel, and the fiber's own Newton
+steps solve for the kernel block.
 
 Fields are evaluated on a uniform n_g x n_g grid by a separable partial
 DFT over the square box of integer mode labels: two small matrices per
@@ -32,13 +33,13 @@ with nk consecutive labels k, so conj(psi) psi' has integer frequencies
 k' - k of modulus <= nk - 1 and the spin phase cancels.  The integrand
 |psi|^4, and the integrand |psi|^2 psi exp(-i (k + delta) x) of every
 box coefficient of |psi|^2 psi, are then trigonometric polynomials of
-degree <= 2 (nk - 1) per axis; so are the Hessian products 2 Re<psi, chi>
-psi + |psi|^2 chi and the kernel Gram sums, since the constant spinors
-lie in the box.  The n-point trapezoidal rule integrates exp(i m x)
-exactly unless m is a nonzero multiple of n, hence exactly for every
-|m| <= 2 (nk - 1) once n >= 2 nk - 1 (Trefethen and Weideman, SIAM
-Review 56, 2014; Orszag, J. Atmos. Sci. 28, 1971, on dealiasing
-products).  At n = 2 nk - 2 the top frequency m = n aliases onto the
+degree <= 2 (nk - 1) per axis; so are those of the Hessian products
+2 Re<psi, chi> psi + |psi|^2 chi, the kernel mode (0, 0) among them,
+since the constant spinors lie in the box.  The n-point trapezoidal
+rule integrates exp(i m x) exactly unless m is a nonzero multiple of n,
+hence exactly for every |m| <= 2 (nk - 1) once n >= 2 nk - 1 (Trefethen
+and Weideman, SIAM Review 56, 2014; Orszag, J. Atmos. Sci. 28, 1971, on
+dealiasing products).  At n = 2 nk - 2 the top frequency m = n aliases onto the
 mean, and the quartic of a generic field is wrong.
 
 The surface is 2-dimensional, so the critical exponent is 4 and the
@@ -61,8 +62,6 @@ __all__ = [
     "GroundState",
     "build_dirac",
     "phi_functional",
-    "T_project",
-    "tilde_phi",
     "ground_state_problem",
     "solve_ground_state",
     "refine_ground_state",
@@ -318,173 +317,78 @@ def phi_functional(basis: SpectralBasis, c: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# kernel best approximation
-
-def _kernel_pairings(z: np.ndarray) -> np.ndarray:
-    """Real pairings Re<z, d_j> with the L2-normalized constant spinors
-    d = (1, 0), (i, 0), (0, 1), (0, i) over 2 pi, pointwise on the grid;
-    shape (4, n_g^2)."""
-    # (component, point, part) read as (component, part, point)
-    parts = z.view(float).reshape(2, -1, 2).transpose(0, 2, 1)
-    return np.divide(parts, TWO_PI, order="C").reshape(4, -1)
-
-
-def _kernel_gram(P: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Unweighted 4x4 Gram system 2 P P^T + (sum dens / 4 pi^2) I of the
-    quartic second form against the constant spinors.
-
-    Since trace(P P^T) = sum dens / 4 pi^2, its condition number is at
-    most 3 unless the density vanishes identically.
-    """
-    H = 2.0 * (P @ P.T)
-    H[np.diag_indices(4)] += float(np.sum(dens)) / TWO_PI ** 2
-    return H
-
-
-def _kernel_coeffs(r: np.ndarray) -> np.ndarray:
-    """Four real kernel coordinates -> two complex coefficients."""
-    return np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])
-
-
-def T_project(basis: SpectralBasis, c: np.ndarray,
-              tol: float = 1e-12) -> np.ndarray:
-    """Best approximation of the spinor in the Dirac kernel.
-
-    Minimizes the quartic distance over the kernel by at most 50 damped
-    Newton steps on four real coordinates, starting from the L2 kernel
-    projection, until the gradient norm is at most ``tol`` or, where the
-    line search stalls, at its rounding floor 4 eps w sum |z|^3 / (2 pi).
-    Returns the kernel coefficients; empty when the kernel is trivial.
-    """
-    c = _checked(basis, c)
-    if basis.kernel_dim == 0:
-        return np.zeros(0, dtype=complex)
-    grid = basis.to_grid(c)
-    w = basis.quad_weight
-
-    def grad_at(r):
-        z = grid - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
-        dens = _pairing(z, z)
-        P = _kernel_pairings(z)
-        return -w * (P @ dens.ravel()), P, dens
-
-    r = c[2 * basis.n_modes:].view(float)   # the real kernel coordinates
-    g, P, dens = grad_at(r)
-    gn = float(np.linalg.norm(g))
-    for _ in range(50):
-        if gn <= tol:
-            break
-        # gn > tol >= 0 makes g = -w P dens nonzero, so dens is not identically
-        # zero and H has condition number at most 3 (``_kernel_gram``)
-        H = w * _kernel_gram(P, dens)
-        step = np.linalg.solve(H, -g)
-        lam_step = 1.0
-        while lam_step > 2.0 ** -30:
-            g_new, P_new, dens_new = grad_at(r + lam_step * step)
-            gn_new = float(np.linalg.norm(g_new))
-            if gn_new <= (1.0 - 1e-4 * lam_step) * gn:
-                r = r + lam_step * step
-                g, P, dens, gn = g_new, P_new, dens_new, gn_new
-                break
-            lam_step *= 0.5
-        else:
-            # 2^-50 = 4 eps; the floor grows as the amplitude cubed
-            floor = 2.0 ** -50 * w * float(np.sum(dens ** 1.5)) / TWO_PI
-            if not gn <= floor:
-                raise RuntimeError("kernel projection line search stalled")
-            break
-    else:
-        raise RuntimeError(f"kernel projection did not converge; "
-                           f"gradient norm {gn:.3e}")
-    return _kernel_coeffs(r)
-
-
-def _kernel_reduced(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
-    """psi - T(psi) for psi with a zero kernel block; psi if no kernel."""
-    if basis.kernel_dim == 0:
-        return c
-    # 0 - T(psi) has the bits of -T(psi), except that a zero stays +0.0
-    return np.concatenate((c[:2 * basis.n_modes], 0.0 - T_project(basis, c)))
-
-
-def tilde_phi(basis: SpectralBasis, c: np.ndarray):
-    """Kernel-reduced functional and gradient on the plus/minus blocks.
-
-    The quartic term is evaluated at psi - T(psi); by stationarity of
-    the inner minimum the gradient takes the same form as for Phi with
-    the shifted argument, and its kernel component vanishes.  Returns
-    ``phi_functional`` at psi - T(psi), which is psi without a kernel.
-    API only, backed by ``test_tilde_phi_inequality_and_kernel_gradient``.
-    """
-    c = _checked(basis, c)
-    if np.any(c[2 * basis.n_modes:] != 0.0):
-        raise ValueError("kernel block must be zero here")
-    return phi_functional(basis, _kernel_reduced(basis, c))
-
-
-# ---------------------------------------------------------------------------
 # the indefinite problem in solver coordinates
 
 def ground_state_problem(basis: SpectralBasis):
     """Wrap the truncated functional as an IndefiniteProblem.
 
-    Real coordinates are sqrt(lambda)-scaled coefficient parts, so the
-    H^(1/2) norm is Euclidean and the quadratic part of the energy is
-    exactly (|u+|^2 - |u-|^2)/2.  X is the plus block, the first 2M
-    coordinates.  Returns (problem, to_coords, from_coords); from_coords
-    gives the coefficient vector with a zero kernel block.  The
-    curvature constant 5/3 and the superquadraticity exponent 4 are
-    exact for the quartic (kernel-reduced or not).
+    Real coordinates are sqrt(lambda)-scaled coefficient parts on the
+    plus and minus blocks, then the unscaled real and imaginary parts of
+    the kernel block, which ``h_norm_sq`` weighs in L2; so the H^(1/2)
+    norm is Euclidean and the quadratic part of the energy is exactly
+    (|u+|^2 - |u-|^2)/2.  X is the plus block, the first 2M coordinates;
+    Y is the minus block and, with a kernel, the null block E^0 of its
+    last 2 kernel_dim coordinates, which carry no quadratic weight.
+    Returns (problem, to_coords, from_coords).  The curvature constant
+    5/3 and the superquadraticity exponent 4 are exact for the quartic.
 
     The callbacks share a cache, keyed by the bytes of u, of the
-    ``_quartic_part`` of the (kernel-reduced) field and, with a kernel,
-    the pairings and inverse Gram matrix: Psi and grad Psi run no
-    transform at a cached point.
+    ``_quartic_part`` of the field: Psi and grad Psi run no transform at
+    a cached point.
 
     The growth constant K = sqrt(n_freq / (2 pi lambda_min)), with
     n_freq = n_modes + 1 with a kernel and n_modes without, gives
     |grad Psi(u)| <= K <grad Psi(u), u>^(3/4) for every u.  Proof, with
-    psi the field of u (minus T(psi) with a kernel) on the torus of area
-    4 pi^2:
+    psi the field of u on the torus of area 4 pi^2:
 
     - grad Psi(u) holds <|psi|^2 psi, phi_j> / sqrt(lambda_j) over the
-      L2-orthonormal modes phi_j, exact on the exact grid, so by Bessel
-      |grad Psi|^2 <= int |psi|^6 / lambda_min;
+      L2-orthonormal modes phi_j, and the unscaled pairings with the
+      constant spinors, exact on the exact grid; so by Bessel |grad
+      Psi|^2 <= int |psi|^6 / min(lambda_min, 1), and lambda_min = 1
+      where there is a kernel;
     - int |psi|^6 <= sup |psi|^2 int |psi|^4;
     - psi has n_freq frequencies, each of modulus |c| / (2 pi) for its
       C^2 coefficient c, so sup |psi|^2 <= n_freq |psi|_2^2 / (4 pi^2);
     - by Cauchy-Schwarz |psi|_2^2 <= 2 pi (int |psi|^4)^(1/2);
-    - <grad Psi(u), u> = int |psi|^4 by 4-homogeneity, with a kernel
-      too, since T(s psi) = s T(psi) and T is stationary.
+    - <grad Psi(u), u> = int |psi|^4 by 4-homogeneity.
     """
-    M, size = basis.n_modes, basis.size
-    n = 4 * M
+    M, size, kd = basis.n_modes, basis.size, basis.kernel_dim
+    n = 4 * M + 2 * kd
     sq = np.sqrt(basis.lam)
     inv_sq = 1.0 / sq
 
     # Coordinates are [Re plus, Im plus, Re minus, Im minus] (M each),
     # read as (block, part, mode) against the (plus, minus) rows
-    # c[:2M].reshape(2, M) of a coefficient vector.
+    # c[:2M].reshape(2, M) of a coefficient vector, then the kernel
+    # block c[2M:] as its interleaved real view.
     def from_coords(u):
         """The coefficient vector with rows (u_re + i u_im) / sqrt(lambda)
-        and a zero kernel block; numpy divides by a real-valued complex as
-        x * (1 / sqrt(lambda)), so two products give the same values."""
-        parts = u.reshape(2, 2, M)
+        and the kernel block read from u[4M:]; numpy divides by a
+        real-valued complex as x * (1 / sqrt(lambda)), so two products
+        give the same values."""
+        parts = u[:4 * M].reshape(2, 2, M)
         c = np.zeros(size, dtype=complex)
         rows = c[:2 * M].reshape(2, M)
         np.multiply(parts[:, 0], inv_sq, out=rows.real)
         np.multiply(parts[:, 1], inv_sq, out=rows.imag)
+        if kd:
+            c[2 * M:].view(float)[:] = u[4 * M:]
         return c
 
     def coords(c, scale):
         """The real and imaginary parts of the rows of ``c``, each mode
-        scaled by sqrt(lambda) through ``scale``: np.multiply gives a
-        spinor's coordinates, np.divide a gradient's."""
+        scaled by sqrt(lambda) through ``scale`` (np.multiply gives a
+        spinor's coordinates, np.divide a gradient's), then the kernel
+        block's parts unscaled."""
         rows = c[:2 * M].reshape(2, M)
-        out = np.empty((2, 2, M))
-        out[:, 0] = rows.real
-        out[:, 1] = rows.imag
-        return scale(out, sq, out=out).reshape(n)
+        out = np.empty(n)
+        block = out[:4 * M].reshape(2, 2, M)
+        block[:, 0] = rows.real
+        block[:, 1] = rows.imag
+        scale(block, sq, out=block)
+        if kd:
+            out[4 * M:] = c[2 * M:].view(float)
+        return out
 
     def to_coords(c):
         return coords(c, np.multiply)
@@ -492,21 +396,13 @@ def ground_state_problem(basis: SpectralBasis):
     cache = {}
 
     def resolve(u):
-        """The cache entry at u: (z, dens, quartic, cubic, gram)."""
+        """The cache entry at u: (z, dens, quartic, cubic)."""
         key = u.tobytes()
         hit = cache.get(key)
         if hit is None:
-            z, dens, quartic, cubic = _quartic_part(
-                basis, _kernel_reduced(basis, from_coords(u)))
-            gram = None
-            if basis.kernel_dim and np.any(dens != 0.0):
-                P = _kernel_pairings(z)
-                # the Gram matrix is well conditioned (cond <= 3), so its
-                # inverse is the cheapest factorization to reuse
-                gram = (P, np.linalg.inv(_kernel_gram(P, dens)))
+            hit = _quartic_part(basis, from_coords(u))
             if len(cache) > 8:
                 cache.clear()
-            hit = (z, dens, quartic, cubic, gram)
             cache[key] = hit
         return hit
 
@@ -517,25 +413,14 @@ def ground_state_problem(basis: SpectralBasis):
         return coords(resolve(u)[3], np.divide)
 
     def hess_psi(u, v):
-        z, dens, _, _, gram = resolve(u)
+        z, dens, _, _ = resolve(u)
         chi = basis.to_grid(from_coords(v))
-        chi_pair = _pairing(z, chi)
-        if gram is not None:
-            # subtract the kernel-tangent motion of the best
-            # approximation: r solves the Gram system of the quartic
-            # second form against the constant spinors
-            P, H_inv = gram
-            rhs = (2.0 * (P @ chi_pair.ravel())
-                   + _kernel_pairings(chi) @ dens.ravel())
-            r = H_inv @ rhs
-            chi = chi - (_kernel_coeffs(r) / TWO_PI)[:, None, None]
-            chi_pair = chi_pair - (r @ P).reshape(chi_pair.shape)
-        G = 2.0 * chi_pair * z + dens * chi
+        G = 2.0 * _pairing(z, chi) * z + dens * chi
         return coords(basis.from_grid(G), np.divide)
 
-    n_freq = M + (1 if basis.kernel_dim else 0)
+    n_freq = M + (1 if kd else 0)
     problem = IndefiniteProblem(
-        n=n, n_x=2 * M, psi=psi, grad_psi=grad_psi,
+        n=n, n_x=2 * M, n_0=2 * kd, psi=psi, grad_psi=grad_psi,
         hess_psi=hess_psi, p=4.0, mu=0.75, kappa=5.0 / 3.0,
         K=math.sqrt(n_freq / (TWO_PI * float(basis.lam.min()))))
     return problem, to_coords, from_coords
@@ -589,11 +474,11 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
                        seed: int = 0, starts: int = 2) -> GroundState:
     """Ground state of the truncated functional through the reduction.
 
-    The positive spectral subspace is X, the negative one Y, and the
-    (kernel-reduced) quartic is Psi.  After minimizing over the Nehari
-    set the critical point is mapped back by subtracting the kernel
-    best approximation; the full gradient of Phi is then checked, and
-    the critical-value identity Phi = (1/4) int |psi|^4 must hold.
+    The positive spectral subspace is X, the negative one and the
+    kernel Y, and the quartic is Psi.  The Nehari minimizer plus its
+    fiber is the critical point, kernel block included; the full
+    gradient of Phi is then checked, and the critical-value identity
+    Phi = (1/4) int |psi|^4 must hold.
     """
     basis = build_dirac(lam_max, delta)
     return _solve_on_basis(basis, tol=tol, seed=seed, starts=starts)
@@ -602,7 +487,7 @@ def solve_ground_state(lam_max: float, delta=(0.5, 0.5), tol: float = 1e-8,
 def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
                     initial: np.ndarray = None) -> GroundState:
     """Nehari minimizer on ``basis`` (warm started from ``initial``),
-    mapped to psi + beta - T and checked as ``solve_ground_state`` says."""
+    mapped to psi + beta and checked as ``solve_ground_state`` says."""
     problem, to_coords, from_coords = ground_state_problem(basis)
     if initial is not None:
         initial = to_coords(initial)
@@ -610,8 +495,8 @@ def _solve_on_basis(basis: SpectralBasis, tol: float, seed: int, starts: int,
                              max_iter=400, initial=initial)
     # the Nehari minimizer lives in the positive block; the critical
     # point of the full functional adds the fiber maximizer over the
-    # negative block
-    psi = _kernel_reduced(basis, from_coords(result.minimizer + result.fiber))
+    # negative and kernel blocks
+    psi = from_coords(result.minimizer + result.fiber)
     energy, grad, quartic = phi_functional(basis, psi)
     grad_norm = math.sqrt(basis.h_norm_sq(grad))
 

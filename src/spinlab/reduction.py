@@ -2,22 +2,26 @@
 
 The object of study is
 
-    L(z) = (|Pz|^2 - |(I - P)z|^2) / 2 - Psi(z)
+    L(z) = (|Pz|^2 - |z^-|^2) / 2 - Psi(z)
 
 on R^n, where the positive subspace X is spanned by the first n_x
-coordinate axes and the negative subspace Y by the others, P is the
-orthogonal projection onto X, and Psi is a convex superquadratic
-nonlinearity supplied through callbacks.  Because L is strictly concave
-along Y, each X-component phi owns a unique fiber maximizer beta(phi);
-eliminating Y this way leaves a reduced functional J on X whose critical
-points are exactly those of L.  Ground states are then found by
-minimizing J over its Nehari set {K = <grad J, phi> = 0}.  Along a
-ray t phi of X, K has a simple root with dK/dt < 0 (Szulkin and Weth, "The
-method of Nehari manifold", 2010), so the projection onto the set is
-Newton's method in t kept inside a sign bracket of K (rtsafe, Numerical
-Recipes, 3rd ed., sec. 9.4), whose slope differentiates the fiber
-through one linear solve, held to the step's accuracy (inexact Newton:
-Dembo, Eisenstat and Steihaug, 1982).
+coordinate axes and Y by the others, P is the orthogonal projection onto
+X, and Psi is a convex superquadratic nonlinearity supplied through
+callbacks.  Y splits into E^- and a null block E^0, its last n_0 axes,
+on which the quadratic form vanishes; z^- is the E^- part of z (Szulkin
+and Weth, "Ground state solutions for some indefinite variational
+problems", J. Funct. Anal. 257, 2009, allow such a finite-dimensional
+E^0).  Because L is strictly concave along E^-, and along E^0 where Psi
+is strictly convex and coercive there, each X-component phi owns a
+unique fiber maximizer beta(phi) in Y; eliminating Y this way leaves a
+reduced functional J on X whose critical points are exactly those of L.
+Ground states are then found by minimizing J over its Nehari set {K =
+<grad J, phi> = 0}.  Along a ray t phi of X, K has a simple root with
+dK/dt < 0 (Szulkin and Weth, "The method of Nehari manifold", 2010), so
+the projection onto the set is Newton's method in t kept inside a sign
+bracket of K (rtsafe, Numerical Recipes, 3rd ed., sec. 9.4), whose
+slope differentiates the fiber through one linear solve, held to the
+step's accuracy (inexact Newton: Dembo, Eisenstat and Steihaug, 1982).
 
 The module exposes the hypothesis checker for the structural conditions
 the reduction needs (labelled H1 to H5 throughout), the inner maximizer,
@@ -25,7 +29,7 @@ the reduced functional, Nehari projection and minimization, and an audit
 of the quadratic energy envelope gamma <= L(z) + C |grad L(z)|^2 that
 approximate critical points must satisfy.
 
-All constants (n, n_x, p, K, mu, kappa) are part of the problem
+All constants (n, n_x, n_0, p, K, mu, kappa) are part of the problem
 statement and are validated, never inferred; so is every vector an entry
 point takes, which must be finite and of shape (n,).
 
@@ -41,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import itertools
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -70,8 +75,11 @@ class IndefiniteProblem:
 
     The space is R^n with X the first ``n_x`` coordinates and Y the other
     n - n_x, so ``project`` zeroes z[n_x:] and ``complement`` z[:n_x];
-    both return vectors of length n.  ``hess_psi(z, v)`` applies the
-    Hessian of Psi at z to v; the solver never needs the dense matrix.
+    both return vectors of length n.  The last ``n_0`` coordinates of Y
+    form the null block E^0 and carry no quadratic weight: the energy is
+    (|Pz|^2 - |z^-|^2) / 2 - Psi(z), with z^- = ``negative(z)`` the E^-
+    part.  ``hess_psi(z, v)`` applies the Hessian of Psi at z to v; the
+    solver never needs the dense matrix.
     """
 
     n: int
@@ -83,10 +91,16 @@ class IndefiniteProblem:
     K: float
     mu: float
     kappa: float
+    n_0: int = 0
 
     def __post_init__(self):
-        if not (self.n >= 2 and 1 <= self.n_x <= self.n):
-            raise ValueError("need n >= 2 coordinates and 1 <= n_x <= n")
+        try:
+            n, n_x, n_0 = map(operator.index, (self.n, self.n_x, self.n_0))
+        except TypeError:
+            raise ValueError("n, n_x and n_0 must be integers") from None
+        if not (n >= 2 and 1 <= n_x <= n and 0 <= n_0 <= n - n_x):
+            raise ValueError("need n >= 2 coordinates, 1 <= n_x <= n and "
+                             "0 <= n_0 <= n - n_x")
         if not 2.0 < self.p < math.inf:
             raise ValueError("superquadraticity needs finite p > 2")
         if not 0.0 < self.K < math.inf:
@@ -114,14 +128,18 @@ class IndefiniteProblem:
         out[:self.n_x] = 0.0
         return out
 
+    def negative(self, z: np.ndarray) -> np.ndarray:
+        """The E^- part of z, of length n: its X and E^0 blocks zeroed."""
+        out = self.complement(z)
+        out[self.n - self.n_0:] = 0.0
+        return out
+
     def energy(self, z: np.ndarray) -> float:
-        zx = self.project(z)
-        zy = z - zx
-        return 0.5 * (zx @ zx - zy @ zy) - self.psi(z)
+        zx, zn = self.project(z), self.negative(z)
+        return 0.5 * (zx @ zx - zn @ zn) - self.psi(z)
 
     def energy_gradient(self, z: np.ndarray) -> np.ndarray:
-        zx = self.project(z)
-        return zx - (z - zx) - self.grad_psi(z)
+        return self.project(z) - self.negative(z) - self.grad_psi(z)
 
 
 def _checked(problem: IndefiniteProblem, name: str, v) -> np.ndarray:
@@ -325,30 +343,40 @@ def cg(A, b, rtol=1e-5, maxiter=None, x0=None):
 # the inner maximizer
 
 def _fiber_operator(problem: IndefiniteProblem, z: np.ndarray):
-    """v -> v + Q H(z) Q v with Q = I - P and H the Hessian of Psi.
+    """v -> D v + Q H(z) Q v with Q = I - P, H the Hessian of Psi and D
+    the identity off E^0 and zero on it.
 
     The Jacobian of the fiber equation at z: ``beta`` steps with it and
-    the Nehari slope differentiates the fiber through it.
+    the Nehari slope differentiates the fiber through it.  D v is added
+    in place, so no E^0 copy is made.
     """
+    end = problem.n - problem.n_0
+
     def apply(v):
         q = problem.complement
-        return v + q(problem.hess_psi(z, q(v)))
+        out = q(problem.hess_psi(z, q(v)))
+        out[:end] += v[:end]
+        return out
 
     return apply
 
 
 def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
          max_iter: int = 50, w0: np.ndarray = None) -> np.ndarray:
-    """Unique fiber maximizer: solve w + (I - P) grad Psi(phi + w) = 0.
+    """Unique fiber maximizer: solve w^- + (I - P) grad Psi(phi + w) = 0
+    for w in Y, w^- its E^- part.
 
     Damped Newton with Armijo backtracking on the residual norm, from the
     Y part of the warm start ``w0`` (zero by default; finite and of shape
     (n,), checked before any solve), until the residual is within ``tol``
     or within 1e-15 |grad Psi(phi + w)|, the rounding floor of its terms,
-    whatever the start.  The Newton operator v -> v + (I - P) hess Psi
-    (I - P) v dominates the identity, so each step is a well-conditioned
-    CG solve; it leaves out the Y-X block of the Hessian, so damped steps
-    that shrink an X part of the start would stall.
+    whatever the start.  Each step is a CG solve with the Newton
+    operator v -> D v + (I - P) hess Psi (I - P) v (``_fiber_operator``):
+    on E^- it dominates the identity, and on E^0 it is the Hessian of Psi
+    alone, so the E^0 block of w minimizes Psi(phi + w^- + k) over k.  It
+    leaves out the Y-X block of the Hessian, so damped steps that shrink
+    an X part of the start would stall.  L(phi + w) >= L(phi) gives the
+    bound |w^-|^2 <= 2 Psi(phi), checked on return.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and positive")
@@ -356,11 +384,14 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
     w = problem.complement(np.zeros(problem.n) if w0 is None
                            else _checked(problem, "warm start w0", w0))
     history = []
+    end = problem.n - problem.n_0
 
     def residual(wv):
         g = problem.grad_psi(phi + wv)
+        F = problem.complement(g)
+        F[:end] += wv[:end]
         # and the rounding floor of the sum
-        return wv + problem.complement(g), 1e-15 * float(np.linalg.norm(g))
+        return F, 1e-15 * float(np.linalg.norm(g))
 
     F, floor = residual(w)
     nrm = float(np.linalg.norm(F))
@@ -391,8 +422,9 @@ def beta(problem: IndefiniteProblem, phi: np.ndarray, tol: float = 1e-12,
                            f"steps; residual history {history}")
 
     bound = 2.0 * float(problem.psi(phi)) + tol
-    if float(w @ w) > bound + 1e-9 * (1.0 + float(w @ w)):
-        raise RuntimeError("maximizer bound |w|^2 <= 2 Psi(phi) violated")
+    wn = problem.negative(w)
+    if float(wn @ wn) > bound + 1e-9 * (1.0 + float(wn @ wn)):
+        raise RuntimeError("maximizer bound |w^-|^2 <= 2 Psi(phi) violated")
     return w
 
 
@@ -428,7 +460,7 @@ def _nehari_slope(problem: IndefiniteProblem, phi: np.ndarray, t: float,
 
     With w = beta(t phi), z = t phi + w, g = grad Psi(z) and H =
     hess Psi(z), K(t) = t^2 |phi|^2 - t <g, phi>.  Differentiating the
-    fiber equation w + Q g = 0 gives (I + Q H Q) w' = -Q H phi, one CG
+    fiber equation w^- + Q g = 0 gives (D + Q H Q) w' = -Q H phi, one CG
     solve to ``rtol`` with the operator ``beta`` steps with, started from
     ``dw0`` (zero by default), and then
 

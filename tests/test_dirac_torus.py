@@ -4,7 +4,7 @@ Oracles: brute-force mode recount, raw Pauli-matrix eigensystems,
 single-mode closed forms for the functional (a plane-wave spinor has
 constant density a^2 / (4 pi^2)), finite differences for gradients and
 Hessians, and a refined grid search over the kernel 4-ball for the
-best-approximation operator.
+fiber's kernel block.
 """
 
 import dataclasses
@@ -18,16 +18,12 @@ import pytest
 from spinlab.asymptotics import critical_energy
 from spinlab.dirac_torus import (
     SpinStructure,
-    T_project,
-    _kernel_gram,
-    _kernel_pairings,
     _quartic_part,
     build_dirac,
     ground_state_problem,
     phi_functional,
     refine_ground_state,
     solve_ground_state,
-    tilde_phi,
 )
 from spinlab import dirac_torus, reduction
 from spinlab.reduction import check_hypotheses
@@ -265,8 +261,6 @@ def test_default_grid_is_exact_and_sharp(lam_max, delta):
     value_f, grad_f, _ = phi_functional(fine, sp)
     assert rel_diff(value, value_f) <= 1e-13
     assert rel_diff(grad, grad_f) <= 1e-13
-    if basis.kernel_dim:
-        assert rel_diff(T_project(basis, sp), T_project(fine, sp)) <= 1e-13
 
     problem, _, _ = ground_state_problem(basis)
     problem_f, _, _ = ground_state_problem(fine)
@@ -357,7 +351,6 @@ def test_phi_gradient_pairing_identity():
 
 def bad_coefficients(basis, case):
     c = random_spinor(basis, np.random.default_rng(83))
-    c[2 * basis.n_modes:] = 0.0
     if case == "nan":
         c[0] = np.nan
     elif case == "inf":
@@ -366,10 +359,10 @@ def bad_coefficients(basis, case):
 
 
 @pytest.mark.parametrize("case", ["short", "column", "nan", "inf"])
-@pytest.mark.parametrize("entry", [phi_functional, tilde_phi, T_project])
+@pytest.mark.parametrize("entry", [phi_functional])
 def test_entry_points_refuse_bad_coefficients(entry, case, monkeypatch):
-    # refused before any transform; a NaN used to stall T_project's line
-    # search and make phi_functional return nan
+    # refused before any transform; a NaN used to make phi_functional
+    # return nan
     basis = build_dirac(1.5, (0.0, 0.0))
     bad = bad_coefficients(basis, case)
 
@@ -384,192 +377,24 @@ def test_entry_points_refuse_bad_coefficients(entry, case, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kernel best approximation
-
-def test_T_kernel_identity():
-    basis = build_dirac(2.0, (0.0, 0.0))
-    kernel = np.array([0.7 - 0.2j, 1.1 + 0.4j])
-    sp = np.concatenate((np.zeros(2 * basis.n_modes), kernel))
-    tc = T_project(basis, sp)
-    assert np.abs(tc - kernel).max() <= 1e-12
-
-
-def test_T_no_kernel():
-    basis = build_dirac(2.0, (0.5, 0.0))
-    rng = np.random.default_rng(17)
-    tc = T_project(basis, random_spinor(basis, rng))
-    assert tc.shape == (0,)
-
-
-def test_kernel_gram_condition_bound():
-    # T_project solves with this Gram system unguarded: its condition
-    # number stays at most 3 whenever the density is not identically zero,
-    # at any amplitude and however concentrated the field
-    basis = build_dirac(4.0, (0.0, 0.0))
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for k in range(200):
-        z = basis.to_grid(random_spinor(basis, rng)) \
-            * 10.0 ** rng.uniform(-100.0, 100.0)
-        dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
-        if k % 2:
-            top = dens >= np.quantile(dens, 0.99)
-            z, dens = z * top, dens * top
-        H = _kernel_gram(_kernel_pairings(z), dens)
-        worst = max(worst, float(np.linalg.cond(H)))
-    assert worst <= 3.0
-
-
-def test_T_optimality_residual():
-    basis = build_dirac(2.0, (0.0, 0.0))
-    rng = np.random.default_rng(19)
-    sp = random_spinor(basis, rng, scale=0.9)
-    tc = T_project(basis, sp, tol=1e-12)
-    z = basis.to_grid(sp) - (tc / TWO_PI)[:, None, None]
-    dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
-    for d in np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
-                      dtype=complex) / TWO_PI:
-        resid = basis.quad_weight * float(np.sum(
-            dens * np.real(z[0] * np.conj(d[0]) + z[1] * np.conj(d[1]))))
-        assert abs(resid) <= 1e-12
-
-
-def test_T_homogeneity_and_translation():
-    basis = build_dirac(2.0, (0.0, 0.0))
-    rng = np.random.default_rng(23)
-    sp = random_spinor(basis, rng, scale=0.8)
-    tc = T_project(basis, sp)
-    for t in (2.3, -1.7):
-        assert np.abs(T_project(basis, t * sp) - t * tc).max() <= 1e-10
-    shift = np.array([0.4 + 0.9j, -0.3 + 0.2j])
-    shifted = sp.copy()
-    shifted[2 * basis.n_modes:] += shift
-    assert np.abs(T_project(basis, shifted) - (tc + shift)).max() <= 1e-10
-
-
-@pytest.mark.parametrize("lam_max", [1.0, 2.0, 8.0])
-def test_T_homogeneity_at_large_amplitude(lam_max):
-    # the gradient's rounding floor grows as s^3 and passes the absolute
-    # tolerance 1e-12 here; the line search used to stall at s = 100
-    basis = build_dirac(lam_max, (0.0, 0.0))
-    sp = random_spinor(basis, np.random.default_rng(29))
-    tc = T_project(basis, sp)
-    for s in (100.0, 1000.0):
-        assert rel_diff(T_project(basis, s * sp), s * tc) <= 1e-12
-
-
-def test_T_grid_search_oracle():
-    basis = build_dirac(2.0, (0.0, 0.0))
-    rng = np.random.default_rng(29)
-    sp = random_spinor(basis, rng, scale=0.7)
-    tc = T_project(basis, sp, tol=1e-13)
-
-    grid = basis.to_grid(sp)
-    dens = (np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2).ravel()
-    re0, im0 = grid[0].real.ravel(), grid[0].imag.ravel()
-    re1, im1 = grid[1].real.ravel(), grid[1].imag.ravel()
-    w = basis.quad_weight
-
-    def batch_values(cands):
-        # |psi - gamma|^2 expands around the spinor density; gamma is
-        # the constant field c / (2 pi)
-        g = cands / TWO_PI
-        lin = (g[:, 0, None] * re0 + g[:, 1, None] * im0
-               + g[:, 2, None] * re1 + g[:, 3, None] * im1)
-        gsq = np.sum(g * g, axis=1)
-        s = dens[None, :] - 2.0 * lin + gsq[:, None]
-        return w * np.sum(s * s, axis=1)
-
-    center = np.zeros(4)
-    half = 3.0
-    for _ in range(45):
-        axes = [np.linspace(center[i] - half, center[i] + half, 7)
-                for i in range(4)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        cands = mesh.reshape(-1, 4)
-        best = cands[int(np.argmin(batch_values(cands)))]
-        step = axes[0][1] - axes[0][0]
-        center, half = best, 2.0 * step
-    oracle = np.array([center[0] + 1j * center[1],
-                       center[2] + 1j * center[3]])
-    assert np.abs(oracle - tc).max() <= 1e-6
-
-
-def test_T_degenerate_at_zero():
-    # the zero spinor is fixed immediately and needs no Hessian solve
-    basis = build_dirac(2.0, (0.0, 0.0))
-    tc = T_project(basis, np.zeros(basis.size))
-    assert np.abs(tc).max() == 0.0
-
-
-# ---------------------------------------------------------------------------
-# the kernel-reduced functional
-
-def test_tilde_phi_inequality_and_kernel_gradient():
-    basis = build_dirac(2.0, (0.0, 0.0))
-    rng = np.random.default_rng(31)
-    M = basis.n_modes
-    for _ in range(5):
-        sp = random_spinor(basis, rng, scale=0.8)
-        sp[2 * M:] = 0.0
-        phi_val = phi_functional(basis, sp)[0]
-        tilde_val, tilde_grad, _ = tilde_phi(basis, sp)
-        assert phi_val <= tilde_val + 1e-12
-        assert np.abs(tilde_grad[2 * M:]).max() <= 1e-10
-    with pytest.raises(ValueError, match="kernel block"):
-        tilde_phi(basis, random_spinor(basis, rng))
-
-
-def test_tilde_phi_without_kernel_is_phi():
-    basis = build_dirac(2.0, (0.5, 0.5))
-    rng = np.random.default_rng(37)
-    sp = random_spinor(basis, rng)
-    v1, g1, q1 = phi_functional(basis, sp)
-    v2, g2, q2 = tilde_phi(basis, sp)
-    assert (v1, q1) == (v2, q2)
-    assert np.array_equal(g1, g2)
-
-
-def test_tilde_phi_gradient_fd():
-    # validates the envelope rule: the inner minimizer is re-solved at
-    # each evaluation yet the gradient treats it as frozen
-    basis = build_dirac(2.0, (0.0, 0.0))
-    rng = np.random.default_rng(41)
-    M = basis.n_modes
-    sp = random_spinor(basis, rng, scale=0.7)
-    sp[2 * M:] = 0.0
-    d = random_spinor(basis, rng)
-    d[2 * M:] = 0.0
-    _, grad, _ = tilde_phi(basis, sp)
-    exact = h_inner(basis, grad, d)
-    errs = []
-    hs = (1e-2, 1e-3)
-    for h in hs:
-        vp = tilde_phi(basis, sp + h * d)[0]
-        vm = tilde_phi(basis, sp - h * d)[0]
-        errs.append(abs((vp - vm) / (2.0 * h) - exact))
-    slope = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
-    assert abs(slope - 2.0) <= 0.3
-
-
-# ---------------------------------------------------------------------------
 # the solver-facing problem
 
 def test_problem_coordinates_and_energy():
+    # the coordinates are the scaled plus and minus parts, then the
+    # kernel block's unscaled parts, the null block E^0 of Y
     for delta in ((0.5, 0.5), (0.0, 0.0)):
         basis = build_dirac(2.0, delta)
         problem, to_coords, from_coords = ground_state_problem(basis)
-        assert problem.n == 4 * basis.n_modes
+        M, kd = basis.n_modes, basis.kernel_dim
+        assert (problem.n, problem.n_x, problem.n_0) == (4 * M + 2 * kd,
+                                                        2 * M, 2 * kd)
         rng = np.random.default_rng(43)
         u = rng.standard_normal(problem.n) * 0.5
         sp = from_coords(u)
         assert sp.shape == (basis.size,)
-        assert np.all(sp[2 * basis.n_modes:] == 0.0)
+        assert np.array_equal(sp[2 * M:].view(float), u[4 * M:])
         assert np.abs(to_coords(sp) - u).max() <= 1e-12
-        if basis.kernel_dim:
-            expected, egrad, _ = tilde_phi(basis, sp)
-        else:
-            expected, egrad, _ = phi_functional(basis, sp)
+        expected, egrad, _ = phi_functional(basis, sp)
         assert math.isclose(problem.energy(u), expected, rel_tol=1e-10)
         grad_coords = problem.energy_gradient(u)
         assert np.abs(grad_coords - to_coords(egrad)).max() <= 1e-10
@@ -623,24 +448,13 @@ def test_hess_psi_matches_central_differences(delta, lam_max):
     v = rng.standard_normal(problem.n)
     exact = problem.hess_psi(u, v)
     scale = np.abs(exact).max()
-
-    def central(h):
-        return (problem.grad_psi(u + h * v)
-                - problem.grad_psi(u - h * v)) / (2.0 * h)
-
-    if basis.kernel_dim:
-        # T makes grad Psi smooth but not polynomial: the difference
-        # converges to the product at second order
-        errs = [np.abs(central(h) - exact).max() / scale
-                for h in (1e-3, 1e-4)]
-        assert abs(math.log10(errs[0] / errs[1]) - 2.0) <= 0.05
-        assert errs[1] <= 1e-7
-    else:
-        # grad Psi is a cubic form G, so the central difference is
-        # exactly DG(u) v + h^2 G(v)
-        h = 1e-2
-        fd = central(h) - h * h * problem.grad_psi(v)
-        assert np.abs(fd - exact).max() <= 1e-12 * scale
+    # grad Psi is a cubic form G on every spin structure, kernel block
+    # included, so the central difference is exactly DG(u) v + h^2 G(v)
+    h = 1e-2
+    fd = (problem.grad_psi(u + h * v)
+          - problem.grad_psi(u - h * v)) / (2.0 * h)
+    fd -= h * h * problem.grad_psi(v)
+    assert np.abs(fd - exact).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
@@ -667,49 +481,6 @@ def test_hess_psi_runs_one_transform_pair(delta, monkeypatch):
     assert calls == ["to_grid", "from_grid"]
 
 
-def test_hess_psi_kernel_gram_matches_loop_solve():
-    # the cached Gram step against a solve that assembles the 4x4
-    # system entry by entry from grid sums
-    basis = build_dirac(2.0, (0.0, 0.0))
-    problem, _, from_coords = ground_state_problem(basis)
-    rng = np.random.default_rng(61)
-    u = rng.standard_normal(problem.n) * 0.6
-    v = rng.standard_normal(problem.n)
-
-    M = basis.n_modes
-    sp = from_coords(u)
-    sp[2 * M:] = -T_project(basis, sp)
-    z = basis.to_grid(sp)
-    dens = np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2
-    chi = basis.to_grid(from_coords(v))
-    dirs = np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]],
-                    dtype=complex) / TWO_PI
-    proj = np.array([np.real(z[0] * np.conj(d[0]) + z[1] * np.conj(d[1]))
-                     for d in dirs])
-    chi_pair = np.real(z[0] * np.conj(chi[0]) + z[1] * np.conj(chi[1]))
-    H = np.empty((4, 4))
-    rhs = np.empty(4)
-    for j in range(4):
-        cross_j = np.real(chi[0] * np.conj(dirs[j][0])
-                          + chi[1] * np.conj(dirs[j][1]))
-        rhs[j] = float(np.sum(2.0 * proj[j] * chi_pair + dens * cross_j))
-        for l in range(j, 4):
-            cc = float(np.real(dirs[j] @ np.conj(dirs[l])))
-            H[j, l] = H[l, j] = float(
-                np.sum(2.0 * proj[j] * proj[l] + dens * cc))
-    r = np.linalg.solve(H, rhs)
-    chi = chi - (r @ dirs)[:, None, None]
-    chi_pair = chi_pair - np.tensordot(r, proj, axes=1)
-    cubic = basis.from_grid(2.0 * chi_pair[None, :, :] * z
-                            + dens[None, :, :] * chi)
-    plus, minus = cubic[:M], cubic[M:2 * M]
-    sq = np.sqrt(basis.lam)
-    expected = np.concatenate([plus.real / sq, plus.imag / sq,
-                               minus.real / sq, minus.imag / sq])
-    got = problem.hess_psi(u, v)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
 def test_problem_hypotheses():
     basis = build_dirac(1.0, (0.0, 0.0))
     problem, _, _ = ground_state_problem(basis)
@@ -727,21 +498,26 @@ GROWTH_BASES = [(1.0, (0.5, 0.5)), (2.0, (0.5, 0.5)), (1.0, (0.0, 0.0)),
 def test_growth_constant_bounds_adversarial_fields(lam_max, delta):
     # |grad Psi(u)| <= K <grad Psi(u), u>^(3/4) on fields built to
     # concentrate: every plus mode in phase, plus and minus combs (a+ =
-    # a- aligns every frequency's C^2 coefficient), the lowest mode alone
+    # a- aligns every frequency's C^2 coefficient), the lowest mode alone,
+    # with a kernel the constant spinor and the comb with it in phase,
     # and random draws.  The largest ratio to K per basis measured
     # 0.32-0.61 here, so K is also not vacuous: within a factor 4 of it.
     basis = build_dirac(lam_max, delta)
     problem, _, _ = ground_state_problem(basis)
-    M = basis.n_modes
+    M, n = basis.n_modes, problem.n
     sq = np.sqrt(basis.lam)
-    plus, minus = np.zeros((2, 4 * M))
+    plus, minus, lowest = np.zeros((3, n))
     plus[:M] = sq
     minus[2 * M:3 * M] = sq
-    lowest = np.zeros(4 * M)
     lowest[0] = 1.0
     rng = np.random.default_rng(71)
     fields = [plus, plus + minus, plus - minus, lowest,
-              *rng.standard_normal((4, 4 * M))]
+              *rng.standard_normal((4, n))]
+    if basis.kernel_dim:
+        # the real part of the first kernel coefficient, (1, 0) / (2 pi)
+        kernel = np.zeros(n)
+        kernel[4 * M] = 1.0
+        fields += [kernel, plus + minus + math.sqrt(2.0) * kernel]
     ratios = []
     for u in fields:
         g = problem.grad_psi(u)
@@ -797,7 +573,7 @@ def test_solve_ground_state_antiperiodic():
 
 def test_solve_ground_state_with_kernel():
     state = solve_ground_state(2.0, (0.0, 0.0), tol=1e-8, seed=1, starts=2)
-    # the mapped point carries its kernel correction and is critical
+    # the point carries its fiber's kernel block and is critical
     # for the full functional, kernel block included
     assert state.grad_norm <= 1e-8
     assert state.energy > 0.0
@@ -810,6 +586,49 @@ def test_solve_ground_state_with_kernel():
     assert len(values) == 2 * M + 2
     assert np.array_equal(values, np.concatenate(
         (state.psi[:M], state.psi[2 * M:], state.psi[M:2 * M])))
+
+
+def test_fiber_kernel_block_matches_grid_search_oracle():
+    # the fiber's own Newton steps solve the kernel block: at a random
+    # X-direction phi, the kernel block of beta(phi) is minus the best
+    # kernel approximation of phi + w^- in L^4, found here by a refined
+    # grid search over the kernel 4-ball with no gradients involved
+    basis = build_dirac(1.5, (0.0, 0.0))
+    problem, _, from_coords = ground_state_problem(basis)
+    phi = np.zeros(problem.n)
+    phi[:problem.n_x] = np.random.default_rng(31).standard_normal(problem.n_x)
+    sp = from_coords(phi + reduction.beta(problem, phi, tol=1e-13))
+    M = basis.n_modes
+    rest = sp.copy()
+    rest[2 * M:] = 0.0
+    grid = basis.to_grid(rest)
+    dens = (np.abs(grid[0]) ** 2 + np.abs(grid[1]) ** 2).ravel()
+    re0, im0 = grid[0].real.ravel(), grid[0].imag.ravel()
+    re1, im1 = grid[1].real.ravel(), grid[1].imag.ravel()
+
+    def batch_values(cands):
+        # |psi - gamma|^4 expands around the density of the rest; gamma
+        # is the constant field c / (2 pi)
+        g = cands / TWO_PI
+        lin = (g[:, 0, None] * re0 + g[:, 1, None] * im0
+               + g[:, 2, None] * re1 + g[:, 3, None] * im1)
+        gsq = np.sum(g * g, axis=1)
+        s = dens[None, :] - 2.0 * lin + gsq[:, None]
+        return np.sum(s * s, axis=1)
+
+    center = np.zeros(4)
+    half = 3.0
+    for _ in range(45):
+        axes = [np.linspace(center[i] - half, center[i] + half, 7)
+                for i in range(4)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        cands = mesh.reshape(-1, 4)
+        center = cands[int(np.argmin(batch_values(cands)))]
+        half = 2.0 * (axes[0][1] - axes[0][0])
+    oracle = np.array([center[0] + 1j * center[1],
+                       center[2] + 1j * center[3]])
+    assert np.abs(sp[2 * M:]).max() >= 0.1
+    assert np.abs(sp[2 * M:] + oracle).max() <= 1e-6
 
 
 # ground levels found by the descent whose start projections were solved

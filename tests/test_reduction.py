@@ -121,6 +121,18 @@ def test_problem_validation():
     for n, n_x in ((1, 1), (2, 3)):
         with pytest.raises(ValueError, match="1 <= n_x <= n"):
             IndefiniteProblem(**{**GOOD, "n": n, "n_x": n_x})
+
+    # integer dimensions and an E^0 inside Y, refused before any callback
+    # runs; n_x = 1.5 used to construct and then fail with TypeError
+    # inside minimize_nehari
+    def refuse(z):
+        raise AssertionError("a callback ran on refused dimensions")
+
+    for bad, match in ((dict(n=3, n_x=1.5), "must be integers"),
+                       (dict(n_0=-1), "0 <= n_0 <= n - n_x"),
+                       (dict(n=3, n_0=3), "0 <= n_0 <= n - n_x")):
+        with pytest.raises(ValueError, match=match):
+            IndefiniteProblem(**{**GOOD, "psi": refuse, **bad})
     with pytest.raises(ValueError):
         IndefiniteProblem(**{**GOOD, "psi": lambda z: 1.0 + float(z @ z)})
     with pytest.raises(ValueError):
@@ -132,6 +144,34 @@ def test_problem_refuses_an_empty_x():
     # minimize_nehari drew start directions forever
     with pytest.raises(ValueError, match="1 <= n_x <= n"):
         IndefiniteProblem(**{**GOOD, "n_x": 0})
+
+
+def test_null_block_is_solved_by_the_fiber():
+    # the last n_0 coordinates carry no quadratic weight, and the fiber
+    # solves for them: Psi is stationary along E^0 at phi + beta(phi),
+    # hence minimal there, and the minimizer plus its fiber is critical
+    base, _ = coupled_quartic_problem(n=6, k=2, seed=31)
+    problem = dataclasses.replace(base, n_0=2)
+    z = np.random.default_rng(5).standard_normal(6)
+    assert problem.energy(z) == pytest.approx(
+        0.5 * (z[:2] @ z[:2] - z[2:4] @ z[2:4]) - problem.psi(z), rel=1e-14)
+    assert np.array_equal(problem.energy_gradient(z)[4:],
+                          -problem.grad_psi(z)[4:])
+    assert problem.negative(z).tolist() == [0.0, 0.0, z[2], z[3], 0.0, 0.0]
+
+    phi = np.array([0.8, -0.5, 0.0, 0.0, 0.0, 0.0])
+    w = beta(problem, phi, tol=1e-13)
+    g = problem.grad_psi(phi + w)
+    assert np.abs(w[2:4] + g[2:4]).max() <= 1e-13
+    assert np.abs(g[4:]).max() <= 1e-13
+    for e in np.eye(6)[4:]:
+        for s in (1e-3, -1e-3):
+            assert problem.psi(phi + w + s * e) > problem.psi(phi + w)
+
+    result = minimize_nehari(problem, starts=2, tol=1e-10, seed=0)
+    crit = result.minimizer + result.fiber
+    assert result.gamma > 0.0
+    assert np.linalg.norm(problem.energy_gradient(crit)) <= 1e-9
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -1558,7 +1598,7 @@ def test_solver_kernels_stay_private():
             "prob.psi(u), prob.grad_psi(u), prob.hess_psi(u, u[::-1].copy())\n"
             "seen = {span[0] for span in tr.spans}\n"
             "names = ['dirac_torus.' + s for s in ('psi', 'grad_psi', "
-            "'hess_psi', 'to_grid', 'from_grid', 'T_project')]\n"
+            "'hess_psi', 'to_grid', 'from_grid')]\n"
             "missing = [n for n in names if n not in seen]\n"
             "assert not missing, missing\n"
             "from spinlab import reduction\n"
